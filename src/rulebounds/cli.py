@@ -115,7 +115,9 @@ def cmd_bounds(args) -> int:
         config = replace(config, query=args.query)
     if args.strategy:
         config = replace(config, strategy=args.strategy)
-    if args.cap:
+    if args.cap is not None:
+        if args.cap < 1:
+            raise ConfigError(f"enumeration_cap must be a positive integer, got --cap {args.cap}")
         config = replace(config, cap=args.cap)
     if config.query in ("theta_g", "cu") and config.model.guideline is None:
         raise ConfigError(f"query {config.query!r} needs a 'guideline'")

@@ -4,7 +4,8 @@ Config files are JSON. Rule tables are keyed by comma-joined covariate
 values in rule-covariate declaration order ("0,2": 1); single-covariate
 models may use bare keys ("3": 1). Data files are CSV with a header row
 and integer codes; the optional per-variable "column" field maps variable
-names to differently named columns.
+names to differently named columns. Blank lines are skipped, and error
+messages name rows by their line number in the file.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -188,14 +190,17 @@ def load_records(path: str, config: AnalysisConfig) -> tuple[np.ndarray, dict]:
     for r, row in enumerate(rows):
         for j, pos in enumerate(positions):
             if pos >= len(row):
-                raise DataError(f"row {r + 2} of {path!r} has only {len(row)} fields")
+                raise DataError(
+                    f"row {_file_line(path, r)} of {path!r} has only {len(row)} fields"
+                )
             cell = row[pos].strip()
             try:
                 records[r, j] = int(cell)
             except ValueError:
                 name = config.model.variables[j].name
                 raise DataError(
-                    f"row {r + 2} of {path!r}: value {cell!r} for {name!r} is not an integer"
+                    f"row {_file_line(path, r)} of {path!r}: value {cell!r} for {name!r} "
+                    "is not an integer"
                 ) from None
     info = {
         "path": os.path.abspath(path),
@@ -209,6 +214,15 @@ def load_records(path: str, config: AnalysisConfig) -> tuple[np.ndarray, dict]:
         },
     }
     return records, info
+
+
+def _file_line(path: str, index: int) -> int:
+    """File line number of the ``index``-th non-blank data row; used only for errors."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        lines = (reader.line_num for row in reader if row and any(cell.strip() for cell in row))
+        return next(islice(lines, index, None))
 
 
 def empirical_table(records: np.ndarray, config: AnalysisConfig) -> JointTable:

@@ -39,7 +39,7 @@ from .model import (
     TreatmentRule,
     validate_model,
 )
-from .tables import JointTable, condition, reorder, with_variables
+from .tables import JointTable, reorder, with_variables
 
 DEFAULT_CAP = 10_000_000
 FEAS_TOL = 1e-9
@@ -253,9 +253,13 @@ def enumerate_response_types(source, cap: int = DEFAULT_CAP) -> ResponseTypeSpac
     shape = source if isinstance(source, SpaceShape) else derive_shape(source)
     count = count_classes(shape)
     if count > cap:
+        advice = (
+            "use the reduction or conditioning strategy instead"
+            if shape.kind == "full"
+            else "raise it with --cap or the config's 'enumeration_cap'"
+        )
         raise EnumerationCapError(
-            f"response-type space has {count} classes, exceeding the cap of {cap}; "
-            "use the reduction or conditioning strategy instead",
+            f"response-type space has {count} classes, exceeding the cap of {cap}; {advice}",
             count=count,
             cap=cap,
         )
@@ -460,19 +464,16 @@ def build_lp(
             raise ValueError(f"query {query!r} needs a guideline rule")
 
     expected = ((CANON_INSTRUMENT,) if space.shape.instrument_card else ()) + space.cell_names
-    table = reorder(observed, expected)
+    rhs = reorder(observed, expected).probs.reshape(space.n_arms, space.n_cells)
     if space.shape.instrument_card:
-        rhs = np.empty((space.shape.instrument_card, space.n_cells))
-        for z in range(space.shape.instrument_card):
-            cond, mass = condition(table, {CANON_INSTRUMENT: z})
-            if mass <= 0.0:
-                raise DataError(
-                    f"instrument arm {CANON_INSTRUMENT}={z} has zero probability; "
-                    "cannot condition on it"
-                )
-            rhs[z] = cond.probs.ravel()
-    else:
-        rhs = table.probs.ravel()[np.newaxis, :]
+        arm_mass = rhs.sum(axis=1)
+        empty = np.flatnonzero(arm_mass <= 0.0)
+        if empty.size:
+            raise DataError(
+                f"instrument arm {CANON_INSTRUMENT}={empty[0]} has zero probability; "
+                "cannot condition on it"
+            )
+        rhs = rhs / arm_mass[:, np.newaxis]
 
     objective = _objective(space, query, level, guideline_level, rule, guideline)
     return LpProblem(

@@ -9,7 +9,7 @@ model (everything conditioned on one covariate cell).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Optional
 
@@ -133,9 +133,6 @@ class CausalModel:
     variables: tuple[VariableSpec, ...]
     rule: TreatmentRule
     guideline: Optional[TreatmentRule] = None
-    # The whole point of this package is bounding under an unmeasured common
-    # cause of treatment and outcome, so analyses require this to stay True.
-    has_latent_confounder: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -201,12 +198,6 @@ def validate_model(model: CausalModel) -> list[str]:
         )
     if not model.rule_covariates:
         out.append("model must declare at least one rule_covariate")
-    if not model.has_latent_confounder:
-        out.append(
-            "has_latent_confounder=False is unsupported: without the latent "
-            "common cause the value of a rule is point-identified and the "
-            "bounding machinery here does not apply"
-        )
     if n_treat == 1 and model.rule_covariates:
         cards = model.rule_covariate_cards
         k = model.treatment.cardinality
@@ -226,21 +217,15 @@ def _require_valid(model: CausalModel) -> None:
 class ReducedModel:
     """Problem shape after merging rule covariates into the latent term.
 
-    Observed variables use canonical names; ``name_map`` records the
-    (canonical, original) pairs for reporting. When the comparator equals
-    the rule, its recommendation node is dropped and ``guideline_is_rule``
-    is set, because the two recommendations would coincide everywhere.
+    Observed variables use canonical names. When the comparator equals the
+    rule, its recommendation node is dropped and ``guideline_is_rule`` is
+    set, because the two recommendations would coincide everywhere.
     """
 
     source: CausalModel
     observed: tuple[VariableSpec, ...]
     guideline_is_rule: bool
-    name_map: tuple[tuple[str, str], ...]
     latent_description: str
-
-    @property
-    def has_instrument(self) -> bool:
-        return any(v.name == CANON_INSTRUMENT for v in self.observed)
 
     @property
     def has_guideline(self) -> bool:
@@ -256,33 +241,24 @@ def build_reduced_model(model: CausalModel) -> ReducedModel:
     _require_valid(model)
     k = model.treatment.cardinality
     observed = []
-    name_map = []
     if model.instrument is not None:
         observed.append(VariableSpec(CANON_INSTRUMENT, model.instrument.cardinality, ROLE_INSTRUMENT))
-        name_map.append((CANON_INSTRUMENT, model.instrument.name))
     observed.append(VariableSpec(CANON_TREATMENT, k, ROLE_TREATMENT))
-    name_map.append((CANON_TREATMENT, model.treatment.name))
     observed.append(VariableSpec(CANON_OUTCOME, 2, ROLE_OUTCOME))
-    name_map.append((CANON_OUTCOME, model.outcome.name))
     observed.append(VariableSpec(CANON_RULE_REC, k, ROLE_RECOMMENDATION))
-    name_map.append((CANON_RULE_REC, model.rule.name))
     guideline_is_rule = False
     if model.guideline is not None:
         if model.guideline.table == model.rule.table:
             guideline_is_rule = True
         else:
             observed.append(VariableSpec(CANON_GUIDELINE_REC, k, ROLE_RECOMMENDATION))
-            name_map.append((CANON_GUIDELINE_REC, model.guideline.name))
     for i, v in enumerate(model.extra_covariates):
-        canon = f"extra{i}"
-        observed.append(VariableSpec(canon, v.cardinality, ROLE_EXTRA_COVARIATE))
-        name_map.append((canon, v.name))
+        observed.append(VariableSpec(f"extra{i}", v.cardinality, ROLE_EXTRA_COVARIATE))
     latent = "confounder x (" + ", ".join(v.name for v in model.rule_covariates) + ")"
     return ReducedModel(
         source=model,
         observed=tuple(observed),
         guideline_is_rule=guideline_is_rule,
-        name_map=tuple(name_map),
         latent_description=latent,
     )
 
@@ -298,17 +274,15 @@ class StratumModel:
     assigned: int
     assigned_guideline: Optional[int]
 
-    @property
-    def has_instrument(self) -> bool:
-        return any(v.name == CANON_INSTRUMENT for v in self.observed)
 
-    def label(self) -> str:
-        x_names = [v.name for v in self.source.rule_covariates]
-        parts = [f"{n}={val}" for n, val in zip(x_names, self.x)]
-        if self.w is not None:
-            w_names = [v.name for v in self.source.extra_covariates]
-            parts += [f"{n}={val}" for n, val in zip(w_names, self.w)]
-        return ", ".join(parts)
+def stratum_variables(model: CausalModel) -> tuple[VariableSpec, ...]:
+    """Canonical [instrument,] treatment, outcome specs of every stratum table."""
+    observed = []
+    if model.instrument is not None:
+        observed.append(VariableSpec(CANON_INSTRUMENT, model.instrument.cardinality, ROLE_INSTRUMENT))
+    observed.append(VariableSpec(CANON_TREATMENT, model.treatment.cardinality, ROLE_TREATMENT))
+    observed.append(VariableSpec(CANON_OUTCOME, 2, ROLE_OUTCOME))
+    return tuple(observed)
 
 
 def build_stratum_model(model: CausalModel, x, w=None) -> StratumModel:
@@ -328,17 +302,11 @@ def build_stratum_model(model: CausalModel, x, w=None) -> StratumModel:
                 f"stratum extra values {w} outside the extra-covariate domain "
                 f"with cardinalities {wcards}"
             )
-    k = model.treatment.cardinality
-    observed = []
-    if model.instrument is not None:
-        observed.append(VariableSpec(CANON_INSTRUMENT, model.instrument.cardinality, ROLE_INSTRUMENT))
-    observed.append(VariableSpec(CANON_TREATMENT, k, ROLE_TREATMENT))
-    observed.append(VariableSpec(CANON_OUTCOME, 2, ROLE_OUTCOME))
     return StratumModel(
         source=model,
         x=x,
         w=w,
-        observed=tuple(observed),
+        observed=stratum_variables(model),
         assigned=model.rule.level_for(x),
         assigned_guideline=(model.guideline.level_for(x) if model.guideline is not None else None),
     )

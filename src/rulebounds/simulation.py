@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,7 +29,7 @@ from .model import (
     VariableSpec,
 )
 from .strategies import StrategyRequest, conditioning_bounds, reduction_bounds
-from .tables import Cpt, JointTable, Scm, joint_from_scm, marginalize
+from .tables import Cpt, Scm, joint_from_scm, marginalize
 
 VALIDITY_TOL = 1e-9
 ROLE_LATENT = "latent_confounder"

@@ -10,7 +10,7 @@ variables, and a query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
@@ -20,24 +20,20 @@ from .errors import DataError, EnumerationCapError, InfeasibleModelError
 from .lp_bounds import (
     DEFAULT_CAP,
     BoundsResult,
+    SpaceShape,
     build_lp,
     direct_sharp_bounds,
     enumerate_response_types,
     solve_bounds,
 )
 from .model import (
-    CANON_INSTRUMENT,
-    CANON_OUTCOME,
-    CANON_TREATMENT,
     CausalModel,
     ReducedModel,
-    StratumModel,
-    VariableSpec,
     build_reduced_model,
-    build_stratum_model,
+    stratum_variables,
     validate_model,
 )
-from .tables import JointTable, condition, reorder, with_variables
+from .tables import JointTable, reorder
 
 CONTAINMENT_TOL = 1e-9
 AGREE_TOL = 1e-8
@@ -147,79 +143,70 @@ class StratumBound:
         }
 
 
-def _stratum_domains(model: CausalModel):
-    """Lexicographic (x, w) pairs; w is None when there are no extra covariates."""
-    x_domain = list(product(*(range(c) for c in model.rule_covariate_cards)))
-    if model.extra_covariates:
-        w_domain = list(product(*(range(c) for c in model.extra_covariate_cards)))
-        return [(x, w) for x in x_domain for w in w_domain]
-    return [(x, None) for x in x_domain]
-
-
-def _canonical_stratum_table(model: CausalModel, cond_table: JointTable) -> JointTable:
-    names = []
-    specs = []
-    if model.instrument is not None:
-        names.append(model.instrument.name)
-        specs.append(VariableSpec(CANON_INSTRUMENT, model.instrument.cardinality, "instrument"))
-    names.append(model.treatment.name)
-    specs.append(VariableSpec(CANON_TREATMENT, model.treatment.cardinality, "treatment"))
-    names.append(model.outcome.name)
-    specs.append(VariableSpec(CANON_OUTCOME, 2, "outcome"))
-    return with_variables(reorder(cond_table, names), specs)
-
-
 def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
-    """Weight-averaged per-stratum bounds over the covariate cells."""
+    """Weight-averaged per-stratum bounds over the covariate cells.
+
+    Strata run x-major, w-minor over the rule and extra covariates; each
+    solves the no-assumption program on P([instrument,] treatment, outcome
+    | stratum) and contributes its bounds times its mass. Zero-mass strata
+    are listed as skipped.
+    """
     _validate_request(request)
     model = request.model
-    strat_names = [v.name for v in model.rule_covariates] + [
-        v.name for v in model.extra_covariates
-    ]
+    covariates = model.rule_covariates + model.extra_covariates
+    cell_specs = stratum_variables(model)
+    arm = (model.instrument,) if model.instrument is not None else ()
+    order = covariates + arm + (model.treatment, model.outcome)
+    cell_shape = tuple(v.cardinality for v in cell_specs)
+    probs = reorder(request.observed, [v.name for v in order]).probs.reshape((-1,) + cell_shape)
+    masses = probs.reshape(probs.shape[0], -1).sum(axis=1)
+    space = enumerate_response_types(
+        SpaceShape("stratum", model.treatment.cardinality, arm[0].cardinality if arm else 0),
+        cap=request.cap,
+    )
+    nx = len(model.rule_covariates)
     strata: list[StratumBound] = []
     lower = 0.0
     upper = 0.0
-    for x, w in _stratum_domains(model):
-        sm = build_stratum_model(model, x, w)
-        values = x + (w if w is not None else ())
-        cond_table, mass = condition(request.observed, dict(zip(strat_names, values)))
-        g_level = sm.assigned_guideline
+    for i, values in enumerate(product(*(range(v.cardinality) for v in covariates))):
+        x, w = values[:nx], (values[nx:] if model.extra_covariates else None)
+        label = ", ".join(f"{v.name}={val}" for v, val in zip(covariates, values))
+        level = model.rule.level_for(x)
+        g_level = model.guideline.level_for(x) if model.guideline is not None else None
+        mass = float(masses[i])
         if mass <= 0.0:
             strata.append(
                 StratumBound(
-                    x=x, w=w, label=sm.label(), weight=0.0, level=sm.assigned,
+                    x=x, w=w, label=label, weight=0.0, level=level,
                     guideline_level=g_level, lower=None, upper=None, skipped=True,
                 )
             )
             continue
-        space = enumerate_response_types(sm, cap=request.cap)
-        canon = _canonical_stratum_table(model, cond_table)
         try:
             lp = build_lp(
                 space,
-                canon,
+                JointTable(cell_specs, probs[i] / mass),
                 request.query,
-                level=sm.assigned,
+                level=level,
                 guideline_level=g_level,
             )
             result = solve_bounds(lp)
         except InfeasibleModelError as err:
             raise InfeasibleModelError(
-                f"stratum ({sm.label()}): {err}",
+                f"stratum ({label}): {err}",
                 worst_constraint=err.worst_constraint,
                 violation=err.violation,
             ) from err
         except DataError as err:
-            raise DataError(f"stratum ({sm.label()}): {err}") from err
+            raise DataError(f"stratum ({label}): {err}") from err
         strata.append(
             StratumBound(
-                x=x, w=w, label=sm.label(), weight=mass, level=sm.assigned,
+                x=x, w=w, label=label, weight=mass, level=level,
                 guideline_level=g_level, lower=result.lower, upper=result.upper,
             )
         )
         lower += mass * result.lower
         upper += mass * result.upper
-    solved = [s for s in strata if not s.skipped]
     return BoundsResult(
         query=request.query,
         lower=lower,
@@ -228,7 +215,7 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
         diagnostics={
             "strata": [s.to_dict() for s in strata],
             "stratum_count": len(strata),
-            "skipped_strata": len(strata) - len(solved),
+            "skipped_strata": sum(s.skipped for s in strata),
         },
     )
 

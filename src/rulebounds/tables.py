@@ -7,8 +7,8 @@ return new tables; arrays are marked read-only on construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class JointTable:
     variables: tuple[VariableSpec, ...]
     probs: np.ndarray
     degenerate: bool = False
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -75,7 +74,7 @@ def marginalize(table: JointTable, keep: Sequence[str]) -> JointTable:
     drop_axes = tuple(i for i, v in enumerate(table.variables) if v.name not in keep_set)
     kept = tuple(v for v in table.variables if v.name in keep_set)
     probs = table.probs.sum(axis=drop_axes) if drop_axes else table.probs
-    return JointTable(kept, probs, degenerate=table.degenerate, meta=dict(table.meta))
+    return JointTable(kept, probs, degenerate=table.degenerate)
 
 
 def condition(table: JointTable, assignments: Mapping[str, int]) -> tuple[JointTable, float]:
@@ -110,9 +109,7 @@ def reorder(table: JointTable, names: Sequence[str]) -> JointTable:
         raise ValueError(f"{list(names)} is not a permutation of {table.names}")
     perm = tuple(table.axis(n) for n in names)
     new_vars = tuple(table.variables[i] for i in perm)
-    return JointTable(
-        new_vars, table.probs.transpose(perm), degenerate=table.degenerate, meta=dict(table.meta)
-    )
+    return JointTable(new_vars, table.probs.transpose(perm), degenerate=table.degenerate)
 
 
 def with_variables(table: JointTable, new_vars: Sequence[VariableSpec]) -> JointTable:
@@ -120,7 +117,7 @@ def with_variables(table: JointTable, new_vars: Sequence[VariableSpec]) -> Joint
     new_vars = tuple(new_vars)
     if tuple(v.cardinality for v in new_vars) != tuple(v.cardinality for v in table.variables):
         raise ValueError("replacement specs must match existing cardinalities")
-    return JointTable(new_vars, table.probs, degenerate=table.degenerate, meta=dict(table.meta))
+    return JointTable(new_vars, table.probs, degenerate=table.degenerate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +209,7 @@ def joint_from_scm(scm: Scm) -> JointTable:
 
 
 def empirical_joint(records, variables: Sequence[VariableSpec]) -> JointTable:
-    """Cell frequencies of integer-coded records; ``meta['n_records']`` holds the count."""
+    """Cell frequencies of integer-coded records."""
     variables = tuple(variables)
     arr = np.asarray(records)
     if arr.ndim != 2 or arr.shape[1] != len(variables):
@@ -236,7 +233,7 @@ def empirical_joint(records, variables: Sequence[VariableSpec]) -> JointTable:
     shape = tuple(v.cardinality for v in variables)
     counts = np.zeros(shape)
     np.add.at(counts, tuple(arr[:, j] for j in range(arr.shape[1])), 1.0)
-    return JointTable(variables, counts / arr.shape[0], meta={"n_records": int(arr.shape[0])})
+    return JointTable(variables, counts / arr.shape[0])
 
 
 def sample_records(table: JointTable, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -18,7 +18,8 @@ from rulebounds.model import (
     TreatmentRule,
     VariableSpec,
 )
-from rulebounds.tables import JointTable
+from rulebounds.lp_bounds import SpaceShape, class_cells, enumerate_response_types
+from rulebounds.tables import JointTable, reorder
 
 
 def random_probs(rng, shape):
@@ -29,6 +30,38 @@ def random_probs(rng, shape):
 
 def random_joint(rng, specs):
     return JointTable(tuple(specs), random_probs(rng, tuple(s.cardinality for s in specs)))
+
+
+def feasible_table(rng, model, zero_stratum):
+    """A joint over the declared variables that every stratum program accepts.
+
+    Each stratum's P(a, y | [z]) mixes the stratum space's response classes,
+    so instrumented strata satisfy the instrumental inequalities by
+    construction. The instrument is independent of the covariates, as the
+    reduced program requires. With ``zero_stratum`` one random stratum gets
+    no mass.
+    """
+    k = model.treatment.cardinality
+    z_card = model.instrument.cardinality if model.instrument is not None else 0
+    space = enumerate_response_types(SpaceShape("stratum", k, z_card))
+    cells = class_cells(space)
+    covariates = model.rule_covariates + model.extra_covariates
+    cov_shape = tuple(v.cardinality for v in covariates)
+    arm_probs = rng.dirichlet(np.ones(space.n_arms))
+    probs = np.zeros(cov_shape + (space.n_arms, space.n_cells))
+    for idx in np.ndindex(cov_shape):
+        mix = rng.dirichlet(np.ones(space.class_count))
+        mass = rng.uniform(0.1, 1.0)
+        for arm in range(space.n_arms):
+            probs[idx + (arm,)] = mass * arm_probs[arm] * np.bincount(
+                cells[arm], weights=mix, minlength=space.n_cells
+            )
+    if zero_stratum:
+        probs[tuple(int(rng.integers(c)) for c in cov_shape)] = 0.0
+    arm = (model.instrument,) if z_card else ()
+    order = covariates + arm + (model.treatment, model.outcome)
+    table = JointTable(order, (probs / probs.sum()).reshape([v.cardinality for v in order]))
+    return reorder(table, [v.name for v in model.variables])
 
 
 def binary_reduced_specs():

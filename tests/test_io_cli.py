@@ -194,7 +194,6 @@ def test_load_records_roundtrip(tmp_path):
     table = empirical_table(records, config)
     assert table.probs.shape == (2, 3, 2, 2)
     assert table.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert table.meta["n_records"] == 600
 
 
 def test_load_records_respects_column_order_and_mapping(tmp_path):
@@ -234,6 +233,14 @@ def test_load_records_defects(tmp_path):
     text_cell.write_text("z,x,a,y\n0,1,0,yes\n")
     with pytest.raises(DataError, match="row 2.*'yes'"):
         load_records(str(text_cell), config)
+
+    # rows are named by file line, blank lines included
+    text_cell.write_text("z,x,a,y\n\n0,1,1,1\n0,2,q,1\n")
+    with pytest.raises(DataError, match="row 4 .*'q'"):
+        load_records(str(text_cell), config)
+    ragged.write_text("z,x,a,y\n0,1,1,1\n\n  \n0,2\n")
+    with pytest.raises(DataError, match="row 5 .*only 2 fields"):
+        load_records(str(ragged), config)
 
 
 def test_out_of_range_code_is_a_data_error(tmp_path):
@@ -405,7 +412,12 @@ def test_cli_exit_codes_for_config_problems(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["bounds", "--config", cfg]) == 2  # no data anywhere
     assert main(["bounds", "--config", cfg, "--data", data, "--cap", "10"]) == 2
-    assert "cap" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--cap" in err and "enumeration_cap" in err  # the reduced program is over the cap
+    assert "reduction or conditioning" not in err
+    for cap in ("0", "-3"):
+        assert main(["bounds", "--config", cfg, "--data", data, "--cap", cap]) == 2
+        assert "enumeration_cap must be a positive integer" in capsys.readouterr().err
 
 
 def test_cli_exit_codes_for_data_problems(tmp_path, capsys):
@@ -484,4 +496,6 @@ def test_compare_command_runs_oracle(tmp_path, capsys):
 
     tiny = main(["compare", "--config", cfg, "--data", data, "--oracle-cap", "4"])
     assert tiny == 0
-    assert "oracle note" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "oracle note" in printed
+    assert "use the reduction or conditioning strategy instead" in printed

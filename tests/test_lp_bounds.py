@@ -128,9 +128,16 @@ def test_cap_refusal_reports_count_and_cap():
         enumerate_response_types(PAPER_SHAPE, cap=10_000)
     assert exc.value.count == 835_884_417_024
     assert exc.value.cap == 10_000
+    assert "use the reduction or conditioning strategy" in str(exc.value)
     assert DEFAULT_CAP == 10_000_000
     with pytest.raises(EnumerationCapError):
         enumerate_response_types(PAPER_SHAPE)  # default cap also refuses
+    # the strategies' own programs can only raise the cap
+    for shape in (SpaceShape("reduced", 2, guideline_mode="separate"), SpaceShape("stratum", 3)):
+        with pytest.raises(EnumerationCapError) as exc:
+            enumerate_response_types(shape, cap=1)
+        assert "--cap" in str(exc.value) and "enumeration_cap" in str(exc.value)
+        assert "reduction or conditioning" not in str(exc.value)
 
 
 def test_space_is_cached_and_frozen():

@@ -136,7 +136,6 @@ def test_empirical_joint_counts():
     vs = specs(("a", 2), ("b", 3))
     records = np.array([[0, 0], [0, 0], [1, 2], [0, 1]])
     table = empirical_joint(records, vs)
-    assert table.meta["n_records"] == 4
     assert table.probs[0, 0] == pytest.approx(0.5)
     assert table.probs[1, 2] == pytest.approx(0.25)
     assert table.probs[0, 1] == pytest.approx(0.25)
