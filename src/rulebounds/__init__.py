@@ -17,123 +17,39 @@ from .errors import (
     SolverError,
 )
 from .lp_bounds import (
-    DEFAULT_CAP,
     BoundsResult,
-    LpProblem,
-    ResponseClass,
-    ResponseTypeSpace,
-    SpaceShape,
     build_lp,
-    class_cells,
-    closed_form_binary_reduction,
-    count_classes,
-    derive_shape,
     direct_sharp_bounds,
     enumerate_response_types,
-    manski_stratum_bounds,
     solve_bounds,
 )
-from .model import (
-    CausalModel,
-    ReducedModel,
-    StratumModel,
-    TreatmentRule,
-    VariableSpec,
-    build_reduced_model,
-    build_stratum_model,
-    validate_model,
-)
-from .simulation import (
-    SimConfig,
-    SimRecord,
-    SimReport,
-    default_study_rule,
-    intervene_with_rule,
-    observed_model,
-    random_cpt,
-    random_scm,
-    run_replication,
-    run_study,
-    true_policy_value,
-)
+from .model import CausalModel, TreatmentRule, VariableSpec
 from .strategies import (
-    StrategyComparison,
     StrategyRequest,
-    StratumBound,
     compare_strategies,
     conditioning_bounds,
-    reduce_table,
     reduction_bounds,
 )
-from .tables import (
-    Cpt,
-    JointTable,
-    Scm,
-    condition,
-    empirical_joint,
-    joint_from_scm,
-    marginalize,
-    reorder,
-    sample_records,
-    with_variables,
-)
+from .tables import JointTable
 
 __all__ = [
     "BoundsResult",
     "CausalModel",
     "ConfigError",
-    "Cpt",
     "DataError",
-    "DEFAULT_CAP",
     "EnumerationCapError",
     "InfeasibleModelError",
     "JointTable",
-    "LpProblem",
-    "ReducedModel",
-    "ResponseClass",
-    "ResponseTypeSpace",
     "RuleboundsError",
-    "Scm",
-    "SimConfig",
-    "SimRecord",
-    "SimReport",
     "SolverError",
-    "SpaceShape",
-    "StrategyComparison",
     "StrategyRequest",
-    "StratumBound",
-    "StratumModel",
     "TreatmentRule",
     "VariableSpec",
     "build_lp",
-    "build_reduced_model",
-    "build_stratum_model",
-    "class_cells",
-    "closed_form_binary_reduction",
     "compare_strategies",
-    "condition",
     "conditioning_bounds",
-    "count_classes",
-    "default_study_rule",
-    "derive_shape",
     "direct_sharp_bounds",
-    "empirical_joint",
     "enumerate_response_types",
-    "intervene_with_rule",
-    "joint_from_scm",
-    "manski_stratum_bounds",
-    "marginalize",
-    "observed_model",
-    "random_cpt",
-    "random_scm",
-    "reduce_table",
     "reduction_bounds",
-    "reorder",
-    "run_replication",
-    "run_study",
-    "sample_records",
     "solve_bounds",
-    "true_policy_value",
-    "validate_model",
-    "with_variables",
 ]

@@ -13,6 +13,7 @@ from dataclasses import fields, replace
 
 from .errors import ConfigError, DataError, EnumerationCapError, InfeasibleModelError
 from .io import (
+    VALID_STRATEGIES,
     AnalysisConfig,
     build_report,
     empirical_table,
@@ -21,10 +22,11 @@ from .io import (
     load_records,
     model_summary,
     parse_rule,
+    read_config_json,
     write_json,
     write_stratum_csv,
 )
-from .lp_bounds import DEFAULT_CAP
+from .lp_bounds import DEFAULT_CAP, QUERIES
 from .simulation import SimConfig, run_study
 from .strategies import (
     StrategyRequest,
@@ -52,10 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--output", help="report JSON path (default: config 'output' or stdout)")
     p_bounds.add_argument(
         "--strategy",
-        choices=("reduction", "conditioning", "both"),
+        choices=VALID_STRATEGIES,
         help="override the config's strategy selection",
     )
-    p_bounds.add_argument("--query", choices=("theta_f", "theta_g", "cu"), help="override the config's query")
+    p_bounds.add_argument("--query", choices=QUERIES, help="override the config's query")
     p_bounds.add_argument("--stratum-csv", help="also write per-stratum bounds as CSV")
     p_bounds.add_argument("--cap", type=int, help="response-type enumeration cap override")
     p_bounds.set_defaults(func=cmd_bounds)
@@ -69,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--strategies", help="comma-separated subset of: reduction,conditioning"
     )
-    p_sim.add_argument("--query", choices=("theta_f", "theta_g", "cu"))
+    p_sim.add_argument("--query", choices=QUERIES)
     p_sim.add_argument("--config", help="optional JSON with study-shape overrides")
     p_sim.add_argument("--output", help="report JSON path (default stdout)")
     p_sim.set_defaults(func=cmd_simulate)
@@ -157,13 +159,7 @@ def cmd_bounds(args) -> int:
 def _sim_config(args) -> SimConfig:
     config = SimConfig()
     if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as err:
-            raise ConfigError(f"cannot read config {args.config!r}: {err}") from None
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config {args.config!r} is not valid JSON: {err}") from None
+        raw = read_config_json(args.config)
         if not isinstance(raw, dict):
             raise ConfigError("simulation config root must be a JSON object")
         known = {f.name for f in fields(SimConfig)}

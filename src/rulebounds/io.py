@@ -23,10 +23,10 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DataError
+from .lp_bounds import DEFAULT_CAP, QUERIES
 from .model import ROLES, CausalModel, TreatmentRule, VariableSpec, validate_model
 from .tables import JointTable, empirical_joint
 
-VALID_QUERIES = ("theta_f", "theta_g", "cu")
 VALID_STRATEGIES = ("reduction", "conditioning", "both")
 
 
@@ -80,15 +80,20 @@ def parse_rule(spec, n_covariates: int, default_name: str) -> TreatmentRule:
         raise ConfigError(str(err)) from None
 
 
-def load_config(path: str) -> AnalysisConfig:
-    """Parse and validate a JSON analysis config; all defects raise ConfigError."""
+def read_config_json(path: str):
+    """Parsed JSON of a config file; unreadable or malformed files raise ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config {path!r}: {err}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {path!r} is not valid JSON: {err}") from None
+
+
+def load_config(path: str) -> AnalysisConfig:
+    """Parse and validate a JSON analysis config; all defects raise ConfigError."""
+    raw = read_config_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
 
@@ -132,8 +137,8 @@ def load_config(path: str) -> AnalysisConfig:
         raise ConfigError("invalid model: " + "; ".join(problems))
 
     query = raw.get("query", "theta_f")
-    if query not in VALID_QUERIES:
-        raise ConfigError(f"unknown query {query!r}; expected one of {VALID_QUERIES}")
+    if query not in QUERIES:
+        raise ConfigError(f"unknown query {query!r}; expected one of {QUERIES}")
     if query in ("theta_g", "cu") and guideline is None:
         raise ConfigError(f"query {query!r} needs a 'guideline'")
     strategy = raw.get("strategy", "both")
@@ -141,7 +146,7 @@ def load_config(path: str) -> AnalysisConfig:
         raise ConfigError(
             f"unknown strategy {strategy!r}; expected one of {VALID_STRATEGIES}"
         )
-    cap = raw.get("enumeration_cap", 10_000_000)
+    cap = raw.get("enumeration_cap", DEFAULT_CAP)
     if not isinstance(cap, int) or cap < 1:
         raise ConfigError("enumeration_cap must be a positive integer")
 
@@ -202,16 +207,22 @@ def load_records(path: str, config: AnalysisConfig) -> tuple[np.ndarray, dict]:
                     f"row {_file_line(path, r)} of {path!r}: value {cell!r} for {name!r} "
                     "is not an integer"
                 ) from None
+    value_counts = {}
+    for j, v in enumerate(config.model.variables):
+        column = records[:, j]
+        counts = {str(level): int((column == level).sum()) for level in v.levels}
+        if sum(counts.values()) < len(column):  # some code lies outside the levels
+            r = int(np.flatnonzero((column < 0) | (column >= v.cardinality))[0])
+            raise DataError(
+                f"row {_file_line(path, r)} of {path!r}: value {column[r]} for {v.name!r} "
+                f"is outside range(0, {v.cardinality})"
+            )
+        value_counts[v.name] = counts
     info = {
         "path": os.path.abspath(path),
         "sha256": file_sha256(path),
         "n_records": int(records.shape[0]),
-        "value_counts": {
-            v.name: {
-                str(level): int((records[:, j] == level).sum()) for level in v.levels
-            }
-            for j, v in enumerate(config.model.variables)
-        },
+        "value_counts": value_counts,
     }
     return records, info
 
@@ -264,20 +275,25 @@ def build_report(command: str, body: dict, timestamp: Optional[str] = None) -> d
     return doc
 
 
-def write_json(doc: dict, path: str) -> None:
-    """Serialize first, then atomically replace the target; no partial files."""
-    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _replace_atomically(path: str, write, newline=None) -> None:
+    """Run ``write(fh)`` on a temp file beside ``path``, then rename it over ``path``; no partial files."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rulebounds-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(doc: dict, path: str) -> None:
+    """Serialize first, then atomically replace the target."""
+    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _replace_atomically(path, lambda fh: fh.write(payload))
 
 
 def write_stratum_csv(strata: list, model: CausalModel, path: str) -> None:
@@ -287,26 +303,20 @@ def write_stratum_csv(strata: list, model: CausalModel, path: str) -> None:
     header = x_names + w_names + [
         "weight", "level", "guideline_level", "lower", "upper", "skipped",
     ]
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rulebounds-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for s in strata:
-                row = list(s["x"]) + (list(s["w"]) if s["w"] is not None else [])
-                row += [
-                    repr(s["weight"]),
-                    s["level"],
-                    s["guideline_level"] if s["guideline_level"] is not None else "",
-                    repr(s["lower"]) if s["lower"] is not None else "",
-                    repr(s["upper"]) if s["upper"] is not None else "",
-                    int(s["skipped"]),
-                ]
-                writer.writerow(row)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+
+    def write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for s in strata:
+            row = list(s["x"]) + (list(s["w"]) if s["w"] is not None else [])
+            row += [
+                repr(s["weight"]),
+                s["level"],
+                s["guideline_level"] if s["guideline_level"] is not None else "",
+                repr(s["lower"]) if s["lower"] is not None else "",
+                repr(s["upper"]) if s["upper"] is not None else "",
+                int(s["skipped"]),
+            ]
+            writer.writerow(row)
+
+    _replace_atomically(path, write, newline="")

@@ -19,6 +19,7 @@ tableaus small.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import product
 from math import prod
 from typing import NamedTuple, Optional
@@ -34,32 +35,21 @@ from .model import (
     CANON_RULE_REC,
     CANON_TREATMENT,
     CausalModel,
-    ReducedModel,
-    StratumModel,
+    SpaceShape,
     TreatmentRule,
-    validate_model,
+    _require_valid,
 )
 from .tables import JointTable, reorder, with_variables
 
 DEFAULT_CAP = 10_000_000
+# response-type spaces kept per process; an evicted space frees its cells and objectives
+SPACE_CACHE_SIZE = 32
 FEAS_TOL = 1e-9
 BOUND_TOL = 1e-9
 
 QUERIES = ("theta_f", "theta_g", "cu")
 
 _STRATEGY_BY_KIND = {"reduced": "reduction", "stratum": "conditioning", "full": "direct_oracle"}
-
-
-@dataclass(frozen=True)
-class SpaceShape:
-    """Structural key of a response-type space; everything data-independent hangs off it."""
-
-    kind: str                       # "reduced" | "stratum" | "full"
-    treat_card: int
-    instrument_card: int = 0        # 0 means no instrument
-    guideline_mode: str = "none"    # "none" | "separate" | "aliased" (comparator equals rule)
-    extra_cards: tuple = ()         # reduced shapes only
-    x_cards: tuple = ()             # full shapes only
 
 
 class ResponseClass(NamedTuple):
@@ -78,7 +68,8 @@ class ResponseTypeSpace:
     parent slowest. ``*_rest_root_positions`` say which root supplies each
     non-instrument / non-treatment parent value, and ``cell_sources`` say
     where each observed-cell coordinate comes from ("treatment", "outcome",
-    or a root position).
+    or a root position). ``cells`` and the memo of non-``full`` objectives
+    depend only on the shape, so they live (and are freed) with the space.
     """
 
     shape: SpaceShape
@@ -94,6 +85,12 @@ class ResponseTypeSpace:
     y_rest_root_positions: tuple
     cell_sources: tuple
     class_count: int
+    objectives: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """Read-only ``class_cells`` of this space, built on first use."""
+        return class_cells(self)
 
     @property
     def n_arms(self) -> int:
@@ -203,54 +200,17 @@ def _structure(shape: SpaceShape) -> dict:
     }
 
 
-def derive_shape(source) -> SpaceShape:
-    """SpaceShape for a ReducedModel, StratumModel, or (full-oracle) CausalModel."""
-    if isinstance(source, ReducedModel):
-        k = source.source.treatment.cardinality
-        z = source.source.instrument.cardinality if source.source.instrument else 0
-        if source.has_guideline:
-            mode = "separate"
-        elif source.guideline_is_rule:
-            mode = "aliased"
-        else:
-            mode = "none"
-        return SpaceShape(
-            kind="reduced",
-            treat_card=k,
-            instrument_card=z,
-            guideline_mode=mode,
-            extra_cards=tuple(v.cardinality for v in source.extra_specs),
-        )
-    if isinstance(source, StratumModel):
-        k = source.source.treatment.cardinality
-        z = source.source.instrument.cardinality if source.source.instrument else 0
-        return SpaceShape(kind="stratum", treat_card=k, instrument_card=z)
-    if isinstance(source, CausalModel):
-        problems = validate_model(source)
-        if problems:
-            raise ValueError("invalid model: " + "; ".join(problems))
-        z = source.instrument.cardinality if source.instrument else 0
-        mode = "none"
-        if source.guideline is not None:
-            mode = "aliased" if source.guideline.table == source.rule.table else "separate"
-        return SpaceShape(
-            kind="full",
-            treat_card=source.treatment.cardinality,
-            instrument_card=z,
-            guideline_mode=mode,
-            x_cards=source.rule_covariate_cards,
-        )
-    raise TypeError(f"cannot derive a space shape from {type(source).__name__}")
-
-
-_SPACE_CACHE: dict[SpaceShape, ResponseTypeSpace] = {}
-_CELLS_CACHE: dict[SpaceShape, np.ndarray] = {}
-_OBJ_CACHE: dict[tuple, np.ndarray] = {}
+@lru_cache(maxsize=SPACE_CACHE_SIZE)
+def _space(shape: SpaceShape) -> ResponseTypeSpace:
+    return ResponseTypeSpace(shape=shape, class_count=count_classes(shape), **_structure(shape))
 
 
 def enumerate_response_types(source, cap: int = DEFAULT_CAP) -> ResponseTypeSpace:
-    """Build (or fetch) the response-type space, refusing if it exceeds ``cap`` classes."""
-    shape = source if isinstance(source, SpaceShape) else derive_shape(source)
+    """Build (or fetch) the response-type space, refusing if it exceeds ``cap`` classes.
+
+    ``source`` is a ``SpaceShape`` or a built model carrying one as ``.shape``.
+    """
+    shape = source if isinstance(source, SpaceShape) else source.shape
     count = count_classes(shape)
     if count > cap:
         advice = (
@@ -263,11 +223,7 @@ def enumerate_response_types(source, cap: int = DEFAULT_CAP) -> ResponseTypeSpac
             count=count,
             cap=cap,
         )
-    space = _SPACE_CACHE.get(shape)
-    if space is None:
-        space = ResponseTypeSpace(shape=shape, class_count=count, **_structure(shape))
-        _SPACE_CACHE[shape] = space
-    return space
+    return _space(shape)
 
 
 def _decode(space: ResponseTypeSpace):
@@ -320,9 +276,6 @@ def _outcome_values(space, y_code, treat, rest_y, n_y) -> np.ndarray:
 
 def class_cells(space: ResponseTypeSpace) -> np.ndarray:
     """(n_arms, n_classes) flat observed-cell index hit by each class per arm."""
-    cached = _CELLS_CACHE.get(space.shape)
-    if cached is not None:
-        return cached
     r_code, a_code, y_code, n_a, n_y = _decode(space)
     rest_cards_a = space.a_parent_cards[1:] if space.shape.instrument_card else space.a_parent_cards
     rest_a = _rest_code(space, r_code, space.a_rest_root_positions, rest_cards_a)
@@ -342,7 +295,6 @@ def class_cells(space: ResponseTypeSpace) -> np.ndarray:
             cell = cell * card + comp
         out[z] = cell
     out.setflags(write=False)
-    _CELLS_CACHE[space.shape] = out
     return out
 
 
@@ -368,12 +320,11 @@ def _assigned_levels(space, r_code, query_side, level, guideline_level, rule, gu
 
 
 def _objective(space, query, level, guideline_level, rule, guideline) -> np.ndarray:
-    key = None
-    if space.shape.kind != "full":
-        key = (space.shape, query, level, guideline_level)
-        cached = _OBJ_CACHE.get(key)
-        if cached is not None:
-            return cached
+    # full objectives depend on the rule tables, so only the other kinds are memoized
+    memo = space.objectives if space.shape.kind != "full" else {}
+    key = (query, level, guideline_level)
+    if key in memo:
+        return memo[key]
     r_code, a_code, y_code, n_a, n_y = _decode(space)
     rest_y = _rest_code(space, r_code, space.y_rest_root_positions, space.y_parent_cards[1:])
 
@@ -390,8 +341,7 @@ def _objective(space, query, level, guideline_level, rule, guideline) -> np.ndar
     else:
         raise ValueError(f"unknown query {query!r}; expected one of {QUERIES}")
     obj.setflags(write=False)
-    if key is not None:
-        _OBJ_CACHE[key] = obj
+    memo[key] = obj
     return obj
 
 
@@ -480,7 +430,7 @@ def build_lp(
         space=space,
         query=query,
         objective=objective,
-        cells=class_cells(space),
+        cells=space.cells,
         rhs=rhs,
         level=level,
         guideline_level=guideline_level,
@@ -544,7 +494,7 @@ def _aggregate(lp: LpProblem):
     return A, b, c_min, c_max, n_groups
 
 
-def solve_bounds(lp: LpProblem, strategy: Optional[str] = None) -> BoundsResult:
+def solve_bounds(lp: LpProblem) -> BoundsResult:
     """Sharp lower and upper bounds for the program, or an infeasibility error."""
     A, b, c_min, c_max, n_groups = _aggregate(lp)
     res_lo, res_hi = simplex.minimize_pair(c_min, c_max, A, b, feas_tol=FEAS_TOL)
@@ -561,7 +511,7 @@ def solve_bounds(lp: LpProblem, strategy: Optional[str] = None) -> BoundsResult:
         query=lp.query,
         lower=res_lo.value,
         upper=res_hi.value,
-        strategy=strategy or _STRATEGY_BY_KIND[lp.space.shape.kind],
+        strategy=_STRATEGY_BY_KIND[lp.space.shape.kind],
         diagnostics={
             "class_count": lp.space.class_count,
             "merged_columns": int(n_groups),
@@ -632,14 +582,15 @@ def direct_sharp_bounds(
     intended as a cross-check for small models. Extra covariates are not
     supported here.
     """
-    problems = validate_model(model)
-    if problems:
-        raise ValueError("invalid model: " + "; ".join(problems))
+    _require_valid(model)
     if model.extra_covariates:
         raise ValueError("direct oracle does not support extra covariates")
     if query in ("theta_g", "cu") and model.guideline is None:
         raise ValueError(f"query {query!r} needs a guideline, but the model declares none")
-    space = enumerate_response_types(model, cap=cap)
+    shape = SpaceShape(
+        "full", model.treatment.cardinality, model.instrument_card, x_cards=model.rule_covariate_cards
+    )
+    space = enumerate_response_types(shape, cap=cap)
 
     name_pairs = []
     if model.instrument is not None:

@@ -40,6 +40,18 @@ CANON_GUIDELINE_REC = "guideline_rec"
 
 
 @dataclass(frozen=True)
+class SpaceShape:
+    """Structural key of a response-type space; everything data-independent hangs off it."""
+
+    kind: str                       # "reduced" | "stratum" | "full"
+    treat_card: int
+    instrument_card: int = 0        # 0 means no instrument
+    guideline_mode: str = "none"    # reduced shapes only: "none" | "separate" | "aliased" (comparator equals rule)
+    extra_cards: tuple = ()         # reduced shapes only
+    x_cards: tuple = ()             # full shapes only
+
+
+@dataclass(frozen=True)
 class VariableSpec:
     """One discrete variable: a name, a cardinality, and a role."""
 
@@ -154,6 +166,11 @@ class CausalModel:
         return found[0] if found else None
 
     @property
+    def instrument_card(self) -> int:
+        """Instrument cardinality, or 0 when the model has no instrument."""
+        return self.instrument.cardinality if self.instrument is not None else 0
+
+    @property
     def rule_covariates(self) -> tuple[VariableSpec, ...]:
         return self._by_role(ROLE_RULE_COVARIATE)
 
@@ -218,22 +235,14 @@ class ReducedModel:
     """Problem shape after merging rule covariates into the latent term.
 
     Observed variables use canonical names. When the comparator equals the
-    rule, its recommendation node is dropped and ``guideline_is_rule`` is
-    set, because the two recommendations would coincide everywhere.
+    rule, its recommendation node is dropped and the shape's guideline mode
+    is "aliased", because the two recommendations would coincide everywhere.
     """
 
     source: CausalModel
     observed: tuple[VariableSpec, ...]
-    guideline_is_rule: bool
+    shape: SpaceShape
     latent_description: str
-
-    @property
-    def has_guideline(self) -> bool:
-        return any(v.name == CANON_GUIDELINE_REC for v in self.observed)
-
-    @property
-    def extra_specs(self) -> tuple[VariableSpec, ...]:
-        return tuple(v for v in self.observed if v.role == ROLE_EXTRA_COVARIATE)
 
 
 def build_reduced_model(model: CausalModel) -> ReducedModel:
@@ -246,11 +255,12 @@ def build_reduced_model(model: CausalModel) -> ReducedModel:
     observed.append(VariableSpec(CANON_TREATMENT, k, ROLE_TREATMENT))
     observed.append(VariableSpec(CANON_OUTCOME, 2, ROLE_OUTCOME))
     observed.append(VariableSpec(CANON_RULE_REC, k, ROLE_RECOMMENDATION))
-    guideline_is_rule = False
+    mode = "none"
     if model.guideline is not None:
         if model.guideline.table == model.rule.table:
-            guideline_is_rule = True
+            mode = "aliased"
         else:
+            mode = "separate"
             observed.append(VariableSpec(CANON_GUIDELINE_REC, k, ROLE_RECOMMENDATION))
     for i, v in enumerate(model.extra_covariates):
         observed.append(VariableSpec(f"extra{i}", v.cardinality, ROLE_EXTRA_COVARIATE))
@@ -258,7 +268,9 @@ def build_reduced_model(model: CausalModel) -> ReducedModel:
     return ReducedModel(
         source=model,
         observed=tuple(observed),
-        guideline_is_rule=guideline_is_rule,
+        shape=SpaceShape(
+            "reduced", k, model.instrument_card, mode, extra_cards=model.extra_covariate_cards
+        ),
         latent_description=latent,
     )
 
@@ -273,6 +285,12 @@ class StratumModel:
     observed: tuple[VariableSpec, ...]
     assigned: int
     assigned_guideline: Optional[int]
+    shape: SpaceShape
+
+
+def stratum_shape(model: CausalModel) -> SpaceShape:
+    """Shape shared by every stratum program of ``model``."""
+    return SpaceShape("stratum", model.treatment.cardinality, model.instrument_card)
 
 
 def stratum_variables(model: CausalModel) -> tuple[VariableSpec, ...]:
@@ -309,4 +327,5 @@ def build_stratum_model(model: CausalModel, x, w=None) -> StratumModel:
         observed=stratum_variables(model),
         assigned=model.rule.level_for(x),
         assigned_guideline=(model.guideline.level_for(x) if model.guideline is not None else None),
+        shape=stratum_shape(model),
     )

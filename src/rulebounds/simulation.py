@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import RuleboundsError
+from .lp_bounds import QUERIES
 from .model import (
     ROLE_INSTRUMENT,
     ROLE_OUTCOME,
@@ -75,7 +76,7 @@ class SimConfig:
             raise ValueError(f"unknown strategies {sorted(unknown)}")
         if not self.strategies:
             raise ValueError("at least one strategy is required")
-        if self.query not in ("theta_f", "theta_g", "cu"):
+        if self.query not in QUERIES:
             raise ValueError(f"unknown query {self.query!r}")
         if self.query in ("theta_g", "cu") and self.guideline is None:
             raise ValueError(f"query {self.query!r} needs a guideline")

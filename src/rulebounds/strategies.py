@@ -20,7 +20,6 @@ from .errors import DataError, EnumerationCapError, InfeasibleModelError
 from .lp_bounds import (
     DEFAULT_CAP,
     BoundsResult,
-    SpaceShape,
     build_lp,
     direct_sharp_bounds,
     enumerate_response_types,
@@ -29,9 +28,10 @@ from .lp_bounds import (
 from .model import (
     CausalModel,
     ReducedModel,
+    _require_valid,
     build_reduced_model,
+    stratum_shape,
     stratum_variables,
-    validate_model,
 )
 from .tables import JointTable, reorder
 
@@ -50,9 +50,7 @@ class StrategyRequest:
 
 
 def _validate_request(request: StrategyRequest) -> None:
-    problems = validate_model(request.model)
-    if problems:
-        raise ValueError("invalid model: " + "; ".join(problems))
+    _require_valid(request.model)
     if request.query in ("theta_g", "cu") and request.model.guideline is None:
         raise ValueError(
             f"query {request.query!r} needs a guideline, but the model declares none"
@@ -87,10 +85,9 @@ def reduce_table(model: CausalModel, reduced: ReducedModel, observed: JointTable
     """
     table = reorder(observed, _observed_order(model))
     base = (1 if model.instrument is not None else 0) + 2
-    nx = len(model.rule_covariates)
     nw = len(model.extra_covariates)
     out = np.zeros(tuple(v.cardinality for v in reduced.observed))
-    sep = reduced.has_guideline
+    sep = reduced.shape.guideline_mode == "separate"
     for x in model.rule_domain():
         b = model.rule.level_for(x)
         src = (slice(None),) * base + x
@@ -160,10 +157,7 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
     cell_shape = tuple(v.cardinality for v in cell_specs)
     probs = reorder(request.observed, [v.name for v in order]).probs.reshape((-1,) + cell_shape)
     masses = probs.reshape(probs.shape[0], -1).sum(axis=1)
-    space = enumerate_response_types(
-        SpaceShape("stratum", model.treatment.cardinality, arm[0].cardinality if arm else 0),
-        cap=request.cap,
-    )
+    space = enumerate_response_types(stratum_shape(model), cap=request.cap)
     nx = len(model.rule_covariates)
     strata: list[StratumBound] = []
     lower = 0.0

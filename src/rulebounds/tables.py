@@ -40,6 +40,8 @@ class JointTable:
             raise ValueError(
                 f"probs shape {arr.shape} does not match cardinalities {expected}"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError("probabilities must be finite, found NaN or infinity")
         if arr.size and arr.min() < -NEG_TOL:
             raise ValueError(f"negative probability entry: {arr.min()!r}")
         total = float(arr.sum())

@@ -7,6 +7,8 @@ check exit codes, report contents, and agreement with the library calls.
 import csv
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,9 +249,8 @@ def test_out_of_range_code_is_a_data_error(tmp_path):
     config = load_config(write_config(tmp_path))
     data = tmp_path / "d.csv"
     data.write_text("z,x,a,y\n0,7,0,1\n")
-    records, _ = load_records(str(data), config)
     with pytest.raises(DataError, match="outside"):
-        empirical_table(records, config)
+        load_records(str(data), config)
 
 
 def test_blank_lines_are_ignored(tmp_path):
@@ -432,6 +433,15 @@ def test_cli_exit_codes_for_data_problems(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_cli_names_file_line_of_out_of_range_code(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    data = tmp_path / "range.csv"
+    data.write_text("z,x,a,y\n\n0,1,1,1\n0,1,9,1\n")
+    assert main(["bounds", "--config", cfg, "--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert "row 4" in err and "value 9 for 'a'" in err and "range(0, 2)" in err
+
+
 def test_cli_exit_code_for_infeasible_data(tmp_path, capsys):
     cfg = write_config(tmp_path)
     data = tmp_path / "contradiction.csv"
@@ -499,3 +509,13 @@ def test_compare_command_runs_oracle(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "oracle note" in printed
     assert "use the reduction or conditioning strategy instead" in printed
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("## Library"):]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    monkeypatch.chdir(root)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "True True"

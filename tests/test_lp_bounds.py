@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 from rulebounds.errors import DataError, EnumerationCapError, InfeasibleModelError, SolverError
 from rulebounds.lp_bounds import (
     DEFAULT_CAP,
+    SPACE_CACHE_SIZE,
     BoundsResult,
     SpaceShape,
+    _space,
     build_lp,
     class_cells,
     closed_form_binary_reduction,
     count_classes,
-    derive_shape,
     direct_sharp_bounds,
     enumerate_response_types,
     manski_stratum_bounds,
@@ -37,6 +38,7 @@ from rulebounds.tables import JointTable, condition, marginalize
 
 from conftest import (
     binary_reduced_specs,
+    feasible_table,
     random_probs,
     scipy_lp_bounds,
     small_iv_model,
@@ -149,21 +151,34 @@ def test_space_is_cached_and_frozen():
         cells[0, 0] = 5
 
 
-def test_derive_shape_from_built_models():
+def test_space_cache_stays_bounded():
+    shape = SpaceShape("stratum", 2, instrument_card=3)
+    first = enumerate_response_types(shape)
+    cells = first.cells
+    # single-level extra covariates give distinct 16-class shapes
+    for n in range(1, SPACE_CACHE_SIZE + 2):
+        enumerate_response_types(SpaceShape("reduced", 2, extra_cards=(1,) * n))
+    assert _space.cache_info().currsize == SPACE_CACHE_SIZE
+    again = enumerate_response_types(shape)
+    assert again is not first
+    np.testing.assert_array_equal(again.cells, cells)
+    assert not again.cells.flags.writeable
+
+
+def test_built_models_carry_their_shape():
     model = small_iv_model(x_card=3, treat_card=2, z_card=2)
-    shape = derive_shape(build_reduced_model(model))
-    assert shape == SpaceShape("reduced", 2, instrument_card=2)
+    assert build_reduced_model(model).shape == SpaceShape("reduced", 2, instrument_card=2)
     guided = small_iv_model(guideline_map={(0,): 0, (1,): 0})
-    assert derive_shape(build_reduced_model(guided)).guideline_mode == "separate"
+    assert build_reduced_model(guided).shape.guideline_mode == "separate"
     aliased = small_noiv_model(guideline_map={(0,): 0, (1,): 1})
-    assert derive_shape(build_reduced_model(aliased)).guideline_mode == "aliased"
-    stratum = derive_shape(build_stratum_model(model, (1,)))
+    assert build_reduced_model(aliased).shape.guideline_mode == "aliased"
+    stratum = build_stratum_model(model, (1,)).shape
     assert stratum == SpaceShape("stratum", 2, instrument_card=2)
-    assert derive_shape(model) == SpaceShape(
-        "full", 2, instrument_card=2, x_cards=(3,)
-    )
-    with pytest.raises(TypeError):
-        derive_shape(42)
+    assert enumerate_response_types(build_stratum_model(model, (1,))).shape == stratum
+    observed = feasible_table(np.random.default_rng(3), model, zero_stratum=False)
+    oracle = direct_sharp_bounds(model, observed)
+    full = SpaceShape("full", 2, instrument_card=2, x_cards=(3,))
+    assert oracle.diagnostics["class_count"] == count_classes(full) == 3 * 2**6 * 2**6
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def test_reduced_model_canonical_order_iv():
         CANON_OUTCOME,
         CANON_RULE_REC,
     ]
-    assert not rm.has_guideline and not rm.guideline_is_rule
+    assert rm.shape.guideline_mode == "none"
     assert "x" in rm.latent_description
 
 
@@ -132,7 +132,7 @@ def test_reduced_model_with_guideline_and_extras():
         CANON_GUIDELINE_REC,
         "extra0",
     ]
-    assert rm.has_guideline
+    assert rm.shape.guideline_mode == "separate"
     assert rm.observed[-1].cardinality == 3
 
 
@@ -140,8 +140,7 @@ def test_reduced_model_collapses_equal_guideline():
     # same table under a different name still collapses
     model = small_noiv_model(guideline_map={(0,): 0, (1,): 1})
     rm = build_reduced_model(model)
-    assert rm.guideline_is_rule
-    assert not rm.has_guideline
+    assert rm.shape.guideline_mode == "aliased"
     assert [v.name for v in rm.observed] == [CANON_TREATMENT, CANON_OUTCOME, CANON_RULE_REC]
 
 

@@ -38,6 +38,11 @@ def test_joint_table_validation():
         JointTable(vs, bad)
     with pytest.raises(ValueError, match="sum to"):
         JointTable(vs, np.full((2, 3), 0.2))
+    # NaN passes both the sign and the sum check, so it needs its own
+    with pytest.raises(ValueError, match="finite"):
+        JointTable(specs(("a", 2)), [np.nan, np.nan])
+    with pytest.raises(ValueError, match="finite"):
+        JointTable(specs(("a", 2)), [np.inf, 0.0])
     table = JointTable(vs, np.full((2, 3), 1 / 6))
     with pytest.raises(ValueError):
         table.probs[0, 0] = 0.5  # read-only
