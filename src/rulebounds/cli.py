@@ -112,17 +112,8 @@ def _emit(report: dict, output_path, summary_lines) -> None:
 
 
 def cmd_bounds(args) -> int:
-    config = load_config(args.config)
-    if args.query:
-        config = replace(config, query=args.query)
-    if args.strategy:
-        config = replace(config, strategy=args.strategy)
-    if args.cap is not None:
-        if args.cap < 1:
-            raise ConfigError(f"enumeration_cap must be a positive integer, got --cap {args.cap}")
-        config = replace(config, cap=args.cap)
-    if config.query in ("theta_g", "cu") and config.model.guideline is None:
-        raise ConfigError(f"query {config.query!r} needs a 'guideline'")
+    overrides = {"query": args.query, "strategy": args.strategy, "cap": args.cap}
+    config = replace(load_config(args.config), **{k: v for k, v in overrides.items() if v is not None})
     table, data_info = _load_table(args, config)
     request = StrategyRequest(config.model, table, config.query, cap=config.cap)
     results = {}
@@ -169,7 +160,7 @@ def _sim_config(args) -> SimConfig:
         for key in ("rule", "guideline"):
             if raw.get(key) is not None:
                 raw[key] = parse_rule(raw[key], 1, key)
-        if "strategies" in raw:
+        if isinstance(raw.get("strategies"), list):
             raw["strategies"] = tuple(raw["strategies"])
         config = replace(config, **raw)
     overrides = {}

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DataError
-from .lp_bounds import DEFAULT_CAP, QUERIES
+from .lp_bounds import DEFAULT_CAP, QUERIES, require_guideline
 from .model import ROLES, CausalModel, TreatmentRule, VariableSpec, validate_model
 from .tables import JointTable, empirical_joint
 
@@ -43,6 +43,28 @@ class AnalysisConfig:
     output_path: Optional[str]
     stratum_csv_path: Optional[str]
     source_path: Optional[str]
+
+    def __post_init__(self):
+        # also runs on every dataclasses.replace, so command-line overrides are checked too
+        if self.query not in QUERIES:
+            raise ConfigError(f"unknown query {self.query!r}; expected one of {QUERIES}")
+        try:
+            require_guideline(self.query, self.model.guideline is not None)
+        except ValueError:
+            raise ConfigError(f"query {self.query!r} needs a 'guideline'") from None
+        if self.strategy not in VALID_STRATEGIES:
+            raise ConfigError(
+                f"unknown strategy {self.strategy!r}; expected one of {VALID_STRATEGIES}"
+            )
+        if not isinstance(self.cap, int) or isinstance(self.cap, bool) or self.cap < 1:
+            raise ConfigError(f"enumeration_cap must be a positive integer, got {self.cap!r}")
+        for key, path in (
+            ("data", self.data_path),
+            ("output", self.output_path),
+            ("stratum_csv", self.stratum_csv_path),
+        ):
+            if path is not None and not isinstance(path, str):
+                raise ConfigError(f"'{key}' must be a file path string, got {path!r}")
 
 
 def _parse_rule_key(key: str, n_covariates: int) -> tuple:
@@ -136,25 +158,11 @@ def load_config(path: str) -> AnalysisConfig:
     if problems:
         raise ConfigError("invalid model: " + "; ".join(problems))
 
-    query = raw.get("query", "theta_f")
-    if query not in QUERIES:
-        raise ConfigError(f"unknown query {query!r}; expected one of {QUERIES}")
-    if query in ("theta_g", "cu") and guideline is None:
-        raise ConfigError(f"query {query!r} needs a 'guideline'")
-    strategy = raw.get("strategy", "both")
-    if strategy not in VALID_STRATEGIES:
-        raise ConfigError(
-            f"unknown strategy {strategy!r}; expected one of {VALID_STRATEGIES}"
-        )
-    cap = raw.get("enumeration_cap", DEFAULT_CAP)
-    if not isinstance(cap, int) or cap < 1:
-        raise ConfigError("enumeration_cap must be a positive integer")
-
     return AnalysisConfig(
         model=model,
-        query=query,
-        strategy=strategy,
-        cap=cap,
+        query=raw.get("query", "theta_f"),
+        strategy=raw.get("strategy", "both"),
+        cap=raw.get("enumeration_cap", DEFAULT_CAP),
         columns=columns,
         data_path=raw.get("data"),
         output_path=raw.get("output"),

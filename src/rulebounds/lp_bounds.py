@@ -9,11 +9,9 @@ per instrument arm. Sharp bounds on a counterfactual query are then the
 extrema of a linear objective over the mixture polytope.
 
 Classes are represented by integer codes and expanded with vectorized
-arithmetic; the explicit function tables are available through
-``ResponseTypeSpace.iter_classes`` for inspection. Before solving, classes
-with identical observed behavior in every arm are merged, keeping the
-extreme objective coefficient per group; this is exact and keeps the
-tableaus small.
+arithmetic. Before solving, classes with identical observed behavior in
+every arm are merged, keeping the extreme objective coefficient per group;
+this is exact and keeps the tableaus small.
 """
 
 from __future__ import annotations
@@ -22,18 +20,19 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 from math import prod
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import simplex
 from .errors import DataError, EnumerationCapError, InfeasibleModelError, SolverError
 from .model import (
-    CANON_GUIDELINE_REC,
     CANON_INSTRUMENT,
     CANON_OUTCOME,
     CANON_RULE_REC,
     CANON_TREATMENT,
+    ROLE_EXTRA_COVARIATE,
+    ROLE_RULE_COVARIATE,
     CausalModel,
     SpaceShape,
     TreatmentRule,
@@ -49,15 +48,15 @@ BOUND_TOL = 1e-9
 
 QUERIES = ("theta_f", "theta_g", "cu")
 
+_GUIDELINE_QUERIES = ("theta_g", "cu")
+
 _STRATEGY_BY_KIND = {"reduced": "reduction", "stratum": "conditioning", "full": "direct_oracle"}
 
 
-class ResponseClass(NamedTuple):
-    """Explicit view of one latent class, mainly for tests and inspection."""
-
-    roots: tuple          # values of the root nodes, in root_names order
-    a_map: tuple          # treatment level per a-parent configuration (lexicographic)
-    y_map: tuple          # outcome value per y-parent configuration (lexicographic)
+def require_guideline(query: str, declared: bool) -> None:
+    """Refuse a query that reads the comparator when the model ``declared`` none."""
+    if query in _GUIDELINE_QUERIES and not declared:
+        raise ValueError(f"query {query!r} needs a guideline, but the model declares none")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,137 +99,76 @@ class ResponseTypeSpace:
     def n_cells(self) -> int:
         return prod(self.cell_cards)
 
-    def iter_classes(self):
-        """Yield explicit ResponseClass tuples in class-code order."""
-        k = self.shape.treat_card
-        n_a = prod(self.a_parent_cards) if self.a_parent_cards else 1
-        n_y = prod(self.y_parent_cards) if self.y_parent_cards else 1
-        root_ranges = [range(c) for c in self.root_cards]
-        for roots in product(*root_ranges):
-            for a_map in product(range(k), repeat=n_a):
-                for y_map in product(range(2), repeat=n_y):
-                    yield ResponseClass(roots, a_map, y_map)
-
-
-def count_classes(shape: SpaceShape) -> int:
-    """Exact class count from the shape alone; safe to call before enumerating."""
-    space_cards = _structure(shape)
-    root_cards, a_parent_cards, y_parent_cards = (
-        space_cards["root_cards"],
-        space_cards["a_parent_cards"],
-        space_cards["y_parent_cards"],
-    )
-    n_a = prod(a_parent_cards) if a_parent_cards else 1
-    n_y = prod(y_parent_cards) if y_parent_cards else 1
-    roots = prod(root_cards) if root_cards else 1
-    return roots * shape.treat_card ** n_a * 2 ** n_y
-
-
-def _structure(shape: SpaceShape) -> dict:
-    """Names, cards, and wiring for each kind; shared by counting and building."""
-    k = shape.treat_card
-    has_z = shape.instrument_card > 0
-    if shape.kind == "reduced":
-        sep = shape.guideline_mode == "separate"
-        extra_names = tuple(f"extra{i}" for i in range(len(shape.extra_cards)))
-        root_names = (CANON_RULE_REC,) + ((CANON_GUIDELINE_REC,) if sep else ()) + extra_names
-        root_cards = (k,) + ((k,) if sep else ()) + tuple(shape.extra_cards)
-        extra_root_base = 2 if sep else 1
-        extra_positions = tuple(extra_root_base + i for i in range(len(shape.extra_cards)))
-        a_parent_names = (
-            ((CANON_INSTRUMENT,) if has_z else ())
-            + ((CANON_GUIDELINE_REC,) if sep else ())
-            + extra_names
-        )
-        a_parent_cards = (
-            ((shape.instrument_card,) if has_z else ())
-            + ((k,) if sep else ())
-            + tuple(shape.extra_cards)
-        )
-        a_rest = ((1,) if sep else ()) + extra_positions
-        y_parent_names = (CANON_TREATMENT,) + extra_names
-        y_parent_cards = (k,) + tuple(shape.extra_cards)
-        y_rest = extra_positions
-        cell_names = (
-            (CANON_TREATMENT, CANON_OUTCOME, CANON_RULE_REC)
-            + ((CANON_GUIDELINE_REC,) if sep else ())
-            + extra_names
-        )
-        cell_cards = (k, 2, k) + ((k,) if sep else ()) + tuple(shape.extra_cards)
-        cell_sources = ("treatment", "outcome", 0) + ((1,) if sep else ()) + extra_positions
-    elif shape.kind == "stratum":
-        root_names = root_cards = ()
-        a_parent_names = (CANON_INSTRUMENT,) if has_z else ()
-        a_parent_cards = (shape.instrument_card,) if has_z else ()
-        a_rest = ()
-        y_parent_names = (CANON_TREATMENT,)
-        y_parent_cards = (k,)
-        y_rest = ()
-        cell_names = (CANON_TREATMENT, CANON_OUTCOME)
-        cell_cards = (k, 2)
-        cell_sources = ("treatment", "outcome")
-    elif shape.kind == "full":
-        x_names = tuple(f"x{i}" for i in range(len(shape.x_cards)))
-        x_positions = tuple(range(len(shape.x_cards)))
-        root_names = x_names
-        root_cards = tuple(shape.x_cards)
-        a_parent_names = ((CANON_INSTRUMENT,) if has_z else ()) + x_names
-        a_parent_cards = ((shape.instrument_card,) if has_z else ()) + tuple(shape.x_cards)
-        a_rest = x_positions
-        y_parent_names = (CANON_TREATMENT,) + x_names
-        y_parent_cards = (k,) + tuple(shape.x_cards)
-        y_rest = x_positions
-        cell_names = x_names + (CANON_TREATMENT, CANON_OUTCOME)
-        cell_cards = tuple(shape.x_cards) + (k, 2)
-        cell_sources = x_positions + ("treatment", "outcome")
-    else:
-        raise ValueError(f"unknown shape kind {shape.kind!r}")
-    return {
-        "root_names": root_names,
-        "root_cards": root_cards,
-        "a_parent_names": a_parent_names,
-        "a_parent_cards": a_parent_cards,
-        "y_parent_names": y_parent_names,
-        "y_parent_cards": y_parent_cards,
-        "cell_names": cell_names,
-        "cell_cards": cell_cards,
-        "a_rest_root_positions": a_rest,
-        "y_rest_root_positions": y_rest,
-        "cell_sources": cell_sources,
-    }
-
 
 @lru_cache(maxsize=SPACE_CACHE_SIZE)
 def _space(shape: SpaceShape) -> ResponseTypeSpace:
-    return ResponseTypeSpace(shape=shape, class_count=count_classes(shape), **_structure(shape))
+    """The space of ``shape``, wired by name; no arrays are built until ``cells`` is read.
+
+    Every cell other than the treatment and the outcome is a root. The
+    treatment reads the instrument and every root but the rule's
+    recommendation; the outcome reads the treatment and every covariate
+    root. Cards and root positions are looked up in ``shape.variables``.
+    """
+    specs = shape.variables
+    card = {v.name: v.cardinality for v in specs}
+    cells = tuple(n for n in card if n != CANON_INSTRUMENT)
+    roots = tuple(n for n in cells if n not in (CANON_TREATMENT, CANON_OUTCOME))
+    arm = (CANON_INSTRUMENT,) if shape.instrument_card else ()
+    a_parents = arm + tuple(n for n in roots if n != CANON_RULE_REC)
+    y_parents = (CANON_TREATMENT,) + tuple(
+        v.name for v in specs if v.role in (ROLE_RULE_COVARIATE, ROLE_EXTRA_COVARIATE)
+    )
+
+    def cards(names):
+        return tuple(card[n] for n in names)
+
+    def positions(names):
+        return tuple(roots.index(n) for n in names if n in roots)
+
+    root_cards, a_cards, y_cards = cards(roots), cards(a_parents), cards(y_parents)
+    return ResponseTypeSpace(
+        shape=shape,
+        root_names=roots,
+        root_cards=root_cards,
+        a_parent_names=a_parents,
+        a_parent_cards=a_cards,
+        y_parent_names=y_parents,
+        y_parent_cards=y_cards,
+        cell_names=cells,
+        cell_cards=cards(cells),
+        a_rest_root_positions=positions(a_parents),
+        y_rest_root_positions=positions(y_parents),
+        cell_sources=tuple(roots.index(n) if n in roots else n for n in cells),
+        class_count=prod(root_cards) * shape.treat_card ** prod(a_cards) * 2 ** prod(y_cards),
+    )
 
 
 def enumerate_response_types(source, cap: int = DEFAULT_CAP) -> ResponseTypeSpace:
-    """Build (or fetch) the response-type space, refusing if it exceeds ``cap`` classes.
+    """Fetch the response-type space, refusing if it exceeds ``cap`` classes.
 
     ``source`` is a ``SpaceShape`` or a built model carrying one as ``.shape``.
     """
     shape = source if isinstance(source, SpaceShape) else source.shape
-    count = count_classes(shape)
-    if count > cap:
+    space = _space(shape)
+    if space.class_count > cap:
         advice = (
             "use the reduction or conditioning strategy instead"
             if shape.kind == "full"
             else "raise it with --cap or the config's 'enumeration_cap'"
         )
         raise EnumerationCapError(
-            f"response-type space has {count} classes, exceeding the cap of {cap}; {advice}",
-            count=count,
+            f"response-type space has {space.class_count} classes, exceeding the cap of {cap}; {advice}",
+            count=space.class_count,
             cap=cap,
         )
-    return _space(shape)
+    return space
 
 
 def _decode(space: ResponseTypeSpace):
     """Integer code components (r_code, a_code, y_code) for all classes."""
     k = space.shape.treat_card
-    n_a = prod(space.a_parent_cards) if space.a_parent_cards else 1
-    n_y = prod(space.y_parent_cards) if space.y_parent_cards else 1
+    n_a = prod(space.a_parent_cards)
+    n_y = prod(space.y_parent_cards)
     a_span = k**n_a
     y_span = 2**n_y
     codes = np.arange(space.class_count, dtype=np.int64)
@@ -242,44 +180,38 @@ def _decode(space: ResponseTypeSpace):
 
 
 def _root_values(space: ResponseTypeSpace, r_code: np.ndarray, position: int) -> np.ndarray:
-    stride = prod(space.root_cards[position + 1 :]) if space.root_cards[position + 1 :] else 1
+    stride = prod(space.root_cards[position + 1 :])
     return (r_code // stride) % space.root_cards[position]
 
 
-def _rest_code(space, r_code, positions, cards) -> np.ndarray:
+def _rest_code(space, r_code, positions) -> np.ndarray:
+    """Mixed-radix code of the root values at ``positions``, first position slowest."""
     out = np.zeros_like(r_code)
-    for pos, card in zip(positions, cards):
-        out = out * card + _root_values(space, r_code, pos)
+    for pos in positions:
+        out = out * space.root_cards[pos] + _root_values(space, r_code, pos)
     return out
 
 
 def _treat_values(space, a_code, z, rest_a, n_a) -> np.ndarray:
     """Treatment level chosen by each class at instrument arm ``z``."""
     k = space.shape.treat_card
-    rest_size = prod(space.a_parent_cards[1:]) if space.shape.instrument_card else prod(space.a_parent_cards)
-    if not space.a_parent_cards:
-        cfg = np.zeros_like(a_code)
-    elif space.shape.instrument_card:
-        cfg = z * (rest_size if rest_size else 1) + rest_a
-    else:
-        cfg = rest_a
+    # the instrument, when present, is the slowest a-parent
+    cfg = z * prod(space.a_parent_cards[1:]) + rest_a if space.shape.instrument_card else rest_a
     expo = n_a - 1 - cfg
     return (a_code // np.power(np.int64(k), expo)) % k
 
 
 def _outcome_values(space, y_code, treat, rest_y, n_y) -> np.ndarray:
     """Outcome produced by each class when treatment takes level ``treat``."""
-    rest_size = prod(space.y_parent_cards[1:]) if space.y_parent_cards[1:] else 1
-    cfg = treat * rest_size + rest_y
+    cfg = treat * prod(space.y_parent_cards[1:]) + rest_y
     return (y_code >> (n_y - 1 - cfg)) & 1
 
 
 def class_cells(space: ResponseTypeSpace) -> np.ndarray:
     """(n_arms, n_classes) flat observed-cell index hit by each class per arm."""
     r_code, a_code, y_code, n_a, n_y = _decode(space)
-    rest_cards_a = space.a_parent_cards[1:] if space.shape.instrument_card else space.a_parent_cards
-    rest_a = _rest_code(space, r_code, space.a_rest_root_positions, rest_cards_a)
-    rest_y = _rest_code(space, r_code, space.y_rest_root_positions, space.y_parent_cards[1:])
+    rest_a = _rest_code(space, r_code, space.a_rest_root_positions)
+    rest_y = _rest_code(space, r_code, space.y_rest_root_positions)
     out = np.empty((space.n_arms, space.class_count), dtype=np.int64)
     for z in range(space.n_arms):
         treat = _treat_values(space, a_code, z, rest_a, n_a)
@@ -326,7 +258,7 @@ def _objective(space, query, level, guideline_level, rule, guideline) -> np.ndar
     if key in memo:
         return memo[key]
     r_code, a_code, y_code, n_a, n_y = _decode(space)
-    rest_y = _rest_code(space, r_code, space.y_rest_root_positions, space.y_parent_cards[1:])
+    rest_y = _rest_code(space, r_code, space.y_rest_root_positions)
 
     def theta_coef(side):
         lvl = _assigned_levels(space, r_code, side, level, guideline_level, rule, guideline)
@@ -397,12 +329,11 @@ def build_lp(
         raise ValueError(f"unknown query {query!r}; expected one of {QUERIES}")
     kind = space.shape.kind
     if kind == "reduced":
-        if query in ("theta_g", "cu") and space.shape.guideline_mode == "none":
-            raise ValueError(f"query {query!r} needs a guideline, but the model declares none")
+        require_guideline(query, space.shape.guideline_mode != "none")
     elif kind == "stratum":
         if level is None and query in ("theta_f", "cu"):
             raise ValueError(f"stratum query {query!r} needs the rule's assigned level")
-        if guideline_level is None and query in ("theta_g", "cu"):
+        if guideline_level is None and query in _GUIDELINE_QUERIES:
             raise ValueError(f"stratum query {query!r} needs the guideline's assigned level")
         for name, lvl in (("level", level), ("guideline_level", guideline_level)):
             if lvl is not None and not 0 <= lvl < space.shape.treat_card:
@@ -410,8 +341,7 @@ def build_lp(
     elif kind == "full":
         if rule is None:
             raise ValueError("full-space queries need the treatment rule")
-        if guideline is None and query in ("theta_g", "cu"):
-            raise ValueError(f"query {query!r} needs a guideline rule")
+        require_guideline(query, guideline is not None)
 
     expected = ((CANON_INSTRUMENT,) if space.shape.instrument_card else ()) + space.cell_names
     rhs = reorder(observed, expected).probs.reshape(space.n_arms, space.n_cells)
@@ -585,26 +515,14 @@ def direct_sharp_bounds(
     _require_valid(model)
     if model.extra_covariates:
         raise ValueError("direct oracle does not support extra covariates")
-    if query in ("theta_g", "cu") and model.guideline is None:
-        raise ValueError(f"query {query!r} needs a guideline, but the model declares none")
+    require_guideline(query, model.guideline is not None)
     shape = SpaceShape(
         "full", model.treatment.cardinality, model.instrument_card, x_cards=model.rule_covariate_cards
     )
     space = enumerate_response_types(shape, cap=cap)
 
-    name_pairs = []
-    if model.instrument is not None:
-        name_pairs.append((model.instrument.name, CANON_INSTRUMENT))
-    for i, v in enumerate(model.rule_covariates):
-        name_pairs.append((v.name, f"x{i}"))
-    name_pairs.append((model.treatment.name, CANON_TREATMENT))
-    name_pairs.append((model.outcome.name, CANON_OUTCOME))
-    table = reorder(observed, tuple(orig for orig, _ in name_pairs))
-    canon_specs = [
-        type(spec)(canon, spec.cardinality, spec.role)
-        for (_, canon), spec in zip(name_pairs, table.variables)
-    ]
-    table = with_variables(table, canon_specs)
-
+    arm = (model.instrument,) if model.instrument is not None else ()
+    source = arm + model.rule_covariates + (model.treatment, model.outcome)
+    table = with_variables(reorder(observed, [v.name for v in source]), shape.variables)
     lp = build_lp(space, table, query, rule=model.rule, guideline=model.guideline)
     return solve_bounds(lp)

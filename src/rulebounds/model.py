@@ -2,9 +2,11 @@
 
 A causal model here is a list of discrete variables with roles plus one or
 two deterministic rules mapping rule-covariate values to treatment levels.
-The two derived shapes are the reduced model (rule covariates folded into
-the latent confounder, recommendations kept observed) and the per-stratum
-model (everything conditioned on one covariate cell).
+Each program the package solves has a ``SpaceShape``, which owns that
+program's canonical variable layout: the reduced program (rule covariates
+folded into the latent confounder, recommendations kept observed), the
+per-stratum program (everything conditioned on one covariate cell) and the
+full program of the direct oracle.
 """
 
 from __future__ import annotations
@@ -40,18 +42,6 @@ CANON_GUIDELINE_REC = "guideline_rec"
 
 
 @dataclass(frozen=True)
-class SpaceShape:
-    """Structural key of a response-type space; everything data-independent hangs off it."""
-
-    kind: str                       # "reduced" | "stratum" | "full"
-    treat_card: int
-    instrument_card: int = 0        # 0 means no instrument
-    guideline_mode: str = "none"    # reduced shapes only: "none" | "separate" | "aliased" (comparator equals rule)
-    extra_cards: tuple = ()         # reduced shapes only
-    x_cards: tuple = ()             # full shapes only
-
-
-@dataclass(frozen=True)
 class VariableSpec:
     """One discrete variable: a name, a cardinality, and a role."""
 
@@ -71,6 +61,42 @@ class VariableSpec:
     @property
     def levels(self) -> range:
         return range(self.cardinality)
+
+
+@dataclass(frozen=True)
+class SpaceShape:
+    """Structural key of a response-type space; everything data-independent hangs off it."""
+
+    kind: str                       # "reduced" | "stratum" | "full"
+    treat_card: int
+    instrument_card: int = 0        # 0 means no instrument
+    guideline_mode: str = "none"    # reduced shapes only: "none" | "separate" | "aliased" (comparator equals rule)
+    extra_cards: tuple = ()         # reduced shapes only
+    x_cards: tuple = ()             # full shapes only
+
+    @property
+    def variables(self) -> tuple[VariableSpec, ...]:
+        """Canonical specs of the program's table in axis order: the instrument (if any), then the cells.
+
+        The cells are ``treatment, outcome, rule_rec, [guideline_rec], extra{i}``
+        for reduced shapes, ``treatment, outcome`` for stratum shapes and
+        ``x{i}, treatment, outcome`` for full shapes.
+        """
+        k = self.treat_card
+        arm = [(CANON_INSTRUMENT, self.instrument_card, ROLE_INSTRUMENT)] if self.instrument_card else []
+        act = [(CANON_TREATMENT, k, ROLE_TREATMENT), (CANON_OUTCOME, 2, ROLE_OUTCOME)]
+        if self.kind == "reduced":
+            recs = [CANON_RULE_REC] + ([CANON_GUIDELINE_REC] if self.guideline_mode == "separate" else [])
+            cells = act + [(n, k, ROLE_RECOMMENDATION) for n in recs] + [
+                (f"extra{i}", c, ROLE_EXTRA_COVARIATE) for i, c in enumerate(self.extra_cards)
+            ]
+        elif self.kind == "stratum":
+            cells = act
+        elif self.kind == "full":
+            cells = [(f"x{i}", c, ROLE_RULE_COVARIATE) for i, c in enumerate(self.x_cards)] + act
+        else:
+            raise ValueError(f"unknown shape kind {self.kind!r}")
+        return tuple(VariableSpec(*spec) for spec in arm + cells)
 
 
 def _normalize_key(key) -> tuple[int, ...]:
@@ -230,48 +256,23 @@ def _require_valid(model: CausalModel) -> None:
         raise ValueError("invalid model: " + "; ".join(problems))
 
 
-@dataclass(frozen=True)
-class ReducedModel:
-    """Problem shape after merging rule covariates into the latent term.
+def build_reduced_model(model: CausalModel) -> SpaceShape:
+    """Shape of the program with rule covariates folded into the latent term.
 
-    Observed variables use canonical names. When the comparator equals the
-    rule, its recommendation node is dropped and the shape's guideline mode
-    is "aliased", because the two recommendations would coincide everywhere.
+    Recommendations stay observed. When the comparator equals the rule, its
+    recommendation node is dropped and the guideline mode is "aliased",
+    because the two recommendations would coincide everywhere.
     """
-
-    source: CausalModel
-    observed: tuple[VariableSpec, ...]
-    shape: SpaceShape
-    latent_description: str
-
-
-def build_reduced_model(model: CausalModel) -> ReducedModel:
-    """Fold rule covariates into the latent term, keeping recommendations observed."""
     _require_valid(model)
-    k = model.treatment.cardinality
-    observed = []
-    if model.instrument is not None:
-        observed.append(VariableSpec(CANON_INSTRUMENT, model.instrument.cardinality, ROLE_INSTRUMENT))
-    observed.append(VariableSpec(CANON_TREATMENT, k, ROLE_TREATMENT))
-    observed.append(VariableSpec(CANON_OUTCOME, 2, ROLE_OUTCOME))
-    observed.append(VariableSpec(CANON_RULE_REC, k, ROLE_RECOMMENDATION))
     mode = "none"
     if model.guideline is not None:
-        if model.guideline.table == model.rule.table:
-            mode = "aliased"
-        else:
-            mode = "separate"
-            observed.append(VariableSpec(CANON_GUIDELINE_REC, k, ROLE_RECOMMENDATION))
-    for i, v in enumerate(model.extra_covariates):
-        observed.append(VariableSpec(f"extra{i}", v.cardinality, ROLE_EXTRA_COVARIATE))
-    latent = "confounder x (" + ", ".join(v.name for v in model.rule_covariates) + ")"
-    return ReducedModel(
-        source=model,
-        observed=tuple(observed),
-        shape=SpaceShape(
-            "reduced", k, model.instrument_card, mode, extra_cards=model.extra_covariate_cards
-        ),
-        latent_description=latent,
+        mode = "aliased" if model.guideline.table == model.rule.table else "separate"
+    return SpaceShape(
+        "reduced",
+        model.treatment.cardinality,
+        model.instrument_card,
+        mode,
+        extra_cards=model.extra_covariate_cards,
     )
 
 
@@ -279,10 +280,8 @@ def build_reduced_model(model: CausalModel) -> ReducedModel:
 class StratumModel:
     """Problem shape for one covariate cell under the conditioning strategy."""
 
-    source: CausalModel
     x: tuple[int, ...]
     w: Optional[tuple[int, ...]]
-    observed: tuple[VariableSpec, ...]
     assigned: int
     assigned_guideline: Optional[int]
     shape: SpaceShape
@@ -291,16 +290,6 @@ class StratumModel:
 def stratum_shape(model: CausalModel) -> SpaceShape:
     """Shape shared by every stratum program of ``model``."""
     return SpaceShape("stratum", model.treatment.cardinality, model.instrument_card)
-
-
-def stratum_variables(model: CausalModel) -> tuple[VariableSpec, ...]:
-    """Canonical [instrument,] treatment, outcome specs of every stratum table."""
-    observed = []
-    if model.instrument is not None:
-        observed.append(VariableSpec(CANON_INSTRUMENT, model.instrument.cardinality, ROLE_INSTRUMENT))
-    observed.append(VariableSpec(CANON_TREATMENT, model.treatment.cardinality, ROLE_TREATMENT))
-    observed.append(VariableSpec(CANON_OUTCOME, 2, ROLE_OUTCOME))
-    return tuple(observed)
 
 
 def build_stratum_model(model: CausalModel, x, w=None) -> StratumModel:
@@ -321,10 +310,8 @@ def build_stratum_model(model: CausalModel, x, w=None) -> StratumModel:
                 f"with cardinalities {wcards}"
             )
     return StratumModel(
-        source=model,
         x=x,
         w=w,
-        observed=stratum_variables(model),
         assigned=model.rule.level_for(x),
         assigned_guideline=(model.guideline.level_for(x) if model.guideline is not None else None),
         shape=stratum_shape(model),

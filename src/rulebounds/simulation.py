@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import RuleboundsError
-from .lp_bounds import QUERIES
+from .lp_bounds import QUERIES, require_guideline
 from .model import (
     ROLE_INSTRUMENT,
     ROLE_OUTCOME,
@@ -36,6 +36,16 @@ VALIDITY_TOL = 1e-9
 ROLE_LATENT = "latent_confounder"
 
 _STRATEGY_FUNCS = {"reduction": reduction_bounds, "conditioning": conditioning_bounds}
+# smallest admissible value of each integer SimConfig field
+_INT_MINIMA = {
+    "replications": 1,
+    "master_seed": 0,
+    "card_confounder": 1,
+    "card_instrument": 1,
+    "card_covariate": 1,
+    "card_treatment": 1,
+    "jobs": 1,
+}
 
 
 def default_study_rule(covariate_card: int = 6, treatment_card: int = 3) -> TreatmentRule:
@@ -67,10 +77,12 @@ class SimConfig:
         return default_study_rule(self.card_covariate, self.card_treatment)
 
     def validate(self) -> None:
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        for name, low in _INT_MINIMA.items():
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not isinstance(self.strategies, tuple) or not all(isinstance(s, str) for s in self.strategies):
+            raise ValueError(f"strategies must be a tuple of strategy names, got {self.strategies!r}")
         unknown = set(self.strategies) - set(_STRATEGY_FUNCS)
         if unknown:
             raise ValueError(f"unknown strategies {sorted(unknown)}")
@@ -78,8 +90,7 @@ class SimConfig:
             raise ValueError("at least one strategy is required")
         if self.query not in QUERIES:
             raise ValueError(f"unknown query {self.query!r}")
-        if self.query in ("theta_g", "cu") and self.guideline is None:
-            raise ValueError(f"query {self.query!r} needs a guideline")
+        require_guideline(self.query, self.guideline is not None)
         # surface rule defects before burning replications
         bad = self.resolved_rule().problems((self.card_covariate,), self.card_treatment)
         if self.guideline is not None:

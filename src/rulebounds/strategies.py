@@ -23,16 +23,10 @@ from .lp_bounds import (
     build_lp,
     direct_sharp_bounds,
     enumerate_response_types,
+    require_guideline,
     solve_bounds,
 )
-from .model import (
-    CausalModel,
-    ReducedModel,
-    _require_valid,
-    build_reduced_model,
-    stratum_shape,
-    stratum_variables,
-)
+from .model import CausalModel, SpaceShape, _require_valid, build_reduced_model, stratum_shape
 from .tables import JointTable, reorder
 
 CONTAINMENT_TOL = 1e-9
@@ -51,10 +45,7 @@ class StrategyRequest:
 
 def _validate_request(request: StrategyRequest) -> None:
     _require_valid(request.model)
-    if request.query in ("theta_g", "cu") and request.model.guideline is None:
-        raise ValueError(
-            f"query {request.query!r} needs a guideline, but the model declares none"
-        )
+    require_guideline(request.query, request.model.guideline is not None)
     if request.observed.degenerate:
         raise ValueError("observed table is degenerate (zero mass)")
     declared = {v.name: v.cardinality for v in request.model.variables}
@@ -76,7 +67,7 @@ def _observed_order(model: CausalModel) -> list[str]:
     return names
 
 
-def reduce_table(model: CausalModel, reduced: ReducedModel, observed: JointTable) -> JointTable:
+def reduce_table(model: CausalModel, reduced: SpaceShape, observed: JointTable) -> JointTable:
     """Project the observed joint onto the reduced variables.
 
     Covariate mass moves onto the recommendation values the rules assign,
@@ -86,8 +77,9 @@ def reduce_table(model: CausalModel, reduced: ReducedModel, observed: JointTable
     table = reorder(observed, _observed_order(model))
     base = (1 if model.instrument is not None else 0) + 2
     nw = len(model.extra_covariates)
-    out = np.zeros(tuple(v.cardinality for v in reduced.observed))
-    sep = reduced.shape.guideline_mode == "separate"
+    specs = reduced.variables
+    out = np.zeros(tuple(v.cardinality for v in specs))
+    sep = reduced.guideline_mode == "separate"
     for x in model.rule_domain():
         b = model.rule.level_for(x)
         src = (slice(None),) * base + x
@@ -96,7 +88,7 @@ def reduce_table(model: CausalModel, reduced: ReducedModel, observed: JointTable
             dst += (model.guideline.level_for(x),)
         dst += (slice(None),) * nw
         out[dst] += table.probs[src]
-    return JointTable(reduced.observed, out)
+    return JointTable(specs, out)
 
 
 def reduction_bounds(request: StrategyRequest) -> BoundsResult:
@@ -107,8 +99,9 @@ def reduction_bounds(request: StrategyRequest) -> BoundsResult:
     table = reduce_table(request.model, reduced, request.observed)
     lp = build_lp(space, table, request.query)
     result = solve_bounds(lp)
-    result.diagnostics["latent"] = reduced.latent_description
-    result.diagnostics["observed"] = [v.name for v in reduced.observed]
+    covariates = ", ".join(v.name for v in request.model.rule_covariates)
+    result.diagnostics["latent"] = f"confounder x ({covariates})"
+    result.diagnostics["observed"] = list(table.names)
     return result
 
 
@@ -151,13 +144,14 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
     _validate_request(request)
     model = request.model
     covariates = model.rule_covariates + model.extra_covariates
-    cell_specs = stratum_variables(model)
+    shape = stratum_shape(model)
+    cell_specs = shape.variables
     arm = (model.instrument,) if model.instrument is not None else ()
     order = covariates + arm + (model.treatment, model.outcome)
     cell_shape = tuple(v.cardinality for v in cell_specs)
     probs = reorder(request.observed, [v.name for v in order]).probs.reshape((-1,) + cell_shape)
     masses = probs.reshape(probs.shape[0], -1).sum(axis=1)
-    space = enumerate_response_types(stratum_shape(model), cap=request.cap)
+    space = enumerate_response_types(shape, cap=request.cap)
     nx = len(model.rule_covariates)
     strata: list[StratumBound] = []
     lower = 0.0

@@ -6,6 +6,10 @@ must never import it.
 
 from __future__ import annotations
 
+from itertools import product
+from math import prod
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -20,6 +24,25 @@ from rulebounds.model import (
 )
 from rulebounds.lp_bounds import SpaceShape, class_cells, enumerate_response_types
 from rulebounds.tables import JointTable, reorder
+
+
+class ResponseClass(NamedTuple):
+    """Explicit view of one latent class: the reference the integer codes are checked against."""
+
+    roots: tuple          # values of the root nodes, in root_names order
+    a_map: tuple          # treatment level per a-parent configuration (lexicographic)
+    y_map: tuple          # outcome value per y-parent configuration (lexicographic)
+
+
+def iter_classes(space):
+    """Yield the space's explicit ResponseClass tuples in class-code order."""
+    k = space.shape.treat_card
+    n_a = prod(space.a_parent_cards)
+    n_y = prod(space.y_parent_cards)
+    for roots in product(*(range(c) for c in space.root_cards)):
+        for a_map in product(range(k), repeat=n_a):
+            for y_map in product(range(2), repeat=n_y):
+                yield ResponseClass(roots, a_map, y_map)
 
 
 def random_probs(rng, shape):

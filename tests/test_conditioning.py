@@ -45,7 +45,7 @@ def reference_strata(model, observed, query):
         if mass <= 0.0:
             out.append((x, w, label, 0.0, None))
             continue
-        canon = with_variables(reorder(table, cell_names), sm.observed)
+        canon = with_variables(reorder(table, cell_names), sm.shape.variables)
         lp = build_lp(
             enumerate_response_types(sm),
             canon,

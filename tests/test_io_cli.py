@@ -157,6 +157,9 @@ def test_load_config_column_mapping(tmp_path):
                 {"name": "y", "cardinality": 2, "role": "outcome"}]},
             "invalid model",
         ),
+        ({"enumeration_cap": True}, "enumeration_cap must be a positive integer, got True"),
+        ({"data": 7}, "'data' must be a file path string"),
+        ({"stratum_csv": 0}, "'stratum_csv' must be a file path string"),
     ],
 )
 def test_load_config_defects(tmp_path, mutation, message):
@@ -485,6 +488,16 @@ def test_simulate_command_config_validation(tmp_path, capsys):
     assert "unknown simulation config keys" in capsys.readouterr().err
     assert main(["simulate", "--replications", "2", "--strategies", "magic"]) == 2
     assert main(["simulate", "--replications", "0"]) == 2
+    # wrong-typed or out-of-range shape values are config errors, not tracebacks
+    for raw, message in (
+        ({"replications": "10"}, "replications must be an integer"),
+        ({"card_covariate": 0}, "card_covariate must be an integer"),
+        ({"master_seed": True}, "master_seed must be an integer"),
+        ({"strategies": 5}, "strategies must be a tuple"),
+    ):
+        sim_cfg.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(sim_cfg)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_compare_command_runs_oracle(tmp_path, capsys):

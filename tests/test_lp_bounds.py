@@ -21,7 +21,6 @@ from rulebounds.lp_bounds import (
     build_lp,
     class_cells,
     closed_form_binary_reduction,
-    count_classes,
     direct_sharp_bounds,
     enumerate_response_types,
     manski_stratum_bounds,
@@ -39,6 +38,7 @@ from rulebounds.tables import JointTable, condition, marginalize
 from conftest import (
     binary_reduced_specs,
     feasible_table,
+    iter_classes,
     random_probs,
     scipy_lp_bounds,
     small_iv_model,
@@ -112,7 +112,8 @@ FROZEN_COUNTS = [
 
 @pytest.mark.parametrize("shape,expected", FROZEN_COUNTS)
 def test_frozen_class_counts(shape, expected):
-    assert count_classes(shape) == expected
+    # a space builds no arrays until its cells are read, so even the paper shape is cheap here
+    assert _space(shape).class_count == expected
 
 
 def test_count_matches_iteration_for_small_spaces():
@@ -120,7 +121,7 @@ def test_count_matches_iteration_for_small_spaces():
         if expected > 1000:
             continue
         space = enumerate_response_types(shape)
-        listed = list(space.iter_classes())
+        listed = list(iter_classes(space))
         assert len(listed) == expected == space.class_count
         assert len(set(listed)) == expected  # no duplicates
 
@@ -167,18 +168,144 @@ def test_space_cache_stays_bounded():
 
 def test_built_models_carry_their_shape():
     model = small_iv_model(x_card=3, treat_card=2, z_card=2)
-    assert build_reduced_model(model).shape == SpaceShape("reduced", 2, instrument_card=2)
+    assert build_reduced_model(model) == SpaceShape("reduced", 2, instrument_card=2)
     guided = small_iv_model(guideline_map={(0,): 0, (1,): 0})
-    assert build_reduced_model(guided).shape.guideline_mode == "separate"
+    assert build_reduced_model(guided).guideline_mode == "separate"
     aliased = small_noiv_model(guideline_map={(0,): 0, (1,): 1})
-    assert build_reduced_model(aliased).shape.guideline_mode == "aliased"
+    assert build_reduced_model(aliased).guideline_mode == "aliased"
     stratum = build_stratum_model(model, (1,)).shape
     assert stratum == SpaceShape("stratum", 2, instrument_card=2)
     assert enumerate_response_types(build_stratum_model(model, (1,))).shape == stratum
     observed = feasible_table(np.random.default_rng(3), model, zero_stratum=False)
     oracle = direct_sharp_bounds(model, observed)
     full = SpaceShape("full", 2, instrument_card=2, x_cards=(3,))
-    assert oracle.diagnostics["class_count"] == count_classes(full) == 3 * 2**6 * 2**6
+    assert oracle.diagnostics["class_count"] == _space(full).class_count == 3 * 2**6 * 2**6
+
+
+# ---------------------------------------------------------------------------
+# wiring derived by name from the shape's canonical layout
+
+
+# Each entry: shape, then (names, cards) of the roots, the treatment's parents,
+# the outcome's parents and the cells, then the a- and y-rest root positions
+# and the cell sources. The explicit-class cross-checks below read these same
+# fields, so only literals can catch a change in how a space is wired.
+FROZEN_WIRING = [
+    (
+        SpaceShape("reduced", 2),
+        (("rule_rec",), (2,)),
+        ((), ()),
+        (("treatment",), (2,)),
+        (("treatment", "outcome", "rule_rec"), (2, 2, 2)),
+        ((), (), ("treatment", "outcome", 0)),
+    ),
+    (
+        SpaceShape("reduced", 2, guideline_mode="aliased"),
+        (("rule_rec",), (2,)),
+        ((), ()),
+        (("treatment",), (2,)),
+        (("treatment", "outcome", "rule_rec"), (2, 2, 2)),
+        ((), (), ("treatment", "outcome", 0)),
+    ),
+    (
+        SpaceShape("reduced", 2, guideline_mode="separate"),
+        (("rule_rec", "guideline_rec"), (2, 2)),
+        (("guideline_rec",), (2,)),
+        (("treatment",), (2,)),
+        (("treatment", "outcome", "rule_rec", "guideline_rec"), (2, 2, 2, 2)),
+        ((1,), (), ("treatment", "outcome", 0, 1)),
+    ),
+    (
+        SpaceShape("reduced", 2, instrument_card=2, guideline_mode="separate"),
+        (("rule_rec", "guideline_rec"), (2, 2)),
+        (("instrument", "guideline_rec"), (2, 2)),
+        (("treatment",), (2,)),
+        (("treatment", "outcome", "rule_rec", "guideline_rec"), (2, 2, 2, 2)),
+        ((1,), (), ("treatment", "outcome", 0, 1)),
+    ),
+    (
+        SpaceShape("reduced", 3, instrument_card=2),
+        (("rule_rec",), (3,)),
+        (("instrument",), (2,)),
+        (("treatment",), (3,)),
+        (("treatment", "outcome", "rule_rec"), (3, 2, 3)),
+        ((), (), ("treatment", "outcome", 0)),
+    ),
+    (
+        SpaceShape("reduced", 2, guideline_mode="separate", extra_cards=(2,)),
+        (("rule_rec", "guideline_rec", "extra0"), (2, 2, 2)),
+        (("guideline_rec", "extra0"), (2, 2)),
+        (("treatment", "extra0"), (2, 2)),
+        (("treatment", "outcome", "rule_rec", "guideline_rec", "extra0"), (2, 2, 2, 2, 2)),
+        ((1, 2), (2,), ("treatment", "outcome", 0, 1, 2)),
+    ),
+    (
+        SpaceShape("stratum", 2),
+        ((), ()),
+        ((), ()),
+        (("treatment",), (2,)),
+        (("treatment", "outcome"), (2, 2)),
+        ((), (), ("treatment", "outcome")),
+    ),
+    (
+        SpaceShape("stratum", 3),
+        ((), ()),
+        ((), ()),
+        (("treatment",), (3,)),
+        (("treatment", "outcome"), (3, 2)),
+        ((), (), ("treatment", "outcome")),
+    ),
+    (
+        SpaceShape("stratum", 2, instrument_card=2),
+        ((), ()),
+        (("instrument",), (2,)),
+        (("treatment",), (2,)),
+        (("treatment", "outcome"), (2, 2)),
+        ((), (), ("treatment", "outcome")),
+    ),
+    (
+        SpaceShape("stratum", 3, instrument_card=2),
+        ((), ()),
+        (("instrument",), (2,)),
+        (("treatment",), (3,)),
+        (("treatment", "outcome"), (3, 2)),
+        ((), (), ("treatment", "outcome")),
+    ),
+    (
+        SpaceShape("full", 2, x_cards=(2,)),
+        (("x0",), (2,)),
+        (("x0",), (2,)),
+        (("treatment", "x0"), (2, 2)),
+        (("x0", "treatment", "outcome"), (2, 2, 2)),
+        ((0,), (0,), (0, "treatment", "outcome")),
+    ),
+    (
+        SpaceShape("full", 2, instrument_card=2, x_cards=(2,)),
+        (("x0",), (2,)),
+        (("instrument", "x0"), (2, 2)),
+        (("treatment", "x0"), (2, 2)),
+        (("x0", "treatment", "outcome"), (2, 2, 2)),
+        ((0,), (0,), (0, "treatment", "outcome")),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "shape,roots,a_parents,y_parents,cells,sources",
+    FROZEN_WIRING,
+    ids=[f"{entry[0].kind}{i}" for i, entry in enumerate(FROZEN_WIRING)],
+)
+def test_frozen_wiring(shape, roots, a_parents, y_parents, cells, sources):
+    space = enumerate_response_types(shape)
+    assert (space.root_names, space.root_cards) == roots
+    assert (space.a_parent_names, space.a_parent_cards) == a_parents
+    assert (space.y_parent_names, space.y_parent_cards) == y_parents
+    assert (space.cell_names, space.cell_cards) == cells
+    assert (space.a_rest_root_positions, space.y_rest_root_positions, space.cell_sources) == sources
+    # the instrument, if any, leads the canonical layout, and the cells follow it
+    layout = tuple((v.name, v.cardinality) for v in shape.variables)
+    arm = (("instrument", shape.instrument_card),) if shape.instrument_card else ()
+    assert layout == arm + tuple(zip(*cells))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +379,7 @@ def test_vectorized_cells_match_explicit_enumeration(shape):
     cells = class_cells(space)
     assert cells.shape == (space.n_arms, space.class_count)
     assert cells.min() >= 0 and cells.max() < space.n_cells
-    for j, cls in enumerate(space.iter_classes()):
+    for j, cls in enumerate(iter_classes(space)):
         expected = explicit_cells(space, cls)
         for z in range(space.n_arms):
             assert cells[z, j] == expected[z], (shape, j, z, cls)
@@ -279,7 +406,7 @@ def test_objective_matches_explicit_enumeration(shape, rng):
         kwargs = {"rule": rule, "guideline": guideline}
     for query in ("theta_f", "theta_g", "cu"):
         lp = build_lp(space, table, query, **kwargs)
-        for j, cls in enumerate(space.iter_classes()):
+        for j, cls in enumerate(iter_classes(space)):
             f = explicit_theta_coef(space, cls, "f", 1, 0, rule, guideline)
             g = explicit_theta_coef(space, cls, "g", 1, 0, rule, guideline)
             want = {"theta_f": f, "theta_g": g, "cu": f - g}[query]

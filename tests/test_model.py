@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,8 +16,9 @@ from rulebounds.model import (
     build_stratum_model,
     validate_model,
 )
+from rulebounds.strategies import StrategyRequest, reduction_bounds
 
-from conftest import small_iv_model, small_noiv_model
+from conftest import feasible_table, small_iv_model, small_noiv_model
 
 
 def test_variable_spec_rejects_bad_cardinality():
@@ -102,15 +104,19 @@ def test_validate_model_checks_rule_tables():
 
 
 def test_reduced_model_canonical_order_iv():
-    rm = build_reduced_model(small_iv_model())
-    assert [v.name for v in rm.observed] == [
+    model = small_iv_model()
+    rm = build_reduced_model(model)
+    assert [v.name for v in rm.variables] == [
         CANON_INSTRUMENT,
         CANON_TREATMENT,
         CANON_OUTCOME,
         CANON_RULE_REC,
     ]
-    assert rm.shape.guideline_mode == "none"
-    assert "x" in rm.latent_description
+    assert rm.guideline_mode == "none"
+    observed = feasible_table(np.random.default_rng(0), model, zero_stratum=False)
+    diagnostics = reduction_bounds(StrategyRequest(model, observed)).diagnostics
+    assert diagnostics["latent"] == "confounder x (x)"
+    assert diagnostics["observed"] == [v.name for v in rm.variables]
 
 
 def test_reduced_model_with_guideline_and_extras():
@@ -125,23 +131,23 @@ def test_reduced_model_with_guideline_and_extras():
         guideline=TreatmentRule.from_table({(0,): 1, (1,): 1}, name="g"),
     )
     rm = build_reduced_model(model)
-    assert [v.name for v in rm.observed] == [
+    assert [v.name for v in rm.variables] == [
         CANON_TREATMENT,
         CANON_OUTCOME,
         CANON_RULE_REC,
         CANON_GUIDELINE_REC,
         "extra0",
     ]
-    assert rm.shape.guideline_mode == "separate"
-    assert rm.observed[-1].cardinality == 3
+    assert rm.guideline_mode == "separate"
+    assert rm.variables[-1].cardinality == 3
 
 
 def test_reduced_model_collapses_equal_guideline():
     # same table under a different name still collapses
     model = small_noiv_model(guideline_map={(0,): 0, (1,): 1})
     rm = build_reduced_model(model)
-    assert rm.shape.guideline_mode == "aliased"
-    assert [v.name for v in rm.observed] == [CANON_TREATMENT, CANON_OUTCOME, CANON_RULE_REC]
+    assert rm.guideline_mode == "aliased"
+    assert [v.name for v in rm.variables] == [CANON_TREATMENT, CANON_OUTCOME, CANON_RULE_REC]
 
 
 def test_reduced_model_rejects_invalid():
@@ -159,7 +165,7 @@ def test_stratum_model_levels_and_label():
     sm = build_stratum_model(model, (1,))
     assert sm.assigned == 2
     assert sm.assigned_guideline == 1
-    assert [v.name for v in sm.observed] == [CANON_INSTRUMENT, CANON_TREATMENT, CANON_OUTCOME]
+    assert [v.name for v in sm.shape.variables] == [CANON_INSTRUMENT, CANON_TREATMENT, CANON_OUTCOME]
 
 
 def test_stratum_model_rejects_out_of_domain():
@@ -192,8 +198,6 @@ def test_stratum_model_with_extras():
     seed=st.integers(0, 1000),
 )
 def test_random_valid_models_pass_validation(x_card, treat_card, seed):
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     rule = TreatmentRule.from_table(
         {(x,): int(rng.integers(treat_card)) for x in range(x_card)}
@@ -201,7 +205,7 @@ def test_random_valid_models_pass_validation(x_card, treat_card, seed):
     model = small_noiv_model(x_card=x_card, treat_card=treat_card, rule_map=rule.table)
     assert validate_model(model) == []
     rm = build_reduced_model(model)
-    assert rm.observed[0].name == CANON_TREATMENT
+    assert rm.variables[0].name == CANON_TREATMENT
     for x in range(x_card):
         sm = build_stratum_model(model, (x,))
         assert sm.assigned == rule.level_for((x,))

@@ -142,6 +142,16 @@ def test_sim_config_validation():
         SimConfig(replications=0).validate()
     with pytest.raises(ValueError, match="jobs"):
         SimConfig(jobs=0).validate()
+    with pytest.raises(ValueError, match="replications must be an integer >= 1, got '10'"):
+        SimConfig(replications="10").validate()
+    with pytest.raises(ValueError, match="card_covariate must be an integer >= 1, got 0"):
+        SimConfig(card_covariate=0).validate()
+    with pytest.raises(ValueError, match="card_treatment"):
+        SimConfig(card_treatment=2.0).validate()
+    with pytest.raises(ValueError, match="master_seed"):
+        SimConfig(master_seed=-1).validate()
+    with pytest.raises(ValueError, match="jobs"):
+        SimConfig(jobs=True).validate()
     with pytest.raises(ValueError, match="unknown strategies"):
         SimConfig(strategies=("reduction", "magic")).validate()
     with pytest.raises(ValueError, match="at least one strategy"):

@@ -96,13 +96,13 @@ def test_request_rejects_structural_defects(rng):
 
 def _reduce_by_hand(model, reduced, observed):
     """Slow reference: push every cell's mass onto its recommendation values."""
-    out = np.zeros(tuple(v.cardinality for v in reduced.observed))
+    out = np.zeros(tuple(v.cardinality for v in reduced.variables))
     names = [v.name for v in observed.variables]
     for idx, p in np.ndenumerate(observed.probs):
         vals = dict(zip(names, idx))
         x = tuple(vals[v.name] for v in model.rule_covariates)
         key = []
-        for spec in reduced.observed:
+        for spec in reduced.variables:
             if spec.name == "instrument":
                 key.append(vals[model.instrument.name])
             elif spec.name == "treatment":
@@ -146,7 +146,7 @@ def test_reduce_table_matches_nested_loops(rng, with_guideline):
     observed = JointTable(model.variables, random_probs(rng, (2, 2, 3, 3, 2, 2)))
     got = reduce_table(model, reduced, observed)
     want = _reduce_by_hand(model, reduced, observed)
-    assert [v.name for v in got.variables] == [v.name for v in reduced.observed]
+    assert [v.name for v in got.variables] == [v.name for v in reduced.variables]
     np.testing.assert_allclose(got.probs, want, atol=1e-14)
     assert got.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
