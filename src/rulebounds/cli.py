@@ -218,6 +218,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.oracle_cap < 1:
+        raise ConfigError(f"--oracle-cap must be a positive integer, got {args.oracle_cap}")
     config = load_config(args.config)
     table, data_info = _load_table(args, config)
     request = StrategyRequest(config.model, table, config.query, cap=config.cap)

@@ -197,6 +197,11 @@ def load_records(path: str, config: AnalysisConfig) -> tuple[np.ndarray, dict]:
                 f"data file {path!r} has no column {column!r} for variable {v.name!r}; "
                 f"columns are {header}"
             )
+        if header.count(column) > 1:
+            raise DataError(
+                f"data file {path!r} names column {column!r} for variable {v.name!r} "
+                f"{header.count(column)} times; its header is {header}"
+            )
         positions.append(header.index(column))
 
     records = np.empty((len(rows), len(positions)), dtype=np.int64)

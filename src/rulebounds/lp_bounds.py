@@ -59,6 +59,18 @@ def require_guideline(query: str, declared: bool) -> None:
         raise ValueError(f"query {query!r} needs a guideline, but the model declares none")
 
 
+def check_request(model: CausalModel, observed: JointTable, query: str) -> None:
+    """Refuse an invalid model, a query it cannot answer, or a table over other variables."""
+    _require_valid(model)
+    require_guideline(query, model.guideline is not None)
+    declared = {v.name: v.cardinality for v in model.variables}
+    got = {v.name: v.cardinality for v in observed.variables}
+    if declared != got:
+        raise ValueError(
+            f"observed table variables {got} do not match the declared model {declared}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class ResponseTypeSpace:
     """The class structure for one problem shape.
@@ -268,10 +280,8 @@ def _objective(space, query, level, guideline_level, rule, guideline) -> np.ndar
         obj = theta_coef("f")
     elif query == "theta_g":
         obj = theta_coef("g")
-    elif query == "cu":
-        obj = theta_coef("f") - theta_coef("g")
     else:
-        raise ValueError(f"unknown query {query!r}; expected one of {QUERIES}")
+        obj = theta_coef("f") - theta_coef("g")
     obj.setflags(write=False)
     memo[key] = obj
     return obj
@@ -286,8 +296,6 @@ class LpProblem:
     objective: np.ndarray      # (n_classes,), values in {-1, 0, 1}
     cells: np.ndarray          # (n_arms, n_classes) flat cell index per arm
     rhs: np.ndarray            # (n_arms, n_cells) conditional cell probabilities
-    level: Optional[int] = None
-    guideline_level: Optional[int] = None
 
     @property
     def n_arms(self) -> int:
@@ -362,8 +370,6 @@ def build_lp(
         objective=objective,
         cells=space.cells,
         rhs=rhs,
-        level=level,
-        guideline_level=guideline_level,
     )
 
 
@@ -512,10 +518,9 @@ def direct_sharp_bounds(
     intended as a cross-check for small models. Extra covariates are not
     supported here.
     """
-    _require_valid(model)
+    check_request(model, observed, query)
     if model.extra_covariates:
         raise ValueError("direct oracle does not support extra covariates")
-    require_guideline(query, model.guideline is not None)
     shape = SpaceShape(
         "full", model.treatment.cardinality, model.instrument_card, x_cards=model.rule_covariate_cards
     )

@@ -263,7 +263,6 @@ def build_reduced_model(model: CausalModel) -> SpaceShape:
     recommendation node is dropped and the guideline mode is "aliased",
     because the two recommendations would coincide everywhere.
     """
-    _require_valid(model)
     mode = "none"
     if model.guideline is not None:
         mode = "aliased" if model.guideline.table == model.rule.table else "separate"

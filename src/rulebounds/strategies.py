@@ -21,12 +21,12 @@ from .lp_bounds import (
     DEFAULT_CAP,
     BoundsResult,
     build_lp,
+    check_request,
     direct_sharp_bounds,
     enumerate_response_types,
-    require_guideline,
     solve_bounds,
 )
-from .model import CausalModel, SpaceShape, _require_valid, build_reduced_model, stratum_shape
+from .model import CausalModel, SpaceShape, build_reduced_model, stratum_shape
 from .tables import JointTable, reorder
 
 CONTAINMENT_TOL = 1e-9
@@ -35,25 +35,18 @@ AGREE_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class StrategyRequest:
-    """One bounding job: a model, observed data over its variables, and a query."""
+    """One bounding job: a model, observed data over its variables, and a query.
+
+    The triple is checked once, here; the strategies trust it.
+    """
 
     model: CausalModel
     observed: JointTable
     query: str = "theta_f"
     cap: int = DEFAULT_CAP
 
-
-def _validate_request(request: StrategyRequest) -> None:
-    _require_valid(request.model)
-    require_guideline(request.query, request.model.guideline is not None)
-    if request.observed.degenerate:
-        raise ValueError("observed table is degenerate (zero mass)")
-    declared = {v.name: v.cardinality for v in request.model.variables}
-    got = {v.name: v.cardinality for v in request.observed.variables}
-    if declared != got:
-        raise ValueError(
-            f"observed table variables {got} do not match the declared model {declared}"
-        )
+    def __post_init__(self):
+        check_request(self.model, self.observed, self.query)
 
 
 def _observed_order(model: CausalModel) -> list[str]:
@@ -93,7 +86,6 @@ def reduce_table(model: CausalModel, reduced: SpaceShape, observed: JointTable) 
 
 def reduction_bounds(request: StrategyRequest) -> BoundsResult:
     """Bounds from the single program on the reduced observed table."""
-    _validate_request(request)
     reduced = build_reduced_model(request.model)
     space = enumerate_response_types(reduced, cap=request.cap)
     table = reduce_table(request.model, reduced, request.observed)
@@ -105,34 +97,6 @@ def reduction_bounds(request: StrategyRequest) -> BoundsResult:
     return result
 
 
-@dataclass(frozen=True)
-class StratumBound:
-    """One stratum's contribution to the conditioning average."""
-
-    x: tuple
-    w: Optional[tuple]
-    label: str
-    weight: float
-    level: int
-    guideline_level: Optional[int]
-    lower: Optional[float]
-    upper: Optional[float]
-    skipped: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "x": list(self.x),
-            "w": list(self.w) if self.w is not None else None,
-            "label": self.label,
-            "weight": self.weight,
-            "level": self.level,
-            "guideline_level": self.guideline_level,
-            "lower": self.lower,
-            "upper": self.upper,
-            "skipped": self.skipped,
-        }
-
-
 def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
     """Weight-averaged per-stratum bounds over the covariate cells.
 
@@ -141,7 +105,6 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
     | stratum) and contributes its bounds times its mass. Zero-mass strata
     are listed as skipped.
     """
-    _validate_request(request)
     model = request.model
     covariates = model.rule_covariates + model.extra_covariates
     shape = stratum_shape(model)
@@ -153,7 +116,7 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
     masses = probs.reshape(probs.shape[0], -1).sum(axis=1)
     space = enumerate_response_types(shape, cap=request.cap)
     nx = len(model.rule_covariates)
-    strata: list[StratumBound] = []
+    strata: list[dict] = []
     lower = 0.0
     upper = 0.0
     for i, values in enumerate(product(*(range(v.cardinality) for v in covariates))):
@@ -162,13 +125,19 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
         level = model.rule.level_for(x)
         g_level = model.guideline.level_for(x) if model.guideline is not None else None
         mass = float(masses[i])
+        stratum = {
+            "x": list(x),
+            "w": list(w) if w is not None else None,
+            "label": label,
+            "weight": 0.0,
+            "level": level,
+            "guideline_level": g_level,
+            "lower": None,
+            "upper": None,
+            "skipped": mass <= 0.0,
+        }
+        strata.append(stratum)
         if mass <= 0.0:
-            strata.append(
-                StratumBound(
-                    x=x, w=w, label=label, weight=0.0, level=level,
-                    guideline_level=g_level, lower=None, upper=None, skipped=True,
-                )
-            )
             continue
         try:
             lp = build_lp(
@@ -187,12 +156,7 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
             ) from err
         except DataError as err:
             raise DataError(f"stratum ({label}): {err}") from err
-        strata.append(
-            StratumBound(
-                x=x, w=w, label=label, weight=mass, level=level,
-                guideline_level=g_level, lower=result.lower, upper=result.upper,
-            )
-        )
+        stratum.update(weight=mass, lower=result.lower, upper=result.upper)
         lower += mass * result.lower
         upper += mass * result.upper
     return BoundsResult(
@@ -201,9 +165,9 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
         upper=upper,
         strategy="conditioning",
         diagnostics={
-            "strata": [s.to_dict() for s in strata],
+            "strata": strata,
             "stratum_count": len(strata),
-            "skipped_strata": sum(s.skipped for s in strata),
+            "skipped_strata": sum(s["skipped"] for s in strata),
         },
     )
 

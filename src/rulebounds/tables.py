@@ -8,7 +8,7 @@ return new tables; arrays are marked read-only on construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -21,16 +21,10 @@ NEG_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class JointTable:
-    """Joint distribution over ``variables``; ``probs.shape`` matches their cardinalities.
-
-    ``degenerate`` marks an all-zero table produced by conditioning on a
-    zero-probability event; such tables carry no mass and must not be
-    normalized or fed to bound computations.
-    """
+    """Joint distribution over ``variables``; ``probs.shape`` matches their cardinalities."""
 
     variables: tuple[VariableSpec, ...]
     probs: np.ndarray
-    degenerate: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -45,10 +39,7 @@ class JointTable:
         if arr.size and arr.min() < -NEG_TOL:
             raise ValueError(f"negative probability entry: {arr.min()!r}")
         total = float(arr.sum())
-        if self.degenerate:
-            if total > SUM_TOL:
-                raise ValueError("degenerate table must have zero mass")
-        elif abs(total - 1.0) > SUM_TOL:
+        if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
@@ -63,9 +54,6 @@ class JointTable:
         except ValueError:
             raise KeyError(f"no variable named {name!r}; table has {self.names}") from None
 
-    def spec(self, name: str) -> VariableSpec:
-        return self.variables[self.axis(name)]
-
 
 def marginalize(table: JointTable, keep: Sequence[str]) -> JointTable:
     """Sum out everything not in ``keep``; axis order of the result follows the table."""
@@ -76,14 +64,14 @@ def marginalize(table: JointTable, keep: Sequence[str]) -> JointTable:
     drop_axes = tuple(i for i, v in enumerate(table.variables) if v.name not in keep_set)
     kept = tuple(v for v in table.variables if v.name in keep_set)
     probs = table.probs.sum(axis=drop_axes) if drop_axes else table.probs
-    return JointTable(kept, probs, degenerate=table.degenerate)
+    return JointTable(kept, probs)
 
 
-def condition(table: JointTable, assignments: Mapping[str, int]) -> tuple[JointTable, float]:
+def condition(table: JointTable, assignments: Mapping[str, int]) -> tuple[Optional[JointTable], float]:
     """Condition on ``assignments``, returning the conditional table and the event mass.
 
-    Zero-mass events yield a degenerate all-zero table with mass 0.0 so the
-    caller can decide whether to skip or fail.
+    A zero-mass event has no conditional table: it yields ``(None, 0.0)`` so
+    the caller can decide whether to skip or fail.
     """
     if not assignments:
         raise ValueError("assignments must name at least one variable")
@@ -95,13 +83,10 @@ def condition(table: JointTable, assignments: Mapping[str, int]) -> tuple[JointT
             raise ValueError(f"{name}={value} outside range(0, {card})")
         indexer[ax] = int(value)
     sliced = table.probs[tuple(indexer)]
-    kept = tuple(v for v in table.variables if v.name not in assignments)
     mass = float(sliced.sum())
     if mass <= 0.0:
-        return (
-            JointTable(kept, np.zeros(tuple(v.cardinality for v in kept)), degenerate=True),
-            0.0,
-        )
+        return None, 0.0
+    kept = tuple(v for v in table.variables if v.name not in assignments)
     return JointTable(kept, sliced / mass), mass
 
 
@@ -111,7 +96,7 @@ def reorder(table: JointTable, names: Sequence[str]) -> JointTable:
         raise ValueError(f"{list(names)} is not a permutation of {table.names}")
     perm = tuple(table.axis(n) for n in names)
     new_vars = tuple(table.variables[i] for i in perm)
-    return JointTable(new_vars, table.probs.transpose(perm), degenerate=table.degenerate)
+    return JointTable(new_vars, table.probs.transpose(perm))
 
 
 def with_variables(table: JointTable, new_vars: Sequence[VariableSpec]) -> JointTable:
@@ -119,7 +104,7 @@ def with_variables(table: JointTable, new_vars: Sequence[VariableSpec]) -> Joint
     new_vars = tuple(new_vars)
     if tuple(v.cardinality for v in new_vars) != tuple(v.cardinality for v in table.variables):
         raise ValueError("replacement specs must match existing cardinalities")
-    return JointTable(new_vars, table.probs, degenerate=table.degenerate)
+    return JointTable(new_vars, table.probs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,15 +221,3 @@ def empirical_joint(records, variables: Sequence[VariableSpec]) -> JointTable:
     counts = np.zeros(shape)
     np.add.at(counts, tuple(arr[:, j] for j in range(arr.shape[1])), 1.0)
     return JointTable(variables, counts / arr.shape[0])
-
-
-def sample_records(table: JointTable, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` iid records from the table as an (n, n_vars) integer array."""
-    if table.degenerate:
-        raise ValueError("cannot sample from a degenerate table")
-    flat = np.clip(table.probs.ravel(), 0.0, None)
-    counts = rng.multinomial(n, flat / flat.sum())
-    cells = np.repeat(np.arange(flat.size), counts)
-    rng.shuffle(cells)
-    coords = np.unravel_index(cells, table.probs.shape)
-    return np.stack(coords, axis=1).astype(np.int64)

@@ -51,3 +51,12 @@ def test_benchmark_programs_match_the_strategies():
         mass, lp = checks.stratum_lp(model, observed, "theta_f", x)
         assert s["weight"] == pytest.approx(mass, abs=1e-12)
         assert checks.interval_close((s["lower"], s["upper"]), checks.scipy_lp_bounds(lp))
+
+
+def test_benchmark_skips_a_zero_mass_stratum():
+    # condition() returns (None, 0.0) for a zero-mass event; stratum_lp must not touch the table
+    checks = load_perfbench("checks")
+    model = small_iv_model(x_card=3, treat_card=2)
+    observed = feasible_table(np.random.default_rng(5), model, zero_stratum=True)
+    results = [checks.stratum_lp(model, observed, "theta_f", x) for x in model.rule_domain()]
+    assert [r for r in results if r[1] is None] == [(0.0, None)]

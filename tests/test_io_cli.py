@@ -422,6 +422,10 @@ def test_cli_exit_codes_for_config_problems(tmp_path, capsys):
     for cap in ("0", "-3"):
         assert main(["bounds", "--config", cfg, "--data", data, "--cap", cap]) == 2
         assert "enumeration_cap must be a positive integer" in capsys.readouterr().err
+    for cap in ("0", "-5"):
+        assert main(["compare", "--config", cfg, "--data", data, "--oracle-cap", cap]) == 2
+        err = capsys.readouterr().err
+        assert f"--oracle-cap must be a positive integer, got {cap}" in err
 
 
 def test_cli_exit_codes_for_data_problems(tmp_path, capsys):
@@ -434,6 +438,22 @@ def test_cli_exit_codes_for_data_problems(tmp_path, capsys):
     out_of_range.write_text("z,x,a,y\n0,9,0,1\n")
     assert main(["bounds", "--config", cfg, "--data", str(out_of_range)]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_repeated_model_column(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    lines = open(write_data(tmp_path)).read().splitlines()
+
+    def with_columns(header, cells):
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join([lines[0] + header] + [r + cells for r in lines[1:]]) + "\n")
+        return str(path)
+
+    assert main(["bounds", "--config", cfg, "--data", with_columns(",a", ",0")]) == 3
+    err = capsys.readouterr().err
+    assert "column 'a'" in err and "2 times" in err
+    # repeated columns the model does not read stay ignored
+    assert main(["bounds", "--config", cfg, "--data", with_columns(",note,note", ",p,q")]) == 0
 
 
 def test_cli_names_file_line_of_out_of_range_code(tmp_path, capsys):

@@ -18,7 +18,7 @@ from rulebounds.model import (
 )
 from rulebounds.strategies import StrategyRequest, reduction_bounds
 
-from conftest import feasible_table, small_iv_model, small_noiv_model
+from conftest import feasible_table, random_joint, small_iv_model, small_noiv_model
 
 
 def test_variable_spec_rejects_bad_cardinality():
@@ -150,10 +150,12 @@ def test_reduced_model_collapses_equal_guideline():
     assert [v.name for v in rm.variables] == [CANON_TREATMENT, CANON_OUTCOME, CANON_RULE_REC]
 
 
-def test_reduced_model_rejects_invalid():
+def test_reduced_model_rejects_invalid(rng):
+    # build_reduced_model trusts its model; the request is the gate that refuses it
     bad = small_noiv_model(x_card=3, rule_map={(0,): 0})
+    table = random_joint(rng, bad.variables)
     with pytest.raises(ValueError, match="invalid model"):
-        build_reduced_model(bad)
+        StrategyRequest(bad, table)
 
 
 def test_stratum_model_levels_and_label():

@@ -8,6 +8,7 @@ relationships between the intervals are testable as hard assertions.
 import numpy as np
 import pytest
 
+from rulebounds import model as model_module
 from rulebounds.errors import DataError, InfeasibleModelError
 from rulebounds.lp_bounds import direct_sharp_bounds
 from rulebounds.model import (
@@ -16,7 +17,7 @@ from rulebounds.model import (
     VariableSpec,
     build_reduced_model,
 )
-from rulebounds.simulation import SimConfig, random_scm
+from rulebounds.simulation import SimConfig, random_scm, run_replication
 from rulebounds.strategies import (
     StrategyRequest,
     compare_strategies,
@@ -26,7 +27,7 @@ from rulebounds.strategies import (
 )
 from rulebounds.tables import JointTable, joint_from_scm, marginalize
 
-from conftest import random_probs, small_iv_model, small_noiv_model
+from conftest import feasible_table, random_joint, random_probs, small_iv_model, small_noiv_model
 
 
 def scm_observed(rng_index, *, x_card=2, treat_card=2, with_instrument=True,
@@ -85,9 +86,36 @@ def test_request_rejects_structural_defects(rng):
     with pytest.raises(ValueError, match="invalid model"):
         conditioning_bounds(StrategyRequest(twin, bigger))
 
-    empty = JointTable(specs, np.zeros((2, 2, 2)), degenerate=True)
-    with pytest.raises(ValueError, match="degenerate"):
-        conditioning_bounds(StrategyRequest(model, empty))
+    with pytest.raises(ValueError, match="sum to"):
+        JointTable(specs, np.zeros((2, 2, 2)))
+
+
+def test_request_validates_its_model_once(rng, monkeypatch):
+    calls = []
+    validate = model_module.validate_model
+    monkeypatch.setattr(model_module, "validate_model", lambda m: calls.append(m) or validate(m))
+    model = small_iv_model(x_card=3)
+    observed = feasible_table(rng, model, zero_stratum=False)
+
+    request = StrategyRequest(model, observed)
+    reduction_bounds(request)
+    conditioning_bounds(request)
+    assert len(calls) == 1
+
+    calls.clear()
+    compare_strategies(StrategyRequest(model, observed), oracle_cap=10**6)
+    assert len(calls) == 2  # the request, then the oracle's own check
+
+    calls.clear()
+    run_replication(SimConfig(master_seed=3, card_covariate=3, card_treatment=2), 0)
+    assert len(calls) == 1
+
+
+def test_oracle_rejects_a_table_over_other_variables(rng):
+    model = small_noiv_model()
+    three_level = [VariableSpec("a", 3, "treatment") if v.name == "a" else v for v in model.variables]
+    with pytest.raises(ValueError, match="do not match the declared model"):
+        direct_sharp_bounds(model, random_joint(rng, three_level))
 
 
 # ---------------------------------------------------------------------------
