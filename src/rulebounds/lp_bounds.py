@@ -9,9 +9,10 @@ per instrument arm. Sharp bounds on a counterfactual query are then the
 extrema of a linear objective over the mixture polytope.
 
 Classes are represented by integer codes and expanded with vectorized
-arithmetic. Before solving, classes with identical observed behavior in
-every arm are merged, keeping the extreme objective coefficient per group;
-this is exact and keeps the tableaus small.
+arithmetic. Classes with identical observed behavior in every arm are
+merged into one column, keeping the extreme objective coefficient per
+group; this is exact and keeps the tableaus small. Which classes merge
+depends only on the shape, so each space groups its classes once.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .model import (
 from .tables import JointTable, reorder, with_variables
 
 DEFAULT_CAP = 10_000_000
-# response-type spaces kept per process; an evicted space frees its cells and objectives
+# response-type spaces kept per process; an evicted space frees its cells, grouping and objectives
 SPACE_CACHE_SIZE = 32
 FEAS_TOL = 1e-9
 BOUND_TOL = 1e-9
@@ -79,8 +80,9 @@ class ResponseTypeSpace:
     parent slowest. ``*_rest_root_positions`` say which root supplies each
     non-instrument / non-treatment parent value, and ``cell_sources`` say
     where each observed-cell coordinate comes from ("treatment", "outcome",
-    or a root position). ``cells`` and the memo of non-``full`` objectives
-    depend only on the shape, so they live (and are freed) with the space.
+    or a root position). ``cells``, the class ``grouping`` and the memo of
+    non-``full`` objectives depend only on the shape, so they live (and are
+    freed) with the space.
     """
 
     shape: SpaceShape
@@ -102,6 +104,26 @@ class ResponseTypeSpace:
     def cells(self) -> np.ndarray:
         """Read-only ``class_cells`` of this space, built on first use."""
         return class_cells(self)
+
+    @cached_property
+    def grouping(self) -> tuple:
+        """Read-only ``(inverse, A)``: each class's merged column and the 0/1 matrix.
+
+        Classes hitting the same cell in every arm share a column. Each
+        class's per-arm cells are encoded as one integer, first arm slowest,
+        so columns come in lexicographic order of their cell tuples. ``A``
+        has one row per (arm, cell), arm-major, and a last total-mass row.
+        """
+        dims = (self.n_cells,) * self.n_arms
+        codes, inverse = np.unique(np.ravel_multi_index(tuple(self.cells), dims), return_inverse=True)
+        A = np.zeros((self.n_arms * self.n_cells + 1, codes.size))
+        cols = np.arange(codes.size)
+        for arm, cell in enumerate(np.unravel_index(codes, dims)):
+            A[arm * self.n_cells + cell, cols] = 1.0
+        A[-1] = 1.0
+        inverse.setflags(write=False)
+        A.setflags(write=False)
+        return inverse, A
 
     @property
     def n_arms(self) -> int:
@@ -410,29 +432,15 @@ class BoundsResult:
         }
 
 
-def _aggregate(lp: LpProblem):
-    """Merge classes with identical per-arm cells; keep extreme coefficients."""
-    sig = lp.cells.T  # (n_classes, n_arms)
-    groups, inverse = np.unique(sig, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    n_groups = groups.shape[0]
-    c_min = np.full(n_groups, np.inf)
-    c_max = np.full(n_groups, -np.inf)
-    np.minimum.at(c_min, inverse, lp.objective)
-    np.maximum.at(c_max, inverse, lp.objective)
-    n_rows = lp.n_arms * lp.n_cells + 1
-    A = np.zeros((n_rows, n_groups))
-    cols = np.arange(n_groups)
-    for arm in range(lp.n_arms):
-        A[arm * lp.n_cells + groups[:, arm], cols] = 1.0
-    A[-1, :] = 1.0
-    b = np.concatenate([lp.rhs.ravel(), [1.0]])
-    return A, b, c_min, c_max, n_groups
-
-
 def solve_bounds(lp: LpProblem) -> BoundsResult:
     """Sharp lower and upper bounds for the program, or an infeasibility error."""
-    A, b, c_min, c_max, n_groups = _aggregate(lp)
+    inverse, A = lp.space.grouping
+    # keep the extreme coefficient of each merged column
+    c_min = np.full(A.shape[1], np.inf)
+    c_max = np.full(A.shape[1], -np.inf)
+    np.minimum.at(c_min, inverse, lp.objective)
+    np.maximum.at(c_max, inverse, lp.objective)
+    b = np.concatenate([lp.rhs.ravel(), [1.0]])
     res_lo, res_hi = simplex.minimize_pair(c_min, c_max, A, b, feas_tol=FEAS_TOL)
     if res_lo.status == "infeasible":
         label = lp.row_label(res_lo.violation_row)
@@ -450,59 +458,10 @@ def solve_bounds(lp: LpProblem) -> BoundsResult:
         strategy=_STRATEGY_BY_KIND[lp.space.shape.kind],
         diagnostics={
             "class_count": lp.space.class_count,
-            "merged_columns": int(n_groups),
+            "merged_columns": int(A.shape[1]),
             "constraint_rows": int(A.shape[0]),
             "simplex_iterations": int(res_lo.iterations + res_hi.iterations),
         },
-    )
-
-
-def closed_form_binary_reduction(
-    observed: JointTable,
-    *,
-    treatment: str = CANON_TREATMENT,
-    outcome: str = CANON_OUTCOME,
-    recommendation: str = CANON_RULE_REC,
-) -> BoundsResult:
-    """Closed-form sharp bounds for a binary reduced shape with no instrument.
-
-    The lower bound is the probability that the received treatment matched
-    the recommendation and the outcome was good; the upper bound adds all
-    mass where treatment and recommendation disagreed.
-    """
-    table = reorder(observed, (treatment, outcome, recommendation))
-    if table.probs.shape != (2, 2, 2):
-        raise ValueError(f"expected three binary variables, got shape {table.probs.shape}")
-    p = table.probs
-    lower = float(p[0, 1, 0] + p[1, 1, 1])
-    upper = float(1.0 - p[0, 0, 0] - p[1, 0, 1])
-    return BoundsResult(query="theta_f", lower=lower, upper=upper, strategy="closed_form")
-
-
-def manski_stratum_bounds(
-    observed: JointTable,
-    level: int,
-    *,
-    treatment: str = CANON_TREATMENT,
-    outcome: str = CANON_OUTCOME,
-) -> BoundsResult:
-    """No-assumption bounds for one stratum without an instrument.
-
-    ``observed`` is the stratum-conditional (treatment, outcome) table; the
-    unobserved counterfactual mass P(treatment != level) widens the bound.
-    """
-    table = reorder(observed, (treatment, outcome))
-    k = table.probs.shape[0]
-    if not 0 <= level < k:
-        raise ValueError(f"level {level} outside range(0, {k})")
-    lower = float(table.probs[level, 1])
-    upper = float(lower + (1.0 - table.probs[level, :].sum()))
-    return BoundsResult(
-        query="theta_f",
-        lower=lower,
-        upper=upper,
-        strategy="closed_form",
-        diagnostics={"level": int(level)},
     )
 
 

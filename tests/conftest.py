@@ -14,6 +14,9 @@ import numpy as np
 import pytest
 
 from rulebounds.model import (
+    CANON_OUTCOME,
+    CANON_RULE_REC,
+    CANON_TREATMENT,
     ROLE_INSTRUMENT,
     ROLE_OUTCOME,
     ROLE_RULE_COVARIATE,
@@ -22,7 +25,7 @@ from rulebounds.model import (
     TreatmentRule,
     VariableSpec,
 )
-from rulebounds.lp_bounds import SpaceShape, class_cells, enumerate_response_types
+from rulebounds.lp_bounds import BoundsResult, SpaceShape, class_cells, enumerate_response_types
 from rulebounds.tables import JointTable, reorder
 
 
@@ -152,6 +155,55 @@ def scipy_lp_bounds(lp):
         return None
     assert lo.status == 0 and hi.status == 0, (lo.status, hi.status)
     return float(lo.fun), float(-hi.fun)
+
+
+def closed_form_binary_reduction(
+    observed: JointTable,
+    *,
+    treatment: str = CANON_TREATMENT,
+    outcome: str = CANON_OUTCOME,
+    recommendation: str = CANON_RULE_REC,
+) -> BoundsResult:
+    """Closed-form sharp bounds for a binary reduced shape with no instrument.
+
+    The lower bound is the probability that the received treatment matched
+    the recommendation and the outcome was good; the upper bound adds all
+    mass where treatment and recommendation disagreed.
+    """
+    table = reorder(observed, (treatment, outcome, recommendation))
+    if table.probs.shape != (2, 2, 2):
+        raise ValueError(f"expected three binary variables, got shape {table.probs.shape}")
+    p = table.probs
+    lower = float(p[0, 1, 0] + p[1, 1, 1])
+    upper = float(1.0 - p[0, 0, 0] - p[1, 0, 1])
+    return BoundsResult(query="theta_f", lower=lower, upper=upper, strategy="closed_form")
+
+
+def manski_stratum_bounds(
+    observed: JointTable,
+    level: int,
+    *,
+    treatment: str = CANON_TREATMENT,
+    outcome: str = CANON_OUTCOME,
+) -> BoundsResult:
+    """No-assumption bounds for one stratum without an instrument.
+
+    ``observed`` is the stratum-conditional (treatment, outcome) table; the
+    unobserved counterfactual mass P(treatment != level) widens the bound.
+    """
+    table = reorder(observed, (treatment, outcome))
+    k = table.probs.shape[0]
+    if not 0 <= level < k:
+        raise ValueError(f"level {level} outside range(0, {k})")
+    lower = float(table.probs[level, 1])
+    upper = float(lower + (1.0 - table.probs[level, :].sum()))
+    return BoundsResult(
+        query="theta_f",
+        lower=lower,
+        upper=upper,
+        strategy="closed_form",
+        diagnostics={"level": int(level)},
+    )
 
 
 @pytest.fixture

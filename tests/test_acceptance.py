@@ -21,10 +21,8 @@ from rulebounds.io import empirical_table, load_config, load_records
 from rulebounds.lp_bounds import (
     SpaceShape,
     build_lp,
-    closed_form_binary_reduction,
     direct_sharp_bounds,
     enumerate_response_types,
-    manski_stratum_bounds,
     solve_bounds,
 )
 from rulebounds.model import CausalModel, TreatmentRule, VariableSpec
@@ -32,7 +30,12 @@ from rulebounds.simulation import SimConfig, random_scm, run_study, true_policy_
 from rulebounds.strategies import StrategyRequest, conditioning_bounds, reduction_bounds
 from rulebounds.tables import JointTable, joint_from_scm, marginalize
 
-from conftest import binary_reduced_specs, random_probs
+from conftest import (
+    binary_reduced_specs,
+    closed_form_binary_reduction,
+    manski_stratum_bounds,
+    random_probs,
+)
 
 TOL = 1e-8
 REPO_ROOT = Path(__file__).resolve().parents[1]

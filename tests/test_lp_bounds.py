@@ -6,24 +6,27 @@ integer-code path, and run scipy's solver on the raw un-merged program to
 confirm the column aggregation loses nothing.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rulebounds import simplex
 from rulebounds.errors import DataError, EnumerationCapError, InfeasibleModelError, SolverError
 from rulebounds.lp_bounds import (
     DEFAULT_CAP,
+    FEAS_TOL,
+    QUERIES,
     SPACE_CACHE_SIZE,
     BoundsResult,
     SpaceShape,
     _space,
     build_lp,
     class_cells,
-    closed_form_binary_reduction,
     direct_sharp_bounds,
     enumerate_response_types,
-    manski_stratum_bounds,
     solve_bounds,
 )
 from rulebounds.model import (
@@ -37,8 +40,10 @@ from rulebounds.tables import JointTable, condition, marginalize
 
 from conftest import (
     binary_reduced_specs,
+    closed_form_binary_reduction,
     feasible_table,
     iter_classes,
+    manski_stratum_bounds,
     random_probs,
     scipy_lp_bounds,
     small_iv_model,
@@ -156,6 +161,7 @@ def test_space_cache_stays_bounded():
     shape = SpaceShape("stratum", 2, instrument_card=3)
     first = enumerate_response_types(shape)
     cells = first.cells
+    grouping = first.grouping
     # single-level extra covariates give distinct 16-class shapes
     for n in range(1, SPACE_CACHE_SIZE + 2):
         enumerate_response_types(SpaceShape("reduced", 2, extra_cards=(1,) * n))
@@ -164,6 +170,30 @@ def test_space_cache_stays_bounded():
     assert again is not first
     np.testing.assert_array_equal(again.cells, cells)
     assert not again.cells.flags.writeable
+    # the grouping is rebuilt equal and read-only
+    for old, new in zip(grouping, again.grouping):
+        np.testing.assert_array_equal(new, old)
+        assert not new.flags.writeable
+
+
+def test_solving_leaves_the_cached_grouping_intact(rng):
+    space = enumerate_response_types(SpaceShape("stratum", 3, instrument_card=2))
+    inverse, A = space.grouping
+    before = (inverse.tobytes(), A.tobytes())
+    table, _ = mixture_table(space, rng)
+    lp = build_lp(space, table, "cu", level=2, guideline_level=0)
+    solve_bounds(lp)
+    assert space.grouping[0] is inverse and space.grouping[1] is A
+    assert (inverse.tobytes(), A.tobytes()) == before
+
+
+def test_full_space_stores_no_objectives(rng):
+    # full objectives depend on the rule tables, so they are not kept
+    space = enumerate_response_types(SpaceShape("full", 2, instrument_card=2, x_cards=(2,)))
+    table, _ = mixture_table(space, rng)
+    for rule_map in ({(0,): 0, (1,): 1}, {(0,): 1, (1,): 1}):
+        solve_bounds(build_lp(space, table, "theta_f", rule=TreatmentRule.from_table(rule_map)))
+    assert space.objectives == {}
 
 
 def test_built_models_carry_their_shape():
@@ -638,6 +668,66 @@ def test_stratum_cu_with_levels(rng):
 
 
 # ---------------------------------------------------------------------------
+# the cached class grouping against a per-call row sort
+
+
+DIFFERENTIAL_SHAPES = list(
+    dict.fromkeys(CROSSCHECK_SHAPES + [shape for shape, n in FROZEN_COUNTS if n <= 1000])
+)
+
+_RULE = TreatmentRule.from_table({(0,): 0, (1,): 1}, name="f")
+_GUIDELINE = TreatmentRule.from_table({(0,): 1, (1,): 1}, name="g")
+
+
+def queries_with_levels(shape):
+    """Every (query, build_lp keyword arguments) the shape answers."""
+    if shape.kind == "stratum":
+        levels = range(shape.treat_card)
+        return (
+            [("theta_f", {"level": f}) for f in levels]
+            + [("theta_g", {"guideline_level": g}) for g in levels]
+            + [("cu", {"level": f, "guideline_level": g}) for f, g in product(levels, levels)]
+        )
+    if shape.kind == "full":
+        return [(query, {"rule": _RULE, "guideline": _GUIDELINE}) for query in QUERIES]
+    queries = QUERIES if shape.guideline_mode != "none" else ("theta_f",)
+    return [(query, {}) for query in queries]
+
+
+def reference_grouping(space):
+    """``(inverse, A)`` built by a row sort of the per-arm cells, as before spaces cached it."""
+    groups, inverse = np.unique(class_cells(space).T, axis=0, return_inverse=True)
+    A = np.zeros((space.n_arms * space.n_cells + 1, groups.shape[0]))
+    cols = np.arange(groups.shape[0])
+    for arm in range(space.n_arms):
+        A[arm * space.n_cells + groups[:, arm], cols] = 1.0
+    A[-1, :] = 1.0
+    return inverse.ravel(), A
+
+
+def reference_bounds(lp):
+    """Bounds of the row-sort program, or the row label of its infeasibility."""
+    inverse, A = reference_grouping(lp.space)
+    c_min = np.full(A.shape[1], np.inf)
+    c_max = np.full(A.shape[1], -np.inf)
+    np.minimum.at(c_min, inverse, lp.objective)
+    np.maximum.at(c_max, inverse, lp.objective)
+    b = np.concatenate([lp.rhs.ravel(), [1.0]])
+    lo, hi = simplex.minimize_pair(c_min, c_max, A, b, feas_tol=FEAS_TOL)
+    if lo.status == "infeasible":
+        return lp.row_label(lo.violation_row)
+    return lo.value, hi.value
+
+
+@pytest.mark.parametrize("shape", DIFFERENTIAL_SHAPES)
+def test_cached_grouping_matches_the_row_sort(shape):
+    space = enumerate_response_types(shape)
+    inverse, A = reference_grouping(space)
+    np.testing.assert_array_equal(space.grouping[0], inverse)
+    np.testing.assert_array_equal(space.grouping[1], A)
+
+
+# ---------------------------------------------------------------------------
 # instrumented programs against scipy on the raw columns
 
 
@@ -656,34 +746,36 @@ def test_perfect_compliance_identifies_treated_value():
     assert res.upper == pytest.approx(0.6, abs=1e-9)
 
 
-@pytest.mark.parametrize(
-    "shape",
-    [
-        SpaceShape("reduced", 2, instrument_card=2),
-        SpaceShape("reduced", 3, instrument_card=2),
-        SpaceShape("stratum", 2, instrument_card=2),
-        SpaceShape("stratum", 3, instrument_card=2),
-        SpaceShape("full", 2, instrument_card=2, x_cards=(2,)),
-    ],
+SCIPY_SHAPES = list(
+    dict.fromkeys(
+        [
+            SpaceShape("reduced", 2, instrument_card=2),
+            SpaceShape("reduced", 3, instrument_card=2),
+            SpaceShape("stratum", 2, instrument_card=2),
+            SpaceShape("stratum", 3, instrument_card=2),
+            SpaceShape("full", 2, instrument_card=2, x_cards=(2,)),
+        ]
+        + DIFFERENTIAL_SHAPES
+    )
 )
+
+
+@pytest.mark.parametrize("shape", SCIPY_SHAPES)
 def test_feasible_mixtures_match_scipy(rng, shape):
     space = enumerate_response_types(shape)
-    kwargs = {}
-    if shape.kind == "stratum":
-        kwargs = {"level": shape.treat_card - 1}
-    elif shape.kind == "full":
-        kwargs = {"rule": TreatmentRule.from_table({(0,): 0, (1,): 1})}
-    for _ in range(20):
-        table, q = mixture_table(space, rng)
-        lp = build_lp(space, table, "theta_f", **kwargs)
-        ours = solve_bounds(lp)
-        ref = scipy_lp_bounds(lp)
-        assert ref is not None
-        assert abs(ours.lower - ref[0]) < 1e-8, shape
-        assert abs(ours.upper - ref[1]) < 1e-8, shape
-        # the generating mixture's own value must sit inside the interval
-        truth = float(lp.objective @ q)
-        assert ours.lower - 1e-9 <= truth <= ours.upper + 1e-9
+    for query, kwargs in queries_with_levels(shape):
+        for _ in range(20):
+            table, q = mixture_table(space, rng)
+            lp = build_lp(space, table, query, **kwargs)
+            ours = solve_bounds(lp)
+            ref = scipy_lp_bounds(lp)
+            assert ref is not None
+            assert abs(ours.lower - ref[0]) < 1e-9, (query, kwargs)
+            assert abs(ours.upper - ref[1]) < 1e-9, (query, kwargs)
+            assert (ours.lower, ours.upper) == reference_bounds(lp)
+            # the generating mixture's own value must sit inside the interval
+            truth = float(lp.objective @ q)
+            assert ours.lower - 1e-9 <= truth <= ours.upper + 1e-9
 
 
 def test_separate_guideline_cu_matches_scipy(rng):
@@ -699,32 +791,44 @@ def test_separate_guideline_cu_matches_scipy(rng):
         assert ref is not None
         assert abs(ours.lower - ref[0]) < 1e-8, query
         assert abs(ours.upper - ref[1]) < 1e-8, query
+        assert (ours.lower, ours.upper) == reference_bounds(lp)
         truth = float(lp.objective @ q)
         assert ours.lower - 1e-9 <= truth <= ours.upper + 1e-9
         assert ours.diagnostics["merged_columns"] < space.class_count
 
 
 def test_infeasibility_agreement_with_scipy(rng):
-    # independent per-arm tables usually violate the shared-mixture
-    # constraint; whatever scipy decides, we must decide the same
-    space = enumerate_response_types(SpaceShape("reduced", 2, instrument_card=2))
-    feasible = infeasible = 0
-    for _ in range(40):
-        table = table_for_space(space, random_probs(rng, (2, 2, 2, 2)))
-        lp = build_lp(space, table, "theta_f")
-        ref = scipy_lp_bounds(lp)
-        if ref is None:
-            infeasible += 1
-            with pytest.raises(InfeasibleModelError) as exc:
-                solve_bounds(lp)
-            assert exc.value.violation > 0
-            assert "P(" in exc.value.worst_constraint or "mass" in exc.value.worst_constraint
-        else:
-            feasible += 1
-            ours = solve_bounds(lp)
-            assert abs(ours.lower - ref[0]) < 1e-8
-            assert abs(ours.upper - ref[1]) < 1e-8
-    assert infeasible > 0  # the draw really does produce contradictory tables
+    # independent per-arm tables, and concentrated ones even more, usually
+    # violate the shared-mixture constraint; whatever scipy decides, we must
+    # decide the same
+    for shape in [s for s in SCIPY_SHAPES if s.instrument_card]:
+        space = enumerate_response_types(shape)
+        queries = queries_with_levels(shape)
+        draws = max(1, 40 // len(queries))
+        size = (space.n_arms,) + space.cell_cards
+        infeasible = 0
+        for query, kwargs in queries:
+            tables = [random_probs(rng, size) for _ in range(draws)] + [
+                rng.dirichlet(np.full(space.n_arms * space.n_cells, 0.3)) for _ in range(draws)
+            ]
+            for probs in tables:
+                lp = build_lp(space, table_for_space(space, probs), query, **kwargs)
+                ref = scipy_lp_bounds(lp)
+                if ref is None:
+                    infeasible += 1
+                    with pytest.raises(InfeasibleModelError) as exc:
+                        solve_bounds(lp)
+                    assert exc.value.violation > 0
+                    label = exc.value.worst_constraint
+                    assert "P(" in label or "mass" in label
+                    # the same row as the row-sort program names
+                    assert label == reference_bounds(lp), (shape, query, kwargs)
+                else:
+                    ours = solve_bounds(lp)
+                    assert abs(ours.lower - ref[0]) < 1e-8
+                    assert abs(ours.upper - ref[1]) < 1e-8
+                    assert (ours.lower, ours.upper) == reference_bounds(lp)
+        assert infeasible > 0, shape  # the draw really does produce contradictory tables
 
 
 def test_iv_never_widens_the_marginal_bounds(rng):
