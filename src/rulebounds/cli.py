@@ -16,7 +16,6 @@ from .io import (
     VALID_STRATEGIES,
     AnalysisConfig,
     build_report,
-    empirical_table,
     file_sha256,
     load_config,
     load_records,
@@ -34,6 +33,7 @@ from .strategies import (
     conditioning_bounds,
     reduction_bounds,
 )
+from .tables import empirical_joint
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,7 +98,7 @@ def _load_table(args, config: AnalysisConfig):
     if not data_path:
         raise ConfigError("no data file: pass --data or set 'data' in the config")
     records, info = load_records(data_path, config)
-    return empirical_table(records, config), info
+    return empirical_joint(records, config.model.variables), info
 
 
 def _emit(report: dict, output_path, summary_lines) -> None:

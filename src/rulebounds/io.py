@@ -25,7 +25,6 @@ from . import __version__
 from .errors import ConfigError, DataError
 from .lp_bounds import DEFAULT_CAP, QUERIES, require_guideline
 from .model import ROLES, CausalModel, TreatmentRule, VariableSpec, validate_model
-from .tables import JointTable, empirical_joint
 
 VALID_STRATEGIES = ("reduction", "conditioning", "both")
 
@@ -247,11 +246,6 @@ def _file_line(path: str, index: int) -> int:
         next(reader)
         lines = (reader.line_num for row in reader if row and any(cell.strip() for cell in row))
         return next(islice(lines, index, None))
-
-
-def empirical_table(records: np.ndarray, config: AnalysisConfig) -> JointTable:
-    """Empirical joint over the model variables; domain violations raise DataError."""
-    return empirical_joint(records, config.model.variables)
 
 
 def file_sha256(path: str) -> str:

@@ -8,18 +8,19 @@ shape is a mixture over classes, each class pinning down one observed cell
 per instrument arm. Sharp bounds on a counterfactual query are then the
 extrema of a linear objective over the mixture polytope.
 
-Classes are represented by integer codes and expanded with vectorized
-arithmetic. Classes with identical observed behavior in every arm are
-merged into one column, keeping the extreme objective coefficient per
-group; this is exact and keeps the tableaus small. Which classes merge
-depends only on the shape, so each space groups its classes once.
+The classes are the product of three small factor tables (root
+configurations, treatment functions, outcome functions), and per-class
+arrays are built by broadcasting over them. Classes with identical
+observed behavior in every arm are merged into one column, keeping the
+extreme objective coefficient per group; this is exact and keeps the
+tableaus small. Which classes merge depends only on the shape, so each
+space groups its classes once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
 from math import prod
 from typing import Optional
 
@@ -198,91 +199,72 @@ def enumerate_response_types(source, cap: int = DEFAULT_CAP) -> ResponseTypeSpac
     return space
 
 
-def _decode(space: ResponseTypeSpace):
-    """Integer code components (r_code, a_code, y_code) for all classes."""
-    k = space.shape.treat_card
-    n_a = prod(space.a_parent_cards)
-    n_y = prod(space.y_parent_cards)
-    a_span = k**n_a
-    y_span = 2**n_y
-    codes = np.arange(space.class_count, dtype=np.int64)
-    y_code = codes % y_span
-    rest = codes // y_span
-    a_code = rest % a_span
-    r_code = rest // a_span
-    return r_code, a_code, y_code, n_a, n_y
+def _strides(cards) -> list:
+    """Place value of each digit of a mixed-radix code over ``cards``, first digit slowest."""
+    return [prod(cards[i + 1 :]) for i in range(len(cards))]
 
 
-def _root_values(space: ResponseTypeSpace, r_code: np.ndarray, position: int) -> np.ndarray:
-    stride = prod(space.root_cards[position + 1 :])
-    return (r_code // stride) % space.root_cards[position]
+def _digits(cards) -> np.ndarray:
+    """(len(cards), prod(cards)) table of the digits of every mixed-radix code over ``cards``."""
+    codes = np.arange(prod(cards), dtype=np.int64)
+    strides = np.array(_strides(cards), dtype=np.int64)[:, np.newaxis]
+    return codes // strides % np.array(cards, dtype=np.int64)[:, np.newaxis]
 
 
-def _rest_code(space, r_code, positions) -> np.ndarray:
-    """Mixed-radix code of the root values at ``positions``, first position slowest."""
-    out = np.zeros_like(r_code)
+def _factors(space: ResponseTypeSpace):
+    """Factor tables of the class product over ``(r, a, y)``; its C order is the class order.
+
+    ``roots[i, r]`` is root ``i`` in root configuration ``r``, ``treat[c, a]``
+    the level treatment function ``a`` gives a-parent configuration ``c``, and
+    ``outcome[c, y]`` the outcome function ``y`` gives y-parent configuration ``c``.
+    """
+    roots = _digits(space.root_cards)
+    treat = _digits((space.shape.treat_card,) * prod(space.a_parent_cards))
+    outcome = _digits((2,) * prod(space.y_parent_cards))
+    return roots, treat, outcome
+
+
+def _rest_code(space, roots, positions) -> np.ndarray:
+    """Per root configuration, the mixed-radix code of the roots at ``positions``, first slowest."""
+    out = np.zeros(roots.shape[1], dtype=np.int64)
     for pos in positions:
-        out = out * space.root_cards[pos] + _root_values(space, r_code, pos)
+        out = out * space.root_cards[pos] + roots[pos]
     return out
-
-
-def _treat_values(space, a_code, z, rest_a, n_a) -> np.ndarray:
-    """Treatment level chosen by each class at instrument arm ``z``."""
-    k = space.shape.treat_card
-    # the instrument, when present, is the slowest a-parent
-    cfg = z * prod(space.a_parent_cards[1:]) + rest_a if space.shape.instrument_card else rest_a
-    expo = n_a - 1 - cfg
-    return (a_code // np.power(np.int64(k), expo)) % k
-
-
-def _outcome_values(space, y_code, treat, rest_y, n_y) -> np.ndarray:
-    """Outcome produced by each class when treatment takes level ``treat``."""
-    cfg = treat * prod(space.y_parent_cards[1:]) + rest_y
-    return (y_code >> (n_y - 1 - cfg)) & 1
 
 
 def class_cells(space: ResponseTypeSpace) -> np.ndarray:
     """(n_arms, n_classes) flat observed-cell index hit by each class per arm."""
-    r_code, a_code, y_code, n_a, n_y = _decode(space)
-    rest_a = _rest_code(space, r_code, space.a_rest_root_positions)
-    rest_y = _rest_code(space, r_code, space.y_rest_root_positions)
-    out = np.empty((space.n_arms, space.class_count), dtype=np.int64)
+    roots, treat, outcome = _factors(space)
+    rest_a = _rest_code(space, roots, space.a_rest_root_positions)
+    rest_y = _rest_code(space, roots, space.y_rest_root_positions)[:, np.newaxis, np.newaxis]
+    stride = dict(zip(space.cell_sources, _strides(space.cell_cards)))
+    # each cell coordinate broadcast over (r, a, y); only the outcome's varies along y
+    value = dict(enumerate(roots[:, :, np.newaxis, np.newaxis]))
+    outcome_part = outcome * stride.pop("outcome")
+    out = np.empty((space.n_arms, roots.shape[1], treat.shape[1], outcome.shape[1]), dtype=np.int64)
     for z in range(space.n_arms):
-        treat = _treat_values(space, a_code, z, rest_a, n_a)
-        outcome = _outcome_values(space, y_code, treat, rest_y, n_y)
-        cell = np.zeros_like(r_code)
-        for src, card in zip(space.cell_sources, space.cell_cards):
-            if src == "treatment":
-                comp = treat
-            elif src == "outcome":
-                comp = outcome
-            else:
-                comp = _root_values(space, r_code, src)
-            cell = cell * card + comp
-        out[z] = cell
+        # the instrument, when present, is the slowest a-parent
+        cfg = z * prod(space.a_parent_cards[1:]) + rest_a if space.shape.instrument_card else rest_a
+        value["treatment"] = treat[cfg][:, :, np.newaxis]
+        y_cfg = value["treatment"] * prod(space.y_parent_cards[1:]) + rest_y
+        fixed = sum(value[src] * s for src, s in stride.items())
+        np.add(fixed, outcome_part[y_cfg, np.arange(outcome.shape[1])], out=out[z])
+    out = out.reshape(space.n_arms, space.class_count)
     out.setflags(write=False)
     return out
 
 
-def _assigned_levels(space, r_code, query_side, level, guideline_level, rule, guideline):
-    """Per-class treatment level assigned by the evaluated (or comparator) rule."""
+def _assigned_levels(space, roots, query_side, level, guideline_level, rule, guideline):
+    """Treatment level the evaluated (or comparator) rule assigns in each root configuration."""
     kind = space.shape.kind
     if kind == "stratum":
-        lvl = level if query_side == "f" else guideline_level
-        return np.full_like(r_code, lvl)
+        return np.full(roots.shape[1], level if query_side == "f" else guideline_level)
     if kind == "reduced":
-        if query_side == "f":
-            return _root_values(space, r_code, 0)
-        if space.shape.guideline_mode == "separate":
-            return _root_values(space, r_code, 1)
-        return _root_values(space, r_code, 0)  # comparator aliases the rule
-    # full: evaluate the rule on each root (covariate) configuration
+        # an aliased comparator reads the rule's recommendation
+        return roots[1 if query_side == "g" and space.shape.guideline_mode == "separate" else 0]
+    # full: evaluate the rule once per covariate configuration
     chosen = rule if query_side == "f" else guideline
-    n_roots = prod(space.root_cards)
-    table = np.empty(n_roots, dtype=np.int64)
-    for code, x in enumerate(product(*(range(c) for c in space.root_cards))):
-        table[code] = chosen.level_for(x)
-    return table[r_code]
+    return np.array([chosen.level_for(tuple(x)) for x in roots.T.tolist()], dtype=np.int64)
 
 
 def _objective(space, query, level, guideline_level, rule, guideline) -> np.ndarray:
@@ -291,19 +273,22 @@ def _objective(space, query, level, guideline_level, rule, guideline) -> np.ndar
     key = (query, level, guideline_level)
     if key in memo:
         return memo[key]
-    r_code, a_code, y_code, n_a, n_y = _decode(space)
-    rest_y = _rest_code(space, r_code, space.y_rest_root_positions)
+    roots, _, outcome = _factors(space)
+    rest_y = _rest_code(space, roots, space.y_rest_root_positions)
 
     def theta_coef(side):
-        lvl = _assigned_levels(space, r_code, side, level, guideline_level, rule, guideline)
-        return _outcome_values(space, y_code, lvl, rest_y, n_y).astype(float)
+        lvl = _assigned_levels(space, roots, side, level, guideline_level, rule, guideline)
+        return outcome[lvl * prod(space.y_parent_cards[1:]) + rest_y]
 
     if query == "theta_f":
-        obj = theta_coef("f")
+        coef = theta_coef("f")
     elif query == "theta_g":
-        obj = theta_coef("g")
+        coef = theta_coef("g")
     else:
-        obj = theta_coef("f") - theta_coef("g")
+        coef = theta_coef("f") - theta_coef("g")
+    # (n_roots, n_outcome_functions): a coefficient does not depend on the treatment function
+    obj = np.empty(space.class_count)
+    obj.reshape(coef.shape[0], -1, coef.shape[1])[...] = coef[:, np.newaxis, :]
     obj.setflags(write=False)
     memo[key] = obj
     return obj

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from numbers import Integral
 from typing import Mapping, Optional
 
 ROLE_TREATMENT = "treatment"
@@ -117,11 +118,18 @@ class TreatmentRule:
     name: str = "rule"
 
     def __post_init__(self):
-        norm = tuple(sorted((_normalize_key(k), int(v)) for k, v in self.items))
+        norm = tuple(sorted(self._entry(k, v) for k, v in self.items))
         object.__setattr__(self, "items", norm)
         object.__setattr__(self, "_map", dict(norm))
         if len(self._map) != len(norm):
             raise ValueError(f"rule {self.name!r}: duplicate covariate keys")
+
+    def _entry(self, key, level) -> tuple:
+        """One normalized (key, level) pair; a float or bool is refused rather than truncated."""
+        for v in (key if isinstance(key, tuple) else (key,)) + (level,):
+            if isinstance(v, bool) or not isinstance(v, Integral):
+                raise ValueError(f"rule {self.name!r}: entry {key!r}: {level!r} has the non-integer value {v!r}")
+        return _normalize_key(key), int(level)
 
     @classmethod
     def from_table(cls, table: Mapping, name: str = "rule") -> "TreatmentRule":

@@ -30,7 +30,7 @@ from rulebounds.tables import JointTable, reorder
 
 
 class ResponseClass(NamedTuple):
-    """Explicit view of one latent class: the reference the integer codes are checked against."""
+    """Explicit view of one latent class: the reference the broadcast factor tables are checked against."""
 
     roots: tuple          # values of the root nodes, in root_names order
     a_map: tuple          # treatment level per a-parent configuration (lexicographic)
@@ -38,7 +38,7 @@ class ResponseClass(NamedTuple):
 
 
 def iter_classes(space):
-    """Yield the space's explicit ResponseClass tuples in class-code order."""
+    """Yield the space's explicit ResponseClass tuples in class order: roots slowest, y_map fastest."""
     k = space.shape.treat_card
     n_a = prod(space.a_parent_cards)
     n_y = prod(space.y_parent_cards)
@@ -46,6 +46,26 @@ def iter_classes(space):
         for a_map in product(range(k), repeat=n_a):
             for y_map in product(range(2), repeat=n_y):
                 yield ResponseClass(roots, a_map, y_map)
+
+
+def _mixed_radix(code, cards):
+    """Digits of ``code`` over ``cards``, first digit slowest."""
+    digits = []
+    for card in reversed(cards):
+        code, digit = divmod(code, card)
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
+def class_at(space, j):
+    """The ``j``-th ResponseClass of ``iter_classes(space)``, without enumerating the ones before it."""
+    k = space.shape.treat_card
+    n_a = prod(space.a_parent_cards)
+    n_y = prod(space.y_parent_cards)
+    roots, a_code, y_code = _mixed_radix(j, (prod(space.root_cards), k**n_a, 2**n_y))
+    return ResponseClass(
+        _mixed_radix(roots, space.root_cards), _mixed_radix(a_code, (k,) * n_a), _mixed_radix(y_code, (2,) * n_y)
+    )
 
 
 def random_probs(rng, shape):

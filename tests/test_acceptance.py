@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from rulebounds.cli import main as cli_main
-from rulebounds.io import empirical_table, load_config, load_records
+from rulebounds.io import load_config, load_records
 from rulebounds.lp_bounds import (
     SpaceShape,
     build_lp,
@@ -28,7 +28,7 @@ from rulebounds.lp_bounds import (
 from rulebounds.model import CausalModel, TreatmentRule, VariableSpec
 from rulebounds.simulation import SimConfig, random_scm, run_study, true_policy_value
 from rulebounds.strategies import StrategyRequest, conditioning_bounds, reduction_bounds
-from rulebounds.tables import JointTable, joint_from_scm, marginalize
+from rulebounds.tables import JointTable, empirical_joint, joint_from_scm, marginalize
 
 from conftest import (
     binary_reduced_specs,
@@ -300,7 +300,7 @@ def test_8_trial_data_reproduction(capsys):
     for config_name, expected in LEAP_EXPECTED.items():
         config = load_config(str(REPO_ROOT / "configs" / config_name))
         records, info = load_records(str(csv_path), config)
-        table = empirical_table(records, config)
+        table = empirical_joint(records, config.model.variables)
         request = StrategyRequest(config.model, table, "cu")
         got = {
             "reduction": reduction_bounds(request),

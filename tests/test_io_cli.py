@@ -17,7 +17,6 @@ from rulebounds.cli import main
 from rulebounds.errors import ConfigError, DataError
 from rulebounds.io import (
     build_report,
-    empirical_table,
     load_config,
     load_records,
     model_summary,
@@ -26,6 +25,7 @@ from rulebounds.io import (
     write_stratum_csv,
 )
 from rulebounds.strategies import StrategyRequest, conditioning_bounds, reduction_bounds
+from rulebounds.tables import empirical_joint
 
 BASE_CONFIG = {
     "variables": [
@@ -196,7 +196,7 @@ def test_load_records_roundtrip(tmp_path):
     assert sum(counts["x"].values()) == 600
     assert counts["x"] == {"0": 200, "1": 200, "2": 200}
     assert set(counts["y"]) == {"0", "1"}
-    table = empirical_table(records, config)
+    table = empirical_joint(records, config.model.variables)
     assert table.probs.shape == (2, 3, 2, 2)
     assert table.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -301,7 +301,7 @@ def test_write_stratum_csv_roundtrip(tmp_path):
     config = load_config(write_config(tmp_path))
     data = write_data(tmp_path)
     records, _ = load_records(data, config)
-    table = empirical_table(records, config)
+    table = empirical_joint(records, config.model.variables)
     cond = conditioning_bounds(StrategyRequest(config.model, table))
     out = tmp_path / "strata.csv"
     write_stratum_csv(cond.diagnostics["strata"], config.model, str(out))
@@ -345,7 +345,7 @@ def test_bounds_command_matches_library(tmp_path, capsys):
 
     config = load_config(cfg)
     records, _ = load_records(data, config)
-    table = empirical_table(records, config)
+    table = empirical_joint(records, config.model.variables)
     request = StrategyRequest(config.model, table, "theta_f", cap=config.cap)
     red = reduction_bounds(request)
     cond = conditioning_bounds(request)

@@ -1,11 +1,14 @@
 """Response-type space structure, LP assembly, and bound correctness.
 
 The heavy cross-checks here recompute per-class behavior from the explicit
-function tables (slow pure-Python path) and compare against the vectorized
-integer-code path, and run scipy's solver on the raw un-merged program to
-confirm the column aggregation loses nothing.
+function tables (slow pure-Python path) and compare against the cells and
+objectives broadcast from the space's factor tables: every class of the
+small shapes, and a seeded sample on the study and oracle shapes. Others
+run scipy's solver on the raw un-merged program to confirm the column
+aggregation loses nothing.
 """
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -40,6 +43,7 @@ from rulebounds.tables import JointTable, condition, marginalize
 
 from conftest import (
     binary_reduced_specs,
+    class_at,
     closed_form_binary_reduction,
     feasible_table,
     iter_classes,
@@ -78,6 +82,12 @@ def table_for_space(space, probs):
         cards = space.cell_cards
     specs = tuple(_spec(n, c) for n, c in zip(names, cards))
     return JointTable(specs, np.asarray(probs, dtype=float).reshape(cards))
+
+
+def uniform_table(space):
+    """Equal mass on every (arm, cell): enough for build_lp, which never checks feasibility."""
+    size = space.n_arms * space.n_cells
+    return table_for_space(space, np.full(size, 1.0 / size))
 
 
 def mixture_table(space, rng, q=None):
@@ -129,6 +139,14 @@ def test_count_matches_iteration_for_small_spaces():
         listed = list(iter_classes(space))
         assert len(listed) == expected == space.class_count
         assert len(set(listed)) == expected  # no duplicates
+
+
+def test_class_at_matches_iteration_for_small_spaces():
+    for shape, expected in FROZEN_COUNTS:
+        if expected > 1000:
+            continue
+        space = enumerate_response_types(shape)
+        assert [class_at(space, j) for j in range(expected)] == list(iter_classes(space))
 
 
 def test_cap_refusal_reports_count_and_cap():
@@ -441,6 +459,56 @@ def test_objective_matches_explicit_enumeration(shape, rng):
             g = explicit_theta_coef(space, cls, "g", 1, 0, rule, guideline)
             want = {"theta_f": f, "theta_g": g, "cu": f - g}[query]
             assert lp.objective[j] == want, (query, j, cls)
+
+
+# the 52,488-class study shape and the 1,572,864-class oracle shape are too large to
+# enumerate explicitly, so a seeded sample of their classes is checked instead
+SAMPLED_SHAPES = [
+    SpaceShape("reduced", 3, 2, "separate"),
+    SpaceShape("full", 2, x_cards=(6,)),
+]
+
+
+@pytest.mark.parametrize("shape", SAMPLED_SHAPES, ids=["study", "oracle"])
+def test_sampled_classes_match_explicit_enumeration(shape):
+    space = enumerate_response_types(shape)
+    sample = np.random.default_rng(20261018).choice(space.class_count, size=500, replace=False)
+    table = uniform_table(space)
+    rule = TreatmentRule.from_table({(x,): x % 2 for x in range(6)}, name="f")
+    guideline = TreatmentRule.from_table({(x,): int(x < 3) for x in range(6)}, name="g")
+    kwargs = {"rule": rule, "guideline": guideline} if shape.kind == "full" else {}
+    objectives = {q: build_lp(space, table, q, **kwargs).objective for q in ("theta_f", "theta_g", "cu")}
+    for j in sample.tolist():
+        cls = class_at(space, j)
+        assert space.cells[:, j].tolist() == explicit_cells(space, cls), (j, cls)
+        f = explicit_theta_coef(space, cls, "f", None, None, rule, guideline)
+        g = explicit_theta_coef(space, cls, "g", None, None, rule, guideline)
+        want = {"theta_f": f, "theta_g": g, "cu": f - g}
+        assert {q: obj[j] for q, obj in objectives.items()} == want, (j, cls)
+
+
+def _traced_peak(build):
+    """Peak bytes tracemalloc sees while ``build`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_cells_and_objective_stay_within_four_words_per_class():
+    # per-class arrays are broadcast from small factor tables, so building one
+    # holds at most a few int64 words per class at any time
+    space = enumerate_response_types(SpaceShape("full", 2, x_cards=(6,)))
+    budget = 4 * 8 * space.class_count
+    assert _traced_peak(lambda: class_cells(space)) < budget
+    table = uniform_table(space)
+    rule = TreatmentRule.from_table({(x,): x % 2 for x in range(6)}, name="f")
+    guideline = TreatmentRule.from_table({(x,): 0 for x in range(6)}, name="g")
+    space.cells  # built (and cached) outside the objective's trace
+    peak = _traced_peak(lambda: build_lp(space, table, "cu", rule=rule, guideline=guideline))
+    assert peak < budget
 
 
 def test_objective_coefficient_ranges(rng):

@@ -44,6 +44,31 @@ def test_rule_rejects_duplicate_keys():
         TreatmentRule(items=((0, 1), ((0,), 0)))
 
 
+@pytest.mark.parametrize(
+    "table,fragment",
+    [
+        ({(0.9,): 1, (1,): 0}, "entry (0.9,): 1 has the non-integer value 0.9"),
+        ({(0,): 1.7, (1,): 0}, "entry (0,): 1.7 has the non-integer value 1.7"),
+        ({(0,): 0, (1,): True}, "entry (1,): True has the non-integer value True"),
+        ({(False,): 0}, "entry (False,): 0 has the non-integer value False"),
+        ({0: 1.0}, "entry 0: 1.0 has the non-integer value 1.0"),
+        ({(np.float64(1.0),): 0}, "has the non-integer value"),
+        ({(0,): np.True_}, "has the non-integer value"),
+    ],
+)
+def test_rule_rejects_floats_and_bools(table, fragment):
+    # int() would truncate these into a different rule
+    with pytest.raises(ValueError, match="rule 'f': ") as exc:
+        TreatmentRule.from_table(table, name="f")
+    assert fragment in str(exc.value)
+
+
+def test_rule_accepts_numpy_integers():
+    rule = TreatmentRule.from_table({(np.int64(0),): np.int32(1), np.uint8(1): np.int16(0)})
+    assert rule.items == (((0,), 1), ((1,), 0))
+    assert all(type(v) is int for key, level in rule.items for v in key + (level,))
+
+
 def test_rule_constant_covers_domain():
     rule = TreatmentRule.constant(2, (2, 3))
     assert len(rule.table) == 6
