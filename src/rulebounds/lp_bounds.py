@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import prod
-from typing import Optional
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .model import (
     ROLE_RULE_COVARIATE,
     CausalModel,
     SpaceShape,
-    TreatmentRule,
     _require_valid,
 )
 from .tables import JointTable, reorder, with_variables
@@ -45,7 +43,6 @@ from .tables import JointTable, reorder, with_variables
 DEFAULT_CAP = 10_000_000
 # response-type spaces kept per process; an evicted space frees its cells, grouping and objectives
 SPACE_CACHE_SIZE = 32
-FEAS_TOL = 1e-9
 BOUND_TOL = 1e-9
 
 QUERIES = ("theta_f", "theta_g", "cu")
@@ -254,30 +251,25 @@ def class_cells(space: ResponseTypeSpace) -> np.ndarray:
     return out
 
 
-def _assigned_levels(space, roots, query_side, level, guideline_level, rule, guideline):
+def _assigned_levels(space, roots, query_side, level, guideline_level):
     """Treatment level the evaluated (or comparator) rule assigns in each root configuration."""
-    kind = space.shape.kind
-    if kind == "stratum":
-        return np.full(roots.shape[1], level if query_side == "f" else guideline_level)
-    if kind == "reduced":
+    if space.shape.kind == "reduced":
         # an aliased comparator reads the rule's recommendation
         return roots[1 if query_side == "g" and space.shape.guideline_mode == "separate" else 0]
-    # full: evaluate the rule once per covariate configuration
-    chosen = rule if query_side == "f" else guideline
-    return np.array([chosen.level_for(tuple(x)) for x in roots.T.tolist()], dtype=np.int64)
+    # a stratum space has one root configuration; a full space's roots are the covariates, first slowest
+    return np.ravel(level if query_side == "f" else guideline_level)
 
 
-def _objective(space, query, level, guideline_level, rule, guideline) -> np.ndarray:
-    # full objectives depend on the rule tables, so only the other kinds are memoized
-    memo = space.objectives if space.shape.kind != "full" else {}
-    key = (query, level, guideline_level)
-    if key in memo:
-        return memo[key]
+def _objective(space, query, level, guideline_level) -> np.ndarray:
+    # full levels are arrays over the covariate domain, so only the other kinds' int keys are memoized
+    key = (query, level, guideline_level) if space.shape.kind != "full" else None
+    if key in space.objectives:
+        return space.objectives[key]
     roots, _, outcome = _factors(space)
     rest_y = _rest_code(space, roots, space.y_rest_root_positions)
 
     def theta_coef(side):
-        lvl = _assigned_levels(space, roots, side, level, guideline_level, rule, guideline)
+        lvl = _assigned_levels(space, roots, side, level, guideline_level)
         return outcome[lvl * prod(space.y_parent_cards[1:]) + rest_y]
 
     if query == "theta_f":
@@ -290,7 +282,8 @@ def _objective(space, query, level, guideline_level, rule, guideline) -> np.ndar
     obj = np.empty(space.class_count)
     obj.reshape(coef.shape[0], -1, coef.shape[1])[...] = coef[:, np.newaxis, :]
     obj.setflags(write=False)
-    memo[key] = obj
+    if key is not None:
+        space.objectives[key] = obj
     return obj
 
 
@@ -324,39 +317,45 @@ class LpProblem:
         return f"P({inner})"
 
 
+def _checked_level(space, query, name, value):
+    """``value`` checked as a stratum program's int or a full program's int64 array."""
+    owner = "treatment rule" if name == "level" else "guideline"
+    if value is None:
+        if query in (("theta_f", "cu") if name == "level" else _GUIDELINE_QUERIES):
+            raise ValueError(f"{space.shape.kind} query {query!r} needs the {owner}'s assigned level")
+        return None
+    arr, k = np.asarray(value), space.shape.treat_card
+    shape = space.shape.x_cards if space.shape.kind == "full" else ()
+    if arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} has the non-integer value {arr.ravel()[0].item()!r}")
+    bad = arr[(arr < 0) | (arr >= k)]
+    if bad.size:
+        raise ValueError(f"{name}={bad[0]} outside range(0, {k})")
+    return arr.astype(np.int64) if space.shape.kind == "full" else int(arr)
+
+
 def build_lp(
-    space: ResponseTypeSpace,
-    observed: JointTable,
-    query: str,
-    *,
-    level: Optional[int] = None,
-    guideline_level: Optional[int] = None,
-    rule: Optional[TreatmentRule] = None,
-    guideline: Optional[TreatmentRule] = None,
+    space: ResponseTypeSpace, observed: JointTable, query: str, *, level=None, guideline_level=None
 ) -> LpProblem:
     """Assemble the program for ``query`` against an observed table.
 
-    The table must carry the space's canonical variable names (instrument
-    included when the shape has one); axis order is normalized here. Each
-    instrument arm must have positive probability.
+    ``level`` and ``guideline_level`` are the treatment levels the rule and
+    the comparator assign: an int for a stratum program, an int array of
+    shape ``x_cards`` for a full one (``TreatmentRule.levels``). A reduced
+    program observes its recommendations instead. The table must carry the
+    space's canonical variable names (instrument included when the shape
+    has one); axis order is normalized here. Each instrument arm must have
+    positive probability.
     """
     if query not in QUERIES:
         raise ValueError(f"unknown query {query!r}; expected one of {QUERIES}")
-    kind = space.shape.kind
-    if kind == "reduced":
+    if space.shape.kind == "reduced":
         require_guideline(query, space.shape.guideline_mode != "none")
-    elif kind == "stratum":
-        if level is None and query in ("theta_f", "cu"):
-            raise ValueError(f"stratum query {query!r} needs the rule's assigned level")
-        if guideline_level is None and query in _GUIDELINE_QUERIES:
-            raise ValueError(f"stratum query {query!r} needs the guideline's assigned level")
-        for name, lvl in (("level", level), ("guideline_level", guideline_level)):
-            if lvl is not None and not 0 <= lvl < space.shape.treat_card:
-                raise ValueError(f"{name}={lvl} outside range(0, {space.shape.treat_card})")
-    elif kind == "full":
-        if rule is None:
-            raise ValueError("full-space queries need the treatment rule")
-        require_guideline(query, guideline is not None)
+    else:
+        level = _checked_level(space, query, "level", level)
+        guideline_level = _checked_level(space, query, "guideline_level", guideline_level)
 
     expected = ((CANON_INSTRUMENT,) if space.shape.instrument_card else ()) + space.cell_names
     rhs = reorder(observed, expected).probs.reshape(space.n_arms, space.n_cells)
@@ -370,7 +369,7 @@ def build_lp(
             )
         rhs = rhs / arm_mass[:, np.newaxis]
 
-    objective = _objective(space, query, level, guideline_level, rule, guideline)
+    objective = _objective(space, query, level, guideline_level)
     return LpProblem(
         space=space,
         query=query,
@@ -426,7 +425,7 @@ def solve_bounds(lp: LpProblem) -> BoundsResult:
     np.minimum.at(c_min, inverse, lp.objective)
     np.maximum.at(c_max, inverse, lp.objective)
     b = np.concatenate([lp.rhs.ravel(), [1.0]])
-    res_lo, res_hi = simplex.minimize_pair(c_min, c_max, A, b, feas_tol=FEAS_TOL)
+    res_lo, res_hi = simplex.minimize_pair(c_min, c_max, A, b)
     if res_lo.status == "infeasible":
         label = lp.row_label(res_lo.violation_row)
         raise InfeasibleModelError(
@@ -473,5 +472,6 @@ def direct_sharp_bounds(
     arm = (model.instrument,) if model.instrument is not None else ()
     source = arm + model.rule_covariates + (model.treatment, model.outcome)
     table = with_variables(reorder(observed, [v.name for v in source]), shape.variables)
-    lp = build_lp(space, table, query, rule=model.rule, guideline=model.guideline)
+    guideline = model.guideline.levels(shape.x_cards) if model.guideline is not None else None
+    lp = build_lp(space, table, query, level=model.rule.levels(shape.x_cards), guideline_level=guideline)
     return solve_bounds(lp)

@@ -16,6 +16,8 @@ from itertools import product
 from numbers import Integral
 from typing import Mapping, Optional
 
+import numpy as np
+
 ROLE_TREATMENT = "treatment"
 ROLE_OUTCOME = "outcome"
 ROLE_INSTRUMENT = "instrument"
@@ -100,10 +102,13 @@ class SpaceShape:
         return tuple(VariableSpec(*spec) for spec in arm + cells)
 
 
-def _normalize_key(key) -> tuple[int, ...]:
-    if isinstance(key, tuple):
-        return tuple(int(v) for v in key)
-    return (int(key),)
+def _normalize_key(key, label: str) -> tuple[int, ...]:
+    """``key`` as a tuple of ints; a float or bool is refused, named by ``label``, rather than truncated."""
+    values = key if isinstance(key, tuple) else (key,)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, Integral):
+            raise ValueError(f"{label} has the non-integer value {v!r}")
+    return tuple(int(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -125,11 +130,9 @@ class TreatmentRule:
             raise ValueError(f"rule {self.name!r}: duplicate covariate keys")
 
     def _entry(self, key, level) -> tuple:
-        """One normalized (key, level) pair; a float or bool is refused rather than truncated."""
-        for v in (key if isinstance(key, tuple) else (key,)) + (level,):
-            if isinstance(v, bool) or not isinstance(v, Integral):
-                raise ValueError(f"rule {self.name!r}: entry {key!r}: {level!r} has the non-integer value {v!r}")
-        return _normalize_key(key), int(level)
+        """One normalized (key, level) pair."""
+        label = f"rule {self.name!r}: entry {key!r}: {level!r}"
+        return _normalize_key(key, label), _normalize_key((level,), label)[0]
 
     @classmethod
     def from_table(cls, table: Mapping, name: str = "rule") -> "TreatmentRule":
@@ -145,7 +148,12 @@ class TreatmentRule:
         return dict(self.items)
 
     def level_for(self, x) -> int:
-        return self._map[_normalize_key(x)]
+        return self._map[_normalize_key(x, f"rule {self.name!r}: key {x!r}")]
+
+    def levels(self, covariate_cards: tuple[int, ...]) -> np.ndarray:
+        """Each covariate cell's level: int64 of shape ``covariate_cards``, in ``rule_domain()`` C order."""
+        cells = product(*(range(c) for c in covariate_cards))
+        return np.array([self._map[x] for x in cells], dtype=np.int64).reshape(covariate_cards)
 
     def problems(self, covariate_cards: tuple[int, ...], treatment_card: int) -> list[str]:
         """Return a list of defects relative to the given domains."""
@@ -302,14 +310,14 @@ def stratum_shape(model: CausalModel) -> SpaceShape:
 def build_stratum_model(model: CausalModel, x, w=None) -> StratumModel:
     """Shape of the conditional problem at rule-covariate cell ``x`` (and ``w``)."""
     _require_valid(model)
-    x = _normalize_key(x)
+    x = _normalize_key(x, f"stratum {x!r}")
     cards = model.rule_covariate_cards
     if len(x) != len(cards) or not all(0 <= xi < c for xi, c in zip(x, cards)):
         raise ValueError(
             f"stratum {x} outside the rule-covariate domain with cardinalities {cards}"
         )
     if w is not None:
-        w = _normalize_key(w)
+        w = _normalize_key(w, f"stratum extra values {w!r}")
         wcards = model.extra_covariate_cards
         if len(w) != len(wcards) or not all(0 <= wi < c for wi, c in zip(w, wcards)):
             raise ValueError(

@@ -23,6 +23,7 @@ from .errors import SolverError
 OPT_TOL = 1e-11   # reduced-cost threshold for optimality
 PIV_TOL = 1e-10   # smallest pivot magnitude accepted
 RATIO_TIE_TOL = 1e-12
+FEAS_TOL = 1e-9   # phase-1 total violation above which the program is infeasible
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class SimplexResult:
 class _Tableau:
     """One feasibility session over fixed (A, b); supports repeated objectives."""
 
-    def __init__(self, A, b, feas_tol: float):
+    def __init__(self, A, b):
         A = np.array(A, dtype=float)
         b = np.array(b, dtype=float)
         if A.ndim != 2:
@@ -62,7 +63,7 @@ class _Tableau:
         self.max_iter = 200 * (m + n) + 5000
         self.iterations = 0
         self.infeasible: Optional[tuple[int, float]] = None
-        self._enter_phase1(feas_tol)
+        self._enter_phase1()
 
     def _pivot(self, i: int, j: int) -> None:
         T = self.T
@@ -114,7 +115,7 @@ class _Tableau:
         if nz.size:
             T[-1, :] -= weights[nz] @ T[nz, :]
 
-    def _enter_phase1(self, feas_tol: float) -> None:
+    def _enter_phase1(self) -> None:
         phase1 = np.zeros(self.n + self.m)
         phase1[self.n :] = 1.0
         self._load_cost(phase1)
@@ -122,7 +123,7 @@ class _Tableau:
             raise SolverError("phase-1 objective unbounded; constraint setup is broken")
         art_rows = np.flatnonzero(self.basis >= self.n)
         total = float(self.T[art_rows, -1].sum()) if art_rows.size else 0.0
-        if total > feas_tol:
+        if total > FEAS_TOL:
             worst = art_rows[np.argmax(self.T[art_rows, -1])]
             self.infeasible = (int(self.basis[worst] - self.n), total)
             return
@@ -161,21 +162,19 @@ class _Tableau:
         return SimplexResult(status="optimal", value=float(c @ x), x=x, iterations=self.iterations)
 
 
-def minimize(c, A, b, *, feas_tol: float = 1e-9) -> SimplexResult:
+def minimize(c, A, b) -> SimplexResult:
     """Two-phase simplex; returns an optimal vertex or an infeasibility certificate."""
-    c = np.asarray(c, dtype=float)
-    tableau = _Tableau(A, b, feas_tol)
-    return tableau.solve(c)
+    return _Tableau(A, b).solve(c)
 
 
-def minimize_pair(c_lo, c_hi, A, b, *, feas_tol: float = 1e-9):
+def minimize_pair(c_lo, c_hi, A, b):
     """min of ``c_lo`` and max of ``c_hi`` over one shared feasible region.
 
     Returns (lower_result, upper_result) where the upper result reports the
     maximum of ``c_hi`` directly. Phase 1 runs once; the second solve reuses
     the first's final basis.
     """
-    tableau = _Tableau(A, b, feas_tol)
+    tableau = _Tableau(A, b)
     lo = tableau.solve(np.asarray(c_lo, dtype=float))
     if lo.status != "optimal":
         return lo, lo

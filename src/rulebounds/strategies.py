@@ -49,17 +49,6 @@ class StrategyRequest:
         check_request(self.model, self.observed, self.query)
 
 
-def _observed_order(model: CausalModel) -> list[str]:
-    """Instrument, treatment, outcome, rule covariates, extra covariates."""
-    names = []
-    if model.instrument is not None:
-        names.append(model.instrument.name)
-    names += [model.treatment.name, model.outcome.name]
-    names += [v.name for v in model.rule_covariates]
-    names += [v.name for v in model.extra_covariates]
-    return names
-
-
 def reduce_table(model: CausalModel, reduced: SpaceShape, observed: JointTable) -> JointTable:
     """Project the observed joint onto the reduced variables.
 
@@ -67,21 +56,15 @@ def reduce_table(model: CausalModel, reduced: SpaceShape, observed: JointTable) 
     so P(..., rule_rec=b, ...) accumulates P(..., x, ...) over all x with
     f(x) = b. Extra covariates stay observed.
     """
-    table = reorder(observed, _observed_order(model))
-    base = (1 if model.instrument is not None else 0) + 2
-    nw = len(model.extra_covariates)
-    specs = reduced.variables
-    out = np.zeros(tuple(v.cardinality for v in specs))
-    sep = reduced.guideline_mode == "separate"
-    for x in model.rule_domain():
-        b = model.rule.level_for(x)
-        src = (slice(None),) * base + x
-        dst = (slice(None),) * base + (b,)
-        if sep:
-            dst += (model.guideline.level_for(x),)
-        dst += (slice(None),) * nw
-        out[dst] += table.probs[src]
-    return JointTable(specs, out)
+    arm = (model.instrument,) if model.instrument is not None else ()
+    order = arm + (model.treatment, model.outcome) + model.rule_covariates + model.extra_covariates
+    probs = reorder(observed, [v.name for v in order]).probs
+    rules = (model.rule, model.guideline) if reduced.guideline_mode == "separate" else (model.rule,)
+    recs = tuple(rule.levels(model.rule_covariate_cards) for rule in rules)
+    out = np.zeros(tuple(v.cardinality for v in reduced.variables))
+    # the level arrays span the covariate axes; np.add.at adds one cell at a time, in rule_domain() order
+    np.add.at(out, (slice(None),) * (len(arm) + 2) + recs, probs)
+    return JointTable(reduced.variables, out)
 
 
 def reduction_bounds(request: StrategyRequest) -> BoundsResult:

@@ -53,6 +53,28 @@ def test_benchmark_programs_match_the_strategies():
         assert checks.interval_close((s["lower"], s["upper"]), checks.scipy_lp_bounds(lp))
 
 
+def test_benchmark_programs_match_the_strategies_with_a_guideline():
+    # stratum programs take the rule's and the guideline's levels as ints; the reduced
+    # program keeps the guideline's recommendation as its own observed variable
+    checks = load_perfbench("checks")
+    model = small_iv_model(x_card=3, treat_card=2, guideline_map={(0,): 1, (1,): 1, (2,): 0})
+    observed = feasible_table(np.random.default_rng(7), model, zero_stratum=False)
+    request = StrategyRequest(model, observed, "cu")
+
+    red = reduction_bounds(request)
+    lp = checks.reduced_lp(model, observed, "cu")
+    assert lp.space.shape.guideline_mode == "separate"
+    assert checks.interval_close((red.lower, red.upper), checks.scipy_lp_bounds(lp))
+
+    strata = conditioning_bounds(request).diagnostics["strata"]
+    assert len(strata) == 3
+    for s, x in zip(strata, model.rule_domain()):
+        mass, lp = checks.stratum_lp(model, observed, "cu", x)
+        assert (s["level"], s["guideline_level"]) == (model.rule.level_for(x), model.guideline.level_for(x))
+        assert s["weight"] == pytest.approx(mass, abs=1e-12)
+        assert checks.interval_close((s["lower"], s["upper"]), checks.scipy_lp_bounds(lp))
+
+
 def test_benchmark_skips_a_zero_mass_stratum():
     # condition() returns (None, 0.0) for a zero-mass event; stratum_lp must not touch the table
     checks = load_perfbench("checks")

@@ -20,7 +20,6 @@ from rulebounds import simplex
 from rulebounds.errors import DataError, EnumerationCapError, InfeasibleModelError, SolverError
 from rulebounds.lp_bounds import (
     DEFAULT_CAP,
-    FEAS_TOL,
     QUERIES,
     SPACE_CACHE_SIZE,
     BoundsResult,
@@ -210,7 +209,7 @@ def test_full_space_stores_no_objectives(rng):
     space = enumerate_response_types(SpaceShape("full", 2, instrument_card=2, x_cards=(2,)))
     table, _ = mixture_table(space, rng)
     for rule_map in ({(0,): 0, (1,): 1}, {(0,): 1, (1,): 1}):
-        solve_bounds(build_lp(space, table, "theta_f", rule=TreatmentRule.from_table(rule_map)))
+        solve_bounds(build_lp(space, table, "theta_f", level=TreatmentRule.from_table(rule_map).levels((2,))))
     assert space.objectives == {}
 
 
@@ -451,7 +450,7 @@ def test_objective_matches_explicit_enumeration(shape, rng):
     if shape.kind == "stratum":
         kwargs = {"level": 1, "guideline_level": 0}
     elif shape.kind == "full":
-        kwargs = {"rule": rule, "guideline": guideline}
+        kwargs = {"level": rule.levels(shape.x_cards), "guideline_level": guideline.levels(shape.x_cards)}
     for query in ("theta_f", "theta_g", "cu"):
         lp = build_lp(space, table, query, **kwargs)
         for j, cls in enumerate(iter_classes(space)):
@@ -476,7 +475,8 @@ def test_sampled_classes_match_explicit_enumeration(shape):
     table = uniform_table(space)
     rule = TreatmentRule.from_table({(x,): x % 2 for x in range(6)}, name="f")
     guideline = TreatmentRule.from_table({(x,): int(x < 3) for x in range(6)}, name="g")
-    kwargs = {"rule": rule, "guideline": guideline} if shape.kind == "full" else {}
+    full = {"level": rule.levels((6,)), "guideline_level": guideline.levels((6,))}
+    kwargs = full if shape.kind == "full" else {}
     objectives = {q: build_lp(space, table, q, **kwargs).objective for q in ("theta_f", "theta_g", "cu")}
     for j in sample.tolist():
         cls = class_at(space, j)
@@ -507,7 +507,8 @@ def test_oracle_cells_and_objective_stay_within_four_words_per_class():
     rule = TreatmentRule.from_table({(x,): x % 2 for x in range(6)}, name="f")
     guideline = TreatmentRule.from_table({(x,): 0 for x in range(6)}, name="g")
     space.cells  # built (and cached) outside the objective's trace
-    peak = _traced_peak(lambda: build_lp(space, table, "cu", rule=rule, guideline=guideline))
+    levels = {"level": rule.levels((6,)), "guideline_level": guideline.levels((6,))}
+    peak = _traced_peak(lambda: build_lp(space, table, "cu", **levels))
     assert peak < budget
 
 
@@ -575,6 +576,45 @@ def test_build_lp_rejects_malformed_queries(rng):
     t3 = table_for_space(full, random_probs(rng, (2, 2, 2)))
     with pytest.raises(ValueError, match="treatment rule"):
         build_lp(full, t3, "theta_f")
+
+
+# (stratum level, full level over x_cards=(2,), message) for each refused kind of level
+MALFORMED_LEVELS = {
+    "missing": (None, None, "assigned level"),
+    "mis-shaped": ([1], np.array([0, 1, 2]), "has shape"),
+    "out of range": (-1, np.array([0, 3]), "outside range"),
+    "float": (1.5, np.array([0.0, 1.0]), "non-integer value"),
+    "bool": (True, np.array([True, False]), "non-integer value"),
+}
+
+
+@pytest.mark.parametrize("defect", list(MALFORMED_LEVELS))
+@pytest.mark.parametrize("kind", ["stratum", "full"])
+def test_build_lp_refuses_malformed_levels(kind, defect):
+    x_cards = (2,) if kind == "full" else ()
+    space = enumerate_response_types(SpaceShape(kind, 3, instrument_card=2, x_cards=x_cards))
+    table = uniform_table(space)
+    stratum_bad, full_bad, message = MALFORMED_LEVELS[defect]
+    bad, good = (stratum_bad, 2) if kind == "stratum" else (full_bad, np.array([0, 2]))
+    with pytest.raises(ValueError, match=message):
+        build_lp(space, table, "cu", level=bad, guideline_level=good)
+    with pytest.raises(ValueError, match=message if defect != "missing" else "guideline"):
+        build_lp(space, table, "cu", level=good, guideline_level=bad)
+    build_lp(space, table, "cu", level=good, guideline_level=good)
+
+
+def test_build_lp_accepts_integer_level_forms(rng):
+    # numpy and 0-d integers share the plain int's memoized objective
+    space = enumerate_response_types(SpaceShape("stratum", 3))
+    table = uniform_table(space)
+    plain = build_lp(space, table, "theta_f", level=1).objective
+    for level in (np.int64(1), np.uint8(1), np.array(1)):
+        assert build_lp(space, table, "theta_f", level=level).objective is plain
+    full = enumerate_response_types(SpaceShape("full", 3, x_cards=(2,)))
+    table = uniform_table(full)
+    want = build_lp(full, table, "theta_f", level=np.array([0, 2])).objective
+    for level in ([0, 2], np.array([0, 2], dtype=np.uint8)):
+        np.testing.assert_array_equal(build_lp(full, table, "theta_f", level=level).objective, want)
 
 
 def test_build_lp_rejects_empty_instrument_arm(rng):
@@ -757,7 +797,8 @@ def queries_with_levels(shape):
             + [("cu", {"level": f, "guideline_level": g}) for f, g in product(levels, levels)]
         )
     if shape.kind == "full":
-        return [(query, {"rule": _RULE, "guideline": _GUIDELINE}) for query in QUERIES]
+        levels = {"level": _RULE.levels((2,)), "guideline_level": _GUIDELINE.levels((2,))}
+        return [(query, levels) for query in QUERIES]
     queries = QUERIES if shape.guideline_mode != "none" else ("theta_f",)
     return [(query, {}) for query in queries]
 
@@ -781,7 +822,7 @@ def reference_bounds(lp):
     np.minimum.at(c_min, inverse, lp.objective)
     np.maximum.at(c_max, inverse, lp.objective)
     b = np.concatenate([lp.rhs.ravel(), [1.0]])
-    lo, hi = simplex.minimize_pair(c_min, c_max, A, b, feas_tol=FEAS_TOL)
+    lo, hi = simplex.minimize_pair(c_min, c_max, A, b)
     if lo.status == "infeasible":
         return lp.row_label(lo.violation_row)
     return lo.value, hi.value
@@ -937,7 +978,7 @@ def test_uniform_mixture_is_always_feasible(rng, shape):
     if shape.kind == "stratum":
         kwargs = {"level": 0}
     elif shape.kind == "full":
-        kwargs = {"rule": TreatmentRule.from_table({(0,): 0, (1,): 1})}
+        kwargs = {"level": TreatmentRule.from_table({(0,): 0, (1,): 1}).levels((2,))}
     lp = build_lp(space, table, "theta_f", **kwargs)
     res = solve_bounds(lp)
     truth = float(lp.objective @ q)
@@ -968,7 +1009,7 @@ def test_direct_oracle_binary_no_instrument(rng):
              VariableSpec("outcome", 2, "outcome")),
             table.probs,
         )
-        lp = build_lp(space, canon, "theta_f", rule=model.rule)
+        lp = build_lp(space, canon, "theta_f", level=model.rule.levels((2,)))
         ref = scipy_lp_bounds(lp)
         assert ref is not None
         assert abs(res.lower - ref[0]) < 1e-8

@@ -67,6 +67,43 @@ def test_rule_accepts_numpy_integers():
     rule = TreatmentRule.from_table({(np.int64(0),): np.int32(1), np.uint8(1): np.int16(0)})
     assert rule.items == (((0,), 1), ((1,), 0))
     assert all(type(v) is int for key, level in rule.items for v in key + (level,))
+    assert (rule.level_for(np.int64(0)), rule.level_for((np.uint8(1),))) == (1, 0)
+    with pytest.raises(KeyError):
+        rule.level_for(2)
+
+
+@pytest.mark.parametrize(
+    "key,bad",
+    [
+        ((0.9,), 0.9),
+        (True, True),
+        (1.5, 1.5),
+        ((np.float64(0.0),), np.float64(0.0)),
+        ((np.True_,), np.True_),
+        ((0, 1.0), 1.0),
+    ],
+)
+def test_rule_lookups_refuse_non_integer_keys(key, bad):
+    # int() would truncate these onto another covariate cell
+    rule = TreatmentRule.from_table({(0,): 1, (1,): 0}, name="f")
+    with pytest.raises(ValueError) as exc:
+        rule.level_for(key)
+    assert str(exc.value) == f"rule 'f': key {key!r} has the non-integer value {bad!r}"
+
+
+def test_rule_levels_follow_the_rule_domain():
+    model = CausalModel(
+        variables=(
+            VariableSpec("x1", 2, "rule_covariate"),
+            VariableSpec("x2", 3, "rule_covariate"),
+            VariableSpec("a", 3, "treatment"),
+            VariableSpec("y", 2, "outcome"),
+        ),
+        rule=TreatmentRule.from_table({(i, j): (i + 2 * j) % 3 for i in range(2) for j in range(3)}),
+    )
+    levels = model.rule.levels(model.rule_covariate_cards)
+    assert levels.dtype == np.int64 and levels.shape == (2, 3)
+    assert levels.ravel().tolist() == [model.rule.level_for(x) for x in model.rule_domain()]
 
 
 def test_rule_constant_covers_domain():
@@ -215,8 +252,33 @@ def test_stratum_model_with_extras():
     )
     sm = build_stratum_model(model, (1,), (0,))
     assert sm.w == (0,)
+    assert build_stratum_model(model, (np.int64(1),), np.int8(0)) == sm
     with pytest.raises(ValueError, match="extra-covariate domain"):
         build_stratum_model(model, (0,), (9,))
+
+
+@pytest.mark.parametrize(
+    "x,w,fragment",
+    [
+        ((0.9,), None, "stratum (0.9,) has the non-integer value 0.9"),
+        (True, None, "stratum True has the non-integer value True"),
+        ((1,), (0.5,), "stratum extra values (0.5,) has the non-integer value 0.5"),
+        ((1,), False, "stratum extra values False has the non-integer value False"),
+    ],
+)
+def test_stratum_keys_refuse_non_integer_values(x, w, fragment):
+    model = CausalModel(
+        variables=(
+            VariableSpec("x", 2, "rule_covariate"),
+            VariableSpec("a", 2, "treatment"),
+            VariableSpec("y", 2, "outcome"),
+            VariableSpec("w", 2, "extra_covariate"),
+        ),
+        rule=TreatmentRule.from_table({(0,): 0, (1,): 1}),
+    )
+    with pytest.raises(ValueError) as exc:
+        build_stratum_model(model, x, w)
+    assert str(exc.value) == fragment
 
 
 @given(

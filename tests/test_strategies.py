@@ -25,7 +25,7 @@ from rulebounds.strategies import (
     reduce_table,
     reduction_bounds,
 )
-from rulebounds.tables import JointTable, joint_from_scm, marginalize
+from rulebounds.tables import JointTable, joint_from_scm, marginalize, reorder
 
 from conftest import feasible_table, random_joint, random_probs, small_iv_model, small_noiv_model
 
@@ -177,6 +177,45 @@ def test_reduce_table_matches_nested_loops(rng, with_guideline):
     assert [v.name for v in got.variables] == [v.name for v in reduced.variables]
     np.testing.assert_allclose(got.probs, want, atol=1e-14)
     assert got.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _reduce_cell_by_cell(model, reduced, observed):
+    """The per-cell loop ``reduce_table`` replaced: one covariate cell at a time, in domain order."""
+    arm = (model.instrument,) if model.instrument is not None else ()
+    order = arm + (model.treatment, model.outcome) + model.rule_covariates + model.extra_covariates
+    probs = reorder(observed, [v.name for v in order]).probs
+    out = np.zeros(tuple(v.cardinality for v in reduced.variables))
+    lead = (slice(None),) * (len(arm) + 2)
+    for x in model.rule_domain():
+        recs = (model.rule.level_for(x),)
+        if reduced.guideline_mode == "separate":
+            recs += (model.guideline.level_for(x),)
+        out[lead + recs] += probs[lead + x]
+    return out
+
+
+@pytest.mark.parametrize("with_guideline", [False, True])
+def test_reduce_table_adds_in_the_loop_order(rng, with_guideline):
+    # ~30 covariate cells land on each recommendation, so a different summation order would show
+    def levels():
+        return {x: int(v) for x, v in np.ndenumerate(rng.integers(0, 3, size=(10, 10)))}
+
+    model = CausalModel(
+        variables=(
+            VariableSpec("w", 2, "extra_covariate"),
+            VariableSpec("x1", 10, "rule_covariate"),
+            VariableSpec("a", 3, "treatment"),
+            VariableSpec("z", 2, "instrument"),
+            VariableSpec("x2", 10, "rule_covariate"),
+            VariableSpec("y", 2, "outcome"),
+        ),
+        rule=TreatmentRule.from_table(levels(), name="f"),
+        guideline=TreatmentRule.from_table(levels(), name="g") if with_guideline else None,
+    )
+    reduced = build_reduced_model(model)
+    observed = JointTable(model.variables, random_probs(rng, (2, 10, 3, 2, 10, 2)))
+    got = reduce_table(model, reduced, observed)
+    np.testing.assert_array_equal(got.probs, _reduce_cell_by_cell(model, reduced, observed))
 
 
 # ---------------------------------------------------------------------------
