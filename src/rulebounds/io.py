@@ -2,10 +2,10 @@
 
 Config files are JSON. Rule tables are keyed by comma-joined covariate
 values in rule-covariate declaration order ("0,2": 1); single-covariate
-models may use bare keys ("3": 1). Data files are CSV with a header row
-and integer codes; the optional per-variable "column" field maps variable
-names to differently named columns. Blank lines are skipped, and error
-messages name rows by their line number in the file.
+models may use bare keys ("3": 1). Data files are UTF-8 CSV with a header
+row and integer codes; the optional per-variable "column" field maps
+variable names to differently named columns. Blank lines are skipped, and
+error messages name rows by their line number in the file.
 """
 
 from __future__ import annotations
@@ -170,24 +170,77 @@ def load_config(path: str) -> AnalysisConfig:
     )
 
 
+# Bytes of the plain grammar the tokenizer reads; anything else goes to csv.reader.
+_PLAIN_BYTES = b"0123456789+-, \t\r\n"
+_BLOCK_BYTES = 1 << 20
+_MAX_DIGITS = 18  # every 18-digit code fits int64
+
+
 def load_records(path: str, config: AnalysisConfig) -> tuple[np.ndarray, dict]:
     """Read integer-coded records for the model's variables from a CSV file.
 
     Returns the (n, n_vars) array in model variable order plus loading info
-    (row count and per-variable value counts).
+    (path, SHA-256 of the bytes read, row count and per-variable value
+    counts). The file is read once, as bytes, and must be UTF-8. The header
+    is parsed with ``csv.reader``. Data rows of plain integer CSV (ASCII
+    digits and signs, commas, spaces and tabs, LF or CRLF line ends, one
+    field per header column) are decoded by a vectorised tokenizer; any
+    other file goes through ``csv.reader`` row by row, which also words every
+    row-level error. Both give the same records.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"data file {path!r} is empty") from None
-            header = [h.strip() for h in header]
-            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as err:
         raise DataError(f"cannot read data {path!r}: {err}") from None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise DataError(
+                f"line {_line_of_offset(data, err.start)} of {path!r}: byte "
+                f"0x{data[err.start]:02x} is not UTF-8; data files must be UTF-8"
+            ) from None
 
+    reader = _csv_reader(data)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"data file {path!r} is empty") from None
+    header = [h.strip() for h in header]
+    positions = _column_positions(path, header, config)
+
+    records = None
+    body = data.find(b"\n") + 1 or len(data)
+    # the tokenizer takes over when the header record is exactly the first LF or CRLF line
+    if reader.line_num == 1 and data.find(b"\r", 0, body) in (-1, body - 2):
+        records = _plain_records(data, body, len(header), positions)
+    if records is None:
+        records = _csv_records(path, data, reader, positions, config)
+
+    value_counts = {}
+    for j, v in enumerate(config.model.variables):
+        column = records[:, j]
+        outside = (column < 0) | (column >= v.cardinality)
+        if outside.any():
+            r = int(np.flatnonzero(outside)[0])
+            raise DataError(
+                f"row {_file_line(data, r)} of {path!r}: value {column[r]} for {v.name!r} "
+                f"is outside range(0, {v.cardinality})"
+            )
+        counts = np.bincount(column, minlength=v.cardinality)
+        value_counts[v.name] = {str(level): int(counts[level]) for level in v.levels}
+    info = {
+        "path": os.path.abspath(path),
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "n_records": int(records.shape[0]),
+        "value_counts": value_counts,
+    }
+    return records, info
+
+
+def _column_positions(path: str, header: list, config: AnalysisConfig) -> list:
+    """Header index of each model variable's column, in model variable order."""
     positions = []
     for v in config.model.variables:
         column = config.columns.get(v.name, v.name)
@@ -202,13 +255,27 @@ def load_records(path: str, config: AnalysisConfig) -> tuple[np.ndarray, dict]:
                 f"{header.count(column)} times; its header is {header}"
             )
         positions.append(header.index(column))
+    return positions
 
+
+def _csv_reader(data: bytes):
+    """``csv.reader`` over UTF-8 ``data``, splitting lines as a file opened with newline=''."""
+    from io import BytesIO, TextIOWrapper
+
+    return csv.reader(TextIOWrapper(BytesIO(data), encoding="utf-8", newline=""))
+
+
+def _csv_records(
+    path: str, data: bytes, reader, positions: list, config: AnalysisConfig
+) -> np.ndarray:
+    """Records of the rows ``reader`` has left, cell by cell; defects name the file line."""
+    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     records = np.empty((len(rows), len(positions)), dtype=np.int64)
     for r, row in enumerate(rows):
         for j, pos in enumerate(positions):
             if pos >= len(row):
                 raise DataError(
-                    f"row {_file_line(path, r)} of {path!r} has only {len(row)} fields"
+                    f"row {_file_line(data, r)} of {path!r} has only {len(row)} fields"
                 )
             cell = row[pos].strip()
             try:
@@ -216,36 +283,114 @@ def load_records(path: str, config: AnalysisConfig) -> tuple[np.ndarray, dict]:
             except ValueError:
                 name = config.model.variables[j].name
                 raise DataError(
-                    f"row {_file_line(path, r)} of {path!r}: value {cell!r} for {name!r} "
+                    f"row {_file_line(data, r)} of {path!r}: value {cell!r} for {name!r} "
                     "is not an integer"
                 ) from None
-    value_counts = {}
-    for j, v in enumerate(config.model.variables):
-        column = records[:, j]
-        counts = {str(level): int((column == level).sum()) for level in v.levels}
-        if sum(counts.values()) < len(column):  # some code lies outside the levels
-            r = int(np.flatnonzero((column < 0) | (column >= v.cardinality))[0])
-            raise DataError(
-                f"row {_file_line(path, r)} of {path!r}: value {column[r]} for {v.name!r} "
-                f"is outside range(0, {v.cardinality})"
-            )
-        value_counts[v.name] = counts
-    info = {
-        "path": os.path.abspath(path),
-        "sha256": file_sha256(path),
-        "n_records": int(records.shape[0]),
-        "value_counts": value_counts,
-    }
-    return records, info
+            except OverflowError:  # an integer too large for int64
+                v = config.model.variables[j]
+                raise DataError(
+                    f"row {_file_line(data, r)} of {path!r}: value {int(cell)} for {v.name!r} "
+                    f"is outside range(0, {v.cardinality})"
+                ) from None
+    return records
 
 
-def _file_line(path: str, index: int) -> int:
+def _plain_records(data: bytes, start: int, n_fields: int, positions: list) -> Optional[np.ndarray]:
+    """Records of the rows in ``data[start:]``, or None when they fall outside the plain grammar.
+
+    The grammar: only ``_PLAIN_BYTES``, a carriage return only before a
+    newline, no field longer than ``csv.field_size_limit()``, and every row
+    that is not blank (only spaces, tabs and commas) holding exactly
+    ``n_fields - 1`` commas. Each field at ``positions`` is optional spaces
+    or tabs, an optional sign, 1 to ``_MAX_DIGITS`` digits, then optional
+    spaces or tabs. Such rows split and convert exactly as ``csv.reader``
+    and ``int`` do. Blocks of whole lines bound the index arrays' memory.
+    """
+    out = np.empty((data.count(b"\n", start) + 1, len(positions)), dtype=np.int64, order="F")
+    n = 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
+        chunk = data[start:stop]
+        start = stop
+        lone_cr = b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n")
+        if lone_cr or chunk.translate(None, _PLAIN_BYTES):
+            return None
+        rows = _plain_block(np.frombuffer(chunk, dtype=np.uint8), n_fields, positions, out[n:])
+        if rows is None:
+            return None
+        n += rows
+    return out[:n]
+
+
+def _plain_block(b: np.ndarray, n_fields: int, positions: list, out: np.ndarray) -> Optional[int]:
+    """Decode the non-blank lines of a block of plain bytes into ``out``; the row count, or None."""
+    is_newline = b == ord("\n")
+    # field i spans bytes bounds[i] + 1 .. bounds[i + 1] - 1, ended by a comma, newline or block end
+    bounds = np.concatenate(([-1], np.flatnonzero(is_newline | (b == ord(","))), [b.size]))
+    if np.diff(bounds).max() > csv.field_size_limit():
+        return None
+    line_first = np.concatenate(([0], np.flatnonzero(is_newline[bounds[1:-1]]) + 1))
+    line_commas = np.diff(line_first, append=len(bounds) - 1) - 1
+    if b[-1] == ord("\n"):  # the empty line after the last newline
+        line_first, line_commas = line_first[:-1], line_commas[:-1]
+    is_token = (b > ord(" ")) & (b != ord(","))  # digits and signs
+    filled = np.logical_or.reduceat(is_token, bounds[line_first] + 1)
+    rows = line_first[filled]
+    if np.any(line_commas[filled] != n_fields - 1):
+        return None
+    if not rows.size:
+        return 0
+    spaced = np.any((b < ord("+")) & ~is_newline)  # spaces, tabs or CRs
+    signed = np.any((b == ord("+")) | (b == ord("-")))
+    for j, p in enumerate(positions):
+        first, last = bounds[rows + p] + 1, bounds[rows + p + 1] - 1
+        if np.any(first > last) or (spaced and not _strip(b, first, last)):
+            return None
+        # after stripping, only '+' and '-' sort below the digits
+        lead = first + (b[first] < ord("0")) if signed else first
+        digits = last + 1 - lead
+        shortest, longest = int(digits.min()), int(digits.max())
+        if shortest < 1 or longest > _MAX_DIGITS:
+            return None
+        value = np.zeros(len(rows), dtype=np.int64)
+        for k in range(longest):
+            digit = b[np.minimum(lead + k, last)] - ord("0")  # uint8: a space or sign wraps above 9
+            if np.any(digit > 9):
+                return None
+            step = value * 10 + digit
+            value = step if k < shortest else np.where(k < digits, step, value)
+        out[:len(rows), j] = np.where(b[first] == ord("-"), -value, value) if signed else value
+    return len(rows)
+
+
+def _strip(b: np.ndarray, first: np.ndarray, last: np.ndarray) -> bool:
+    """Move ``first`` and ``last`` past spaces, tabs and CRs, in place; False if a field is blank."""
+    i = np.flatnonzero(b[first] < ord("+"))
+    while i.size:
+        first[i] += 1
+        i = i[first[i] <= last[i]]
+        i = i[b[first[i]] < ord("+")]
+    if np.any(first > last):
+        return False
+    i = np.flatnonzero(b[last] < ord("+"))
+    while i.size:
+        last[i] -= 1
+        i = i[b[last[i]] < ord("+")]
+    return True
+
+
+def _line_of_offset(data: bytes, offset: int) -> int:
+    """File line of byte ``offset``, counting LF, CRLF and lone CR as line ends like csv.reader."""
+    head = data[:offset]
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+
+
+def _file_line(data: bytes, index: int) -> int:
     """File line number of the ``index``-th non-blank data row; used only for errors."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        lines = (reader.line_num for row in reader if row and any(cell.strip() for cell in row))
-        return next(islice(lines, index, None))
+    reader = _csv_reader(data)
+    next(reader)
+    lines = (reader.line_num for row in reader if row and any(cell.strip() for cell in row))
+    return next(islice(lines, index, None))
 
 
 def file_sha256(path: str) -> str:

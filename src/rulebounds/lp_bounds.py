@@ -324,7 +324,12 @@ def _checked_level(space, query, name, value):
         if query in (("theta_f", "cu") if name == "level" else _GUIDELINE_QUERIES):
             raise ValueError(f"{space.shape.kind} query {query!r} needs the {owner}'s assigned level")
         return None
-    arr, k = np.asarray(value), space.shape.treat_card
+    k = space.shape.treat_card
+    if type(value) is int and space.shape.kind == "stratum":
+        if not 0 <= value < k:
+            raise ValueError(f"{name}={value} outside range(0, {k})")
+        return value
+    arr = np.asarray(value)
     shape = space.shape.x_cards if space.shape.kind == "full" else ()
     if arr.shape != shape:
         raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
@@ -344,15 +349,20 @@ def build_lp(
     ``level`` and ``guideline_level`` are the treatment levels the rule and
     the comparator assign: an int for a stratum program, an int array of
     shape ``x_cards`` for a full one (``TreatmentRule.levels``). A reduced
-    program observes its recommendations instead. The table must carry the
-    space's canonical variable names (instrument included when the shape
-    has one); axis order is normalized here. Each instrument arm must have
-    positive probability.
+    program observes its recommendations instead and refuses both. The
+    table must carry the space's canonical variable names (instrument
+    included when the shape has one); axis order is normalized here. Each
+    instrument arm must have positive probability.
     """
     if query not in QUERIES:
         raise ValueError(f"unknown query {query!r}; expected one of {QUERIES}")
     if space.shape.kind == "reduced":
         require_guideline(query, space.shape.guideline_mode != "none")
+        if level is not None or guideline_level is not None:
+            raise ValueError(
+                "a reduced program observes its recommendations; "
+                "it takes no level or guideline_level"
+            )
     else:
         level = _checked_level(space, query, "level", level)
         guideline_level = _checked_level(space, query, "guideline_level", guideline_level)

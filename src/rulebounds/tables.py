@@ -218,6 +218,6 @@ def empirical_joint(records, variables: Sequence[VariableSpec]) -> JointTable:
                 f"outside range(0, {v.cardinality}) ({bad.size} offending records)"
             )
     shape = tuple(v.cardinality for v in variables)
-    counts = np.zeros(shape)
-    np.add.at(counts, tuple(arr[:, j] for j in range(arr.shape[1])), 1.0)
+    cells = np.ravel_multi_index(tuple(arr.T.astype(np.intp, copy=False)), shape)
+    counts = np.bincount(cells, minlength=int(np.prod(shape))).reshape(shape)
     return JointTable(variables, counts / arr.shape[0])

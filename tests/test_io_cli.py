@@ -5,14 +5,20 @@ check exit codes, report contents, and agreement with the library calls.
 """
 
 import csv
+import dataclasses
+import importlib.util
 import json
 import os
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import rulebounds.io
 from rulebounds.cli import main
 from rulebounds.errors import ConfigError, DataError
 from rulebounds.io import (
@@ -247,6 +253,18 @@ def test_load_records_defects(tmp_path):
     with pytest.raises(DataError, match="row 5 .*only 2 fields"):
         load_records(str(ragged), config)
 
+    # a byte that is not UTF-8 and a code too large for int64 are data errors, not tracebacks
+    undecodable = tmp_path / "latin1.csv"
+    undecodable.write_bytes(b"z,x,a,y\n0,1,0,1\n0,\xff,0,1\n")
+    with pytest.raises(DataError, match=r"line 3 of .*latin1\.csv.*byte 0xff is not UTF-8"):
+        load_records(str(undecodable), config)
+    huge = tmp_path / "huge.csv"
+    huge.write_text("z,x,a,y\n0,1,0,1\n0,99999999999999999999,0,1\n")
+    with pytest.raises(
+        DataError, match=r"row 3 .*value 99999999999999999999 for 'x' is outside range\(0, 3\)"
+    ):
+        load_records(str(huge), config)
+
 
 def test_out_of_range_code_is_a_data_error(tmp_path):
     config = load_config(write_config(tmp_path))
@@ -262,6 +280,137 @@ def test_blank_lines_are_ignored(tmp_path):
     data.write_text("z,x,a,y\n0,1,0,1\n\n  \n1,2,1,0\n")
     records, info = load_records(str(data), config)
     assert info["n_records"] == 2
+
+
+def load_or_error(path, config):
+    try:
+        return load_records(path, config)
+    except DataError as err:
+        return str(err)
+
+
+def assert_same_load(path, config):
+    """``load_records`` agrees with its csv.reader path: same records and info, or same error."""
+    fast = load_or_error(path, config)
+    with mock.patch.object(rulebounds.io, "_plain_records", return_value=None):
+        slow = load_or_error(path, config)
+    if isinstance(fast, str) or isinstance(slow, str):
+        assert fast == slow
+    else:
+        np.testing.assert_array_equal(fast[0], slow[0])
+        assert fast[0].dtype == slow[0].dtype
+        assert fast[1] == slow[1]
+
+
+PLAIN_CELLS = st.sampled_from(["0", "1", " 1", "1 ", "\t0 ", "+1", "-0", "01", "001", "2", "-1"])
+ODD_CELLS = st.sampled_from([
+    "", " ", "+", "-", "1 1", "+-1", "1-", "yes", "_", "1_0", '"1"', '"', "\r1", "\u00e9",
+    "9" * 19, "0" * 17 + "1", "0" * 18 + "1",
+])
+
+
+@st.composite
+def csv_files(draw, columns):
+    """Bytes of small CSV files over ``columns``: mostly plain, with every kind of deviation."""
+    extra = draw(st.lists(st.sampled_from(["note", "z", "y"]), max_size=2))
+    names = draw(st.permutations(columns + extra))
+    if draw(st.integers(0, 9)) == 0:
+        names.pop(draw(st.integers(0, len(names) - 1)))
+    header = ",".join(draw(st.sampled_from([n, n, f" {n}\t", f'"{n}"'])) for n in names)
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", ",,,", " \t,", ",,,,,,"])))
+            continue
+        width = len(names) + draw(st.sampled_from([0] * 8 + [-1, 1]))
+        cells = draw(st.lists(PLAIN_CELLS, min_size=width, max_size=width))
+        if cells and draw(st.integers(0, 3)) == 0:
+            cells[draw(st.integers(0, width - 1))] = draw(ODD_CELLS)
+        lines.append(",".join(cells))
+    end = st.sampled_from(["\n"] * 6 + ["\r\n"] * 3 + ["\r"])
+    ends = draw(st.lists(end, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    raw = text.encode("utf-8")
+    if draw(st.integers(0, 19)) == 0:
+        cut = draw(st.integers(0, len(raw)))
+        raw = raw[:cut] + b"\xff" + raw[cut:]
+    return raw
+
+
+@settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data(), renamed=st.booleans())
+def test_plain_tokenizer_agrees_with_csv_reader(tmp_path, data, renamed):
+    config = load_config(write_config(tmp_path))
+    if renamed:
+        config = dataclasses.replace(config, columns=dict(config.columns, y="result"))
+    path = tmp_path / "d.csv"
+    path.write_bytes(data.draw(csv_files([config.columns[n] for n in ("z", "x", "a", "y")])))
+    assert_same_load(str(path), config)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"z,x,a,y\n0,\r1,0,1\n",  # a lone CR ends the row for csv.reader
+        b"z,x,a,y\n0,1,0,1\r",
+        b"z,x,a,y\n0,-1,0,1\n",
+        b"z,x,a,y\n0,9999999999999999999,0,1\n",  # 19 digits overflow int64
+        b"z,x,a,y\n0,0000000000000000001,0,1\n",  # 19 digits that fit
+        b"z,x,a,y\n0,1,0,1,5\n1,1,0,1\n",
+        b"z,x,a,y\n0,1,0\n1,1,0,1\n",
+        b"z,x,a,y\n0,1 1,0,1\n",
+        b"z,x,a,y\n0,+-1,0,1\n",
+        b"z,x,a,y\n0, ,0,1\n",
+        b"z,x,a,y\n,,,\n \t\n0,1,0,1",
+        b"z,x,a,y",
+        b"z,x,a,y\n",
+        b"\"z\",x,a,y\n0,1,0,1\n",
+        b"z,x,a,y\n\"0\",1,0,1\n",
+    ],
+)
+def test_load_records_agrees_with_csv_reader_on_edge_files(tmp_path, raw):
+    config = load_config(write_config(tmp_path))
+    path = tmp_path / "d.csv"
+    path.write_bytes(raw)
+    assert_same_load(str(path), config)
+
+
+def test_plain_tokenizer_reads_plain_files(tmp_path):
+    """The common layouts go through the tokenizer, not csv.reader, and still agree with it."""
+    config = load_config(write_config(tmp_path))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    counts = np.random.default_rng(5).integers(0, 40, size=(2, 3, 2, 2))
+    fixed_width = tmp_path / "bench.csv"
+    gen.write_csv(str(fixed_width), counts, ["z", "x", "a", "y"], 5)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(b"z,x,a,y\r\n0,1,0,1\r\n1,2,1,0\r\n")
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("note, z ,x,a,y\n7, 0 ,+1,-0,1\n\n \t,,\n-12,1,2,\t+01 , 0\n-3,0,0,1,1")
+    expected = {
+        crlf: [[0, 1, 0, 1], [1, 2, 1, 0]],
+        spaced: [[0, 1, 0, 1], [1, 2, 1, 0], [0, 0, 1, 1]],
+    }
+    for path in (fixed_width, crlf, spaced):
+        refuse = AssertionError("csv.reader ran")
+        with mock.patch.object(rulebounds.io, "_csv_records", side_effect=refuse):
+            records, _ = load_records(str(path), config)
+        if path in expected:
+            np.testing.assert_array_equal(records, expected[path])
+        assert_same_load(str(path), config)
+    records, info = load_records(str(fixed_width), config)
+    np.testing.assert_array_equal(
+        np.bincount(np.ravel_multi_index(tuple(records.T), counts.shape), minlength=counts.size),
+        counts.ravel(),
+    )
+    assert info["sha256"] == rulebounds.io.file_sha256(str(fixed_width))
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +587,19 @@ def test_cli_exit_codes_for_data_problems(tmp_path, capsys):
     out_of_range.write_text("z,x,a,y\n0,9,0,1\n")
     assert main(["bounds", "--config", cfg, "--data", str(out_of_range)]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_cli_exit_code_for_undecodable_and_overflowing_data(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    data = tmp_path / "d.csv"
+    data.write_bytes(b"z,x,a,y\n0,1,0,1\n0,\xff,0,1\n")
+    assert main(["bounds", "--config", cfg, "--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "line 3" in err and "not UTF-8" in err
+    data.write_text("z,x,a,y\n0,1,0,1\n0,99999999999999999999,0,1\n")
+    assert main(["bounds", "--config", cfg, "--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert "row 3" in err and "value 99999999999999999999 for 'x'" in err
 
 
 def test_cli_refuses_a_repeated_model_column(tmp_path, capsys):
