@@ -171,7 +171,7 @@ def load_config(path: str) -> AnalysisConfig:
 
 
 # Bytes of the plain grammar the tokenizer reads; anything else goes to csv.reader.
-_PLAIN_BYTES = b"0123456789+-, \t\r\n"
+_PLAIN_BYTES = b"0123456789,\n"
 _BLOCK_BYTES = 1 << 20
 _MAX_DIGITS = 18  # every 18-digit code fits int64
 
@@ -183,9 +183,9 @@ def load_records(path: str, config: AnalysisConfig) -> tuple[np.ndarray, dict]:
     (path, SHA-256 of the bytes read, row count and per-variable value
     counts). The file is read once, as bytes, and must be UTF-8. The header
     is parsed with ``csv.reader``. Data rows of plain integer CSV (ASCII
-    digits and signs, commas, spaces and tabs, LF or CRLF line ends, one
-    field per header column) are decoded by a vectorised tokenizer; any
-    other file goes through ``csv.reader`` row by row, which also words every
+    digits, commas and LF line ends only, one field per header column) are
+    decoded by a vectorised tokenizer; any other file, CRLF or spaced for
+    example, goes through ``csv.reader`` row by row, which also words every
     row-level error. Both give the same records.
     """
     try:
@@ -212,8 +212,8 @@ def load_records(path: str, config: AnalysisConfig) -> tuple[np.ndarray, dict]:
 
     records = None
     body = data.find(b"\n") + 1 or len(data)
-    # the tokenizer takes over when the header record is exactly the first LF or CRLF line
-    if reader.line_num == 1 and data.find(b"\r", 0, body) in (-1, body - 2):
+    # the tokenizer takes over when the header record is exactly the first line
+    if reader.line_num == 1 and data.find(b"\r", 0, body) == -1:
         records = _plain_records(data, body, len(header), positions)
     if records is None:
         records = _csv_records(path, data, reader, positions, config)
@@ -298,13 +298,12 @@ def _csv_records(
 def _plain_records(data: bytes, start: int, n_fields: int, positions: list) -> Optional[np.ndarray]:
     """Records of the rows in ``data[start:]``, or None when they fall outside the plain grammar.
 
-    The grammar: only ``_PLAIN_BYTES``, a carriage return only before a
-    newline, no field longer than ``csv.field_size_limit()``, and every row
-    that is not blank (only spaces, tabs and commas) holding exactly
-    ``n_fields - 1`` commas. Each field at ``positions`` is optional spaces
-    or tabs, an optional sign, 1 to ``_MAX_DIGITS`` digits, then optional
-    spaces or tabs. Such rows split and convert exactly as ``csv.reader``
-    and ``int`` do. Blocks of whole lines bound the index arrays' memory.
+    The grammar: only ASCII digits, commas and LF, no field longer than
+    ``csv.field_size_limit()``, and every row that holds a digit holding
+    exactly ``n_fields - 1`` commas, with 1 to ``_MAX_DIGITS`` digits in each
+    field at ``positions``; other rows are blank. Such rows split and
+    convert exactly as ``csv.reader`` and ``int`` do. Blocks of whole lines
+    bound the index arrays' memory.
     """
     out = np.empty((data.count(b"\n", start) + 1, len(positions)), dtype=np.int64, order="F")
     n = 0
@@ -312,8 +311,7 @@ def _plain_records(data: bytes, start: int, n_fields: int, positions: list) -> O
         stop = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
         chunk = data[start:stop]
         start = stop
-        lone_cr = b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n")
-        if lone_cr or chunk.translate(None, _PLAIN_BYTES):
+        if chunk.translate(None, _PLAIN_BYTES):
             return None
         rows = _plain_block(np.frombuffer(chunk, dtype=np.uint8), n_fields, positions, out[n:])
         if rows is None:
@@ -333,50 +331,24 @@ def _plain_block(b: np.ndarray, n_fields: int, positions: list, out: np.ndarray)
     line_commas = np.diff(line_first, append=len(bounds) - 1) - 1
     if b[-1] == ord("\n"):  # the empty line after the last newline
         line_first, line_commas = line_first[:-1], line_commas[:-1]
-    is_token = (b > ord(" ")) & (b != ord(","))  # digits and signs
-    filled = np.logical_or.reduceat(is_token, bounds[line_first] + 1)
+    filled = np.logical_or.reduceat(b >= ord("0"), bounds[line_first] + 1)  # holds a digit
     rows = line_first[filled]
     if np.any(line_commas[filled] != n_fields - 1):
         return None
     if not rows.size:
         return 0
-    spaced = np.any((b < ord("+")) & ~is_newline)  # spaces, tabs or CRs
-    signed = np.any((b == ord("+")) | (b == ord("-")))
     for j, p in enumerate(positions):
-        first, last = bounds[rows + p] + 1, bounds[rows + p + 1] - 1
-        if np.any(first > last) or (spaced and not _strip(b, first, last)):
-            return None
-        # after stripping, only '+' and '-' sort below the digits
-        lead = first + (b[first] < ord("0")) if signed else first
-        digits = last + 1 - lead
+        first, end = bounds[rows + p] + 1, bounds[rows + p + 1]
+        digits = end - first
         shortest, longest = int(digits.min()), int(digits.max())
         if shortest < 1 or longest > _MAX_DIGITS:
             return None
         value = np.zeros(len(rows), dtype=np.int64)
         for k in range(longest):
-            digit = b[np.minimum(lead + k, last)] - ord("0")  # uint8: a space or sign wraps above 9
-            if np.any(digit > 9):
-                return None
-            step = value * 10 + digit
+            step = value * 10 + (b[np.minimum(first + k, end - 1)] - ord("0"))
             value = step if k < shortest else np.where(k < digits, step, value)
-        out[:len(rows), j] = np.where(b[first] == ord("-"), -value, value) if signed else value
+        out[:len(rows), j] = value
     return len(rows)
-
-
-def _strip(b: np.ndarray, first: np.ndarray, last: np.ndarray) -> bool:
-    """Move ``first`` and ``last`` past spaces, tabs and CRs, in place; False if a field is blank."""
-    i = np.flatnonzero(b[first] < ord("+"))
-    while i.size:
-        first[i] += 1
-        i = i[first[i] <= last[i]]
-        i = i[b[first[i]] < ord("+")]
-    if np.any(first > last):
-        return False
-    i = np.flatnonzero(b[last] < ord("+"))
-    while i.size:
-        last[i] -= 1
-        i = i[b[last[i]] < ord("+")]
-    return True
 
 
 def _line_of_offset(data: bytes, offset: int) -> int:

@@ -19,6 +19,7 @@ space groups its classes once.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import prod
@@ -325,20 +326,27 @@ def _checked_level(space, query, name, value):
             raise ValueError(f"{space.shape.kind} query {query!r} needs the {owner}'s assigned level")
         return None
     k = space.shape.treat_card
-    if type(value) is int and space.shape.kind == "stratum":
-        if not 0 <= value < k:
-            raise ValueError(f"{name}={value} outside range(0, {k})")
-        return value
+    if space.shape.kind == "stratum":
+        try:  # an int, a numpy integer or a 0-d integer array; a bool is not a level
+            if isinstance(value, bool):
+                raise TypeError
+            level = operator.index(value)
+        except TypeError:
+            if np.shape(value):
+                raise ValueError(f"{name} has shape {np.shape(value)}, expected ()") from None
+            raise ValueError(f"{name} has the non-integer value {np.asarray(value).item()!r}") from None
+        if not 0 <= level < k:
+            raise ValueError(f"{name}={level} outside range(0, {k})")
+        return level
     arr = np.asarray(value)
-    shape = space.shape.x_cards if space.shape.kind == "full" else ()
-    if arr.shape != shape:
-        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    if arr.shape != space.shape.x_cards:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {space.shape.x_cards}")
     if arr.dtype.kind not in "iu":
         raise ValueError(f"{name} has the non-integer value {arr.ravel()[0].item()!r}")
     bad = arr[(arr < 0) | (arr >= k)]
     if bad.size:
         raise ValueError(f"{name}={bad[0]} outside range(0, {k})")
-    return arr.astype(np.int64) if space.shape.kind == "full" else int(arr)
+    return arr.astype(np.int64)
 
 
 def build_lp(

@@ -289,30 +289,39 @@ def load_or_error(path, config):
         return str(err)
 
 
+# 1 and 7 bytes put nearly every line in a block of its own; 16 splits between rows of a file
+BLOCK_SIZES = (1, 7, 16, rulebounds.io._BLOCK_BYTES)
+
+
 def assert_same_load(path, config):
-    """``load_records`` agrees with its csv.reader path: same records and info, or same error."""
-    fast = load_or_error(path, config)
+    """``load_records`` agrees with its csv.reader path at every block size.
+
+    Same records and info, or a ``DataError`` with the same text.
+    """
     with mock.patch.object(rulebounds.io, "_plain_records", return_value=None):
         slow = load_or_error(path, config)
-    if isinstance(fast, str) or isinstance(slow, str):
-        assert fast == slow
-    else:
-        np.testing.assert_array_equal(fast[0], slow[0])
-        assert fast[0].dtype == slow[0].dtype
-        assert fast[1] == slow[1]
+    for block in BLOCK_SIZES:
+        with mock.patch.object(rulebounds.io, "_BLOCK_BYTES", block):
+            fast = load_or_error(path, config)
+        if isinstance(fast, str) or isinstance(slow, str):
+            assert fast == slow
+        else:
+            np.testing.assert_array_equal(fast[0], slow[0])
+            assert fast[0].dtype == slow[0].dtype
+            assert fast[1] == slow[1]
 
 
-PLAIN_CELLS = st.sampled_from(["0", "1", " 1", "1 ", "\t0 ", "+1", "-0", "01", "001", "2", "-1"])
+PLAIN_CELLS = st.sampled_from(["0", "1", "2", "01", "001", "0" * 17 + "1"])
 ODD_CELLS = st.sampled_from([
-    "", " ", "+", "-", "1 1", "+-1", "1-", "yes", "_", "1_0", '"1"', '"', "\r1", "\u00e9",
-    "9" * 19, "0" * 17 + "1", "0" * 18 + "1",
+    "", " ", " 1", "1 ", "\t0 ", "+1", "-0", "-1", "+", "-", "1 1", "+-1", "1-", "yes", "_",
+    "1_0", '"1"', '"', "\r1", "é", "9" * 19, "0" * 18 + "1",
 ])
 
 
 @st.composite
 def csv_files(draw, columns):
     """Bytes of small CSV files over ``columns``: mostly plain, with every kind of deviation."""
-    extra = draw(st.lists(st.sampled_from(["note", "z", "y"]), max_size=2))
+    extra = draw(st.lists(st.sampled_from(["note", "w", "note", "z"]), max_size=2))
     names = draw(st.permutations(columns + extra))
     if draw(st.integers(0, 9)) == 0:
         names.pop(draw(st.integers(0, len(names) - 1)))
@@ -320,14 +329,14 @@ def csv_files(draw, columns):
     lines = [header]
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.integers(0, 5)) == 0:
-            lines.append(draw(st.sampled_from(["", "  ", ",,,", " \t,", ",,,,,,"])))
+            lines.append(draw(st.sampled_from(["", "", ",,,", ",,,,,,", "  ", " \t,"])))
             continue
         width = len(names) + draw(st.sampled_from([0] * 8 + [-1, 1]))
         cells = draw(st.lists(PLAIN_CELLS, min_size=width, max_size=width))
-        if cells and draw(st.integers(0, 3)) == 0:
+        if cells and draw(st.integers(0, 5)) == 0:
             cells[draw(st.integers(0, width - 1))] = draw(ODD_CELLS)
         lines.append(",".join(cells))
-    end = st.sampled_from(["\n"] * 6 + ["\r\n"] * 3 + ["\r"])
+    end = st.sampled_from(["\n"] * 12 + ["\r\n", "\r"])
     ends = draw(st.lists(end, min_size=len(lines), max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, ends))
     if draw(st.booleans()):
@@ -357,15 +366,17 @@ def test_plain_tokenizer_agrees_with_csv_reader(tmp_path, data, renamed):
     [
         b"z,x,a,y\n0,\r1,0,1\n",  # a lone CR ends the row for csv.reader
         b"z,x,a,y\n0,1,0,1\r",
+        b"z,x,a,y\r\n0,1,0,1\r\n",
         b"z,x,a,y\n0,-1,0,1\n",
+        b"z,x,a,y\n0, 1 ,0,1\n",
         b"z,x,a,y\n0,9999999999999999999,0,1\n",  # 19 digits overflow int64
         b"z,x,a,y\n0,0000000000000000001,0,1\n",  # 19 digits that fit
         b"z,x,a,y\n0,1,0,1,5\n1,1,0,1\n",
         b"z,x,a,y\n0,1,0\n1,1,0,1\n",
-        b"z,x,a,y\n0,1 1,0,1\n",
-        b"z,x,a,y\n0,+-1,0,1\n",
-        b"z,x,a,y\n0, ,0,1\n",
-        b"z,x,a,y\n,,,\n \t\n0,1,0,1",
+        b"z,x,a,y\n0,,0,1\n",
+        b"z,x,a,y\n,,,\n\n0,1,0,1",
+        b"z,x,a,y\n\n\n,,,\n0,1,0,1\n\n,,,\n1,2,1,0\n\n",  # blank rows at block ends
+        b"z,x,a,y\n0,1,0,1\n0,3,0,1\n",  # out of range in a later block
         b"z,x,a,y",
         b"z,x,a,y\n",
         b"\"z\",x,a,y\n0,1,0,1\n",
@@ -380,7 +391,7 @@ def test_load_records_agrees_with_csv_reader_on_edge_files(tmp_path, raw):
 
 
 def test_plain_tokenizer_reads_plain_files(tmp_path):
-    """The common layouts go through the tokenizer, not csv.reader, and still agree with it."""
+    """Digit-comma-LF files go through the tokenizer, at every block size; others do not."""
     config = load_config(write_config(tmp_path))
     spec = importlib.util.spec_from_file_location(
         "perfbench_gen", Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
@@ -390,27 +401,31 @@ def test_plain_tokenizer_reads_plain_files(tmp_path):
     counts = np.random.default_rng(5).integers(0, 40, size=(2, 3, 2, 2))
     fixed_width = tmp_path / "bench.csv"
     gen.write_csv(str(fixed_width), counts, ["z", "x", "a", "y"], 5)
+    sparse = tmp_path / "sparse.csv"
+    sparse.write_text("note,z ,x,a,y\n7,0,01,0,1\n\n,,,,\n12,1,2,001,0\n\n3,0,0,1,1")
+    for block in BLOCK_SIZES:
+        refuse = AssertionError("csv.reader ran")
+        with mock.patch.object(rulebounds.io, "_csv_records", side_effect=refuse), \
+                mock.patch.object(rulebounds.io, "_BLOCK_BYTES", block):
+            records, info = load_records(str(fixed_width), config)
+            np.testing.assert_array_equal(
+                np.bincount(np.ravel_multi_index(tuple(records.T), counts.shape),
+                            minlength=counts.size),
+                counts.ravel(),
+            )
+            assert info["sha256"] == rulebounds.io.file_sha256(str(fixed_width))
+            records, _ = load_records(str(sparse), config)
+            np.testing.assert_array_equal(records, [[0, 1, 0, 1], [1, 2, 1, 0], [0, 0, 1, 1]])
+
     crlf = tmp_path / "crlf.csv"
     crlf.write_bytes(b"z,x,a,y\r\n0,1,0,1\r\n1,2,1,0\r\n")
     spaced = tmp_path / "spaced.csv"
-    spaced.write_text("note, z ,x,a,y\n7, 0 ,+1,-0,1\n\n \t,,\n-12,1,2,\t+01 , 0\n-3,0,0,1,1")
-    expected = {
-        crlf: [[0, 1, 0, 1], [1, 2, 1, 0]],
-        spaced: [[0, 1, 0, 1], [1, 2, 1, 0], [0, 0, 1, 1]],
-    }
-    for path in (fixed_width, crlf, spaced):
-        refuse = AssertionError("csv.reader ran")
-        with mock.patch.object(rulebounds.io, "_csv_records", side_effect=refuse):
-            records, _ = load_records(str(path), config)
-        if path in expected:
-            np.testing.assert_array_equal(records, expected[path])
+    spaced.write_text("z,x,a,y\n0, 1,+0,1\n")
+    for path in (fixed_width, sparse, crlf, spaced):
+        with mock.patch.object(rulebounds.io, "_csv_records", wraps=rulebounds.io._csv_records) as slow:
+            load_records(str(path), config)
+        assert slow.called == (path in (crlf, spaced))
         assert_same_load(str(path), config)
-    records, info = load_records(str(fixed_width), config)
-    np.testing.assert_array_equal(
-        np.bincount(np.ravel_multi_index(tuple(records.T), counts.shape), minlength=counts.size),
-        counts.ravel(),
-    )
-    assert info["sha256"] == rulebounds.io.file_sha256(str(fixed_width))
 
 
 # ---------------------------------------------------------------------------
