@@ -36,6 +36,16 @@ from .strategies import (
 from .tables import empirical_joint
 
 
+def _analysis_parser(sub, name: str, summary: str, func) -> argparse.ArgumentParser:
+    """A subcommand that bounds a config's query on a data file: ``bounds`` or ``compare``."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--config", required=True, help="JSON analysis config")
+    p.add_argument("--data", help="CSV data file (overrides config 'data')")
+    p.add_argument("--output", help="report JSON path (default: config 'output' or stdout)")
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rulebounds",
@@ -46,21 +56,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bounds = sub.add_parser(
-        "bounds", help="bound a rule's value (or clinical utility) from a data file"
+    p_bounds = _analysis_parser(
+        sub, "bounds", "bound a rule's value (or clinical utility) from a data file", cmd_bounds
     )
-    p_bounds.add_argument("--config", required=True, help="JSON analysis config")
-    p_bounds.add_argument("--data", help="CSV data file (overrides config 'data')")
-    p_bounds.add_argument("--output", help="report JSON path (default: config 'output' or stdout)")
     p_bounds.add_argument(
-        "--strategy",
-        choices=VALID_STRATEGIES,
-        help="override the config's strategy selection",
+        "--strategy", choices=VALID_STRATEGIES, help="override the config's strategy selection"
     )
     p_bounds.add_argument("--query", choices=QUERIES, help="override the config's query")
     p_bounds.add_argument("--stratum-csv", help="also write per-stratum bounds as CSV")
     p_bounds.add_argument("--cap", type=int, help="response-type enumeration cap override")
-    p_bounds.set_defaults(func=cmd_bounds)
 
     p_sim = sub.add_parser(
         "simulate", help="validate bounds against randomly drawn ground-truth models"
@@ -76,29 +80,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--output", help="report JSON path (default stdout)")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_cmp = sub.add_parser(
-        "compare",
-        help="run both strategies and, when tractable, the direct sharp oracle",
+    p_cmp = _analysis_parser(
+        sub, "compare", "run both strategies and, when tractable, the direct sharp oracle", cmd_compare
     )
-    p_cmp.add_argument("--config", required=True, help="JSON analysis config")
-    p_cmp.add_argument("--data", help="CSV data file (overrides config 'data')")
-    p_cmp.add_argument("--output", help="report JSON path (default: config 'output' or stdout)")
     p_cmp.add_argument(
         "--oracle-cap",
         type=int,
         default=DEFAULT_CAP,
         help="largest class count the direct oracle may enumerate",
     )
-    p_cmp.set_defaults(func=cmd_compare)
     return parser
-
-
-def _load_table(args, config: AnalysisConfig):
-    data_path = args.data or config.data_path
-    if not data_path:
-        raise ConfigError("no data file: pass --data or set 'data' in the config")
-    records, info = load_records(data_path, config)
-    return empirical_joint(records, config.model.variables), info
 
 
 def _emit(report: dict, output_path, summary_lines) -> None:
@@ -111,40 +102,61 @@ def _emit(report: dict, output_path, summary_lines) -> None:
         print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def cmd_bounds(args) -> int:
-    overrides = {"query": args.query, "strategy": args.strategy, "cap": args.cap}
-    config = replace(load_config(args.config), **{k: v for k, v in overrides.items() if v is not None})
-    table, data_info = _load_table(args, config)
-    request = StrategyRequest(config.model, table, config.query, cap=config.cap)
-    results = {}
-    if config.strategy in ("reduction", "both"):
-        results["reduction"] = reduction_bounds(request)
-    if config.strategy in ("conditioning", "both"):
-        results["conditioning"] = conditioning_bounds(request)
-    stratum_csv = args.stratum_csv or config.stratum_csv_path
-    if stratum_csv:
-        if "conditioning" not in results:
-            raise ConfigError("--stratum-csv needs the conditioning strategy")
-        write_stratum_csv(
-            results["conditioning"].diagnostics["strata"], config.model, stratum_csv
-        )
+def _override(config, **overrides):
+    """``config`` with every override that is not None applied."""
+    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
+
+
+def _analyse(args, config: AnalysisConfig, command: str, solve) -> int:
+    """Bound ``config``'s query on its data and emit the report: the path ``bounds`` and ``compare`` share.
+
+    ``solve(request)`` returns the command's own report field as a one-key dict,
+    its intervals by name (None for one not computed) and its last summary lines.
+    """
+    data_path = args.data or config.data_path
+    if not data_path:
+        raise ConfigError("no data file: pass --data or set 'data' in the config")
+    records, data_info = load_records(data_path, config)
+    table = empirical_joint(records, config.model.variables)
+    del records  # the solve needs only the joint table; keep the raw rows out of its peak memory
+    own, intervals, tail = solve(StrategyRequest(config.model, table, config.query, cap=config.cap))
     report = build_report(
-        "bounds",
+        command,
         {
             "config": {"path": config.source_path, "sha256": file_sha256(config.source_path)},
             "model": model_summary(config.model),
             "query": config.query,
             "data": data_info,
-            "results": {name: res.to_dict() for name, res in results.items()},
+            **own,
         },
     )
     lines = [f"query: {config.query}  (n = {data_info['n_records']})"]
-    for name, res in results.items():
-        lines.append(
-            f"  {name:13s} [{res.lower: .6f}, {res.upper: .6f}]  width {res.width:.6f}"
-        )
-    _emit(report, args.output or config.output_path, lines)
+    lines += [
+        f"  {name:13s} [{res.lower: .6f}, {res.upper: .6f}]  width {res.width:.6f}"
+        for name, res in intervals.items()
+        if res is not None
+    ]
+    _emit(report, args.output or config.output_path, lines + tail)
     return 0
+
+
+def cmd_bounds(args) -> int:
+    config = _override(load_config(args.config), query=args.query, strategy=args.strategy, cap=args.cap)
+    stratum_csv = args.stratum_csv or config.stratum_csv_path
+    if stratum_csv and config.strategy == "reduction":
+        raise ConfigError("--stratum-csv needs the conditioning strategy")
+
+    def solve(request):
+        results = {
+            name: bound(request)
+            for name, bound in (("reduction", reduction_bounds), ("conditioning", conditioning_bounds))
+            if config.strategy in (name, "both")
+        }
+        if stratum_csv:
+            write_stratum_csv(results["conditioning"].diagnostics["strata"], config.model, stratum_csv)
+        return {"results": {name: res.to_dict() for name, res in results.items()}}, results, []
+
+    return _analyse(args, config, "bounds", solve)
 
 
 def _sim_config(args) -> SimConfig:
@@ -163,21 +175,13 @@ def _sim_config(args) -> SimConfig:
         if isinstance(raw.get("strategies"), list):
             raw["strategies"] = tuple(raw["strategies"])
         config = replace(config, **raw)
-    overrides = {}
-    if args.replications is not None:
-        overrides["replications"] = args.replications
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
-    if args.query is not None:
-        overrides["query"] = args.query
-    if args.strategies is not None:
-        overrides["strategies"] = tuple(
-            s.strip() for s in args.strategies.split(",") if s.strip()
-        )
-    if overrides:
-        config = replace(config, **overrides)
+    strategies = args.strategies
+    if strategies is not None:
+        strategies = tuple(s.strip() for s in strategies.split(",") if s.strip())
+    config = _override(
+        config, replications=args.replications, master_seed=args.seed, jobs=args.jobs,
+        query=args.query, strategies=strategies,
+    )
     try:
         config.validate()
     except ValueError as err:
@@ -220,39 +224,17 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     if args.oracle_cap < 1:
         raise ConfigError(f"--oracle-cap must be a positive integer, got {args.oracle_cap}")
-    config = load_config(args.config)
-    table, data_info = _load_table(args, config)
-    request = StrategyRequest(config.model, table, config.query, cap=config.cap)
-    comparison = compare_strategies(request, oracle_cap=args.oracle_cap)
-    report = build_report(
-        "compare",
-        {
-            "config": {"path": config.source_path, "sha256": file_sha256(config.source_path)},
-            "model": model_summary(config.model),
-            "query": config.query,
-            "data": data_info,
-            "comparison": comparison.to_dict(),
-        },
-    )
-    lines = [f"query: {config.query}  (n = {data_info['n_records']})"]
-    for name, res in (
-        ("reduction", comparison.reduction),
-        ("conditioning", comparison.conditioning),
-        ("oracle", comparison.oracle),
-    ):
-        if res is not None:
-            lines.append(
-                f"  {name:13s} [{res.lower: .6f}, {res.upper: .6f}]  width {res.width:.6f}"
-            )
-    if comparison.oracle_note:
-        lines.append(f"  oracle note: {comparison.oracle_note}")
-    lines.append(f"  conditioning inside reduction: {comparison.containment_ok}")
-    if comparison.oracle_matches_conditioning is not None:
-        lines.append(
-            f"  oracle matches conditioning: {comparison.oracle_matches_conditioning}"
-        )
-    _emit(report, args.output or config.output_path, lines)
-    return 0
+
+    def solve(request):
+        comparison = compare_strategies(request, oracle_cap=args.oracle_cap)
+        tail = [f"  oracle note: {comparison.oracle_note}"] if comparison.oracle_note else []
+        tail.append(f"  conditioning inside reduction: {comparison.containment_ok}")
+        if comparison.oracle_matches_conditioning is not None:
+            tail.append(f"  oracle matches conditioning: {comparison.oracle_matches_conditioning}")
+        intervals = {name: getattr(comparison, name) for name in ("reduction", "conditioning", "oracle")}
+        return {"comparison": comparison.to_dict()}, intervals, tail
+
+    return _analyse(args, load_config(args.config), "compare", solve)
 
 
 def main(argv=None) -> int:

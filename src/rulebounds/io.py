@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, DataError
 from .lp_bounds import DEFAULT_CAP, QUERIES, require_guideline
-from .model import ROLES, CausalModel, TreatmentRule, VariableSpec, validate_model
+from .model import ROLES, CausalModel, TreatmentRule, VariableSpec, rule_table, validate_model
 
 VALID_STRATEGIES = ("reduction", "conditioning", "both")
 
@@ -45,8 +45,8 @@ class AnalysisConfig:
 
     def __post_init__(self):
         # also runs on every dataclasses.replace, so command-line overrides are checked too
-        if self.query not in QUERIES:
-            raise ConfigError(f"unknown query {self.query!r}; expected one of {QUERIES}")
+        if not isinstance(self.query, str) or self.query not in QUERIES:
+            raise ConfigError(f"unknown query {self.query!r}; expected one of {tuple(QUERIES)}")
         try:
             require_guideline(self.query, self.model.guideline is not None)
         except ValueError:
@@ -81,7 +81,7 @@ def _parse_rule_key(key: str, n_covariates: int) -> tuple:
 
 
 def parse_rule(spec, n_covariates: int, default_name: str) -> TreatmentRule:
-    """Accept either {"name":..., "table": {...}} or a bare table object."""
+    """Accept either {"name":..., "table": {...}} or a bare table object; ``model.rule_table`` inverts it."""
     if isinstance(spec, dict) and "table" in spec:
         name = spec.get("name", default_name)
         table = spec["table"]
@@ -207,6 +207,8 @@ def load_records(path: str, config: AnalysisConfig) -> tuple[np.ndarray, dict]:
         header = next(reader)
     except StopIteration:
         raise DataError(f"data file {path!r} is empty") from None
+    except csv.Error as err:
+        raise DataError(f"line {reader.line_num} of {path!r}: {err}") from None
     header = [h.strip() for h in header]
     positions = _column_positions(path, header, config)
 
@@ -269,7 +271,10 @@ def _csv_records(
     path: str, data: bytes, reader, positions: list, config: AnalysisConfig
 ) -> np.ndarray:
     """Records of the rows ``reader`` has left, cell by cell; defects name the file line."""
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    except csv.Error as err:  # a field over csv.field_size_limit(), for one
+        raise DataError(f"line {reader.line_num} of {path!r}: {err}") from None
     records = np.empty((len(rows), len(positions)), dtype=np.int64)
     for r, row in enumerate(rows):
         for j, pos in enumerate(positions):
@@ -379,12 +384,8 @@ def model_summary(model: CausalModel) -> dict:
             {"name": v.name, "cardinality": v.cardinality, "role": v.role}
             for v in model.variables
         ],
-        "rule": {",".join(map(str, k)): v for k, v in model.rule.items},
-        "guideline": (
-            {",".join(map(str, k)): v for k, v in model.guideline.items}
-            if model.guideline
-            else None
-        ),
+        "rule": rule_table(model.rule),
+        "guideline": rule_table(model.guideline),
     }
 
 

@@ -46,16 +46,15 @@ DEFAULT_CAP = 10_000_000
 SPACE_CACHE_SIZE = 32
 BOUND_TOL = 1e-9
 
-QUERIES = ("theta_f", "theta_g", "cu")
-
-_GUIDELINE_QUERIES = ("theta_g", "cu")
+# each query is a signed sum of rule values: "f" reads the evaluated rule, "g" the guideline
+QUERIES = {"theta_f": {"f": 1}, "theta_g": {"g": 1}, "cu": {"f": 1, "g": -1}}
 
 _STRATEGY_BY_KIND = {"reduced": "reduction", "stratum": "conditioning", "full": "direct_oracle"}
 
 
 def require_guideline(query: str, declared: bool) -> None:
     """Refuse a query that reads the comparator when the model ``declared`` none."""
-    if query in _GUIDELINE_QUERIES and not declared:
+    if "g" in QUERIES.get(query, ()) and not declared:
         raise ValueError(f"query {query!r} needs a guideline, but the model declares none")
 
 
@@ -273,12 +272,7 @@ def _objective(space, query, level, guideline_level) -> np.ndarray:
         lvl = _assigned_levels(space, roots, side, level, guideline_level)
         return outcome[lvl * prod(space.y_parent_cards[1:]) + rest_y]
 
-    if query == "theta_f":
-        coef = theta_coef("f")
-    elif query == "theta_g":
-        coef = theta_coef("g")
-    else:
-        coef = theta_coef("f") - theta_coef("g")
+    coef = sum(sign * theta_coef(side) for side, sign in QUERIES[query].items())
     # (n_roots, n_outcome_functions): a coefficient does not depend on the treatment function
     obj = np.empty(space.class_count)
     obj.reshape(coef.shape[0], -1, coef.shape[1])[...] = coef[:, np.newaxis, :]
@@ -320,9 +314,9 @@ class LpProblem:
 
 def _checked_level(space, query, name, value):
     """``value`` checked as a stratum program's int or a full program's int64 array."""
-    owner = "treatment rule" if name == "level" else "guideline"
+    side, owner = ("f", "treatment rule") if name == "level" else ("g", "guideline")
     if value is None:
-        if query in (("theta_f", "cu") if name == "level" else _GUIDELINE_QUERIES):
+        if side in QUERIES[query]:
             raise ValueError(f"{space.shape.kind} query {query!r} needs the {owner}'s assigned level")
         return None
     k = space.shape.treat_card
@@ -363,7 +357,7 @@ def build_lp(
     instrument arm must have positive probability.
     """
     if query not in QUERIES:
-        raise ValueError(f"unknown query {query!r}; expected one of {QUERIES}")
+        raise ValueError(f"unknown query {query!r}; expected one of {tuple(QUERIES)}")
     if space.shape.kind == "reduced":
         require_guideline(query, space.shape.guideline_mode != "none")
         if level is not None or guideline_level is not None:
@@ -412,7 +406,7 @@ class BoundsResult:
             raise SolverError(
                 f"bounds inverted: lower={self.lower!r} > upper={self.upper!r}"
             )
-        lo_lim, hi_lim = (-1.0, 1.0) if self.query == "cu" else (0.0, 1.0)
+        lo_lim, hi_lim = (-1.0 if -1 in QUERIES[self.query].values() else 0.0), 1.0
         if self.lower < lo_lim - BOUND_TOL or self.upper > hi_lim + BOUND_TOL:
             raise SolverError(
                 f"bounds [{self.lower!r}, {self.upper!r}] escape the admissible "

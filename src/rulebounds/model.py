@@ -180,6 +180,11 @@ class TreatmentRule:
         return out
 
 
+def rule_table(rule: Optional[TreatmentRule]) -> Optional[dict]:
+    """A rule's config-file table ("0,2": 1), the inverse of ``io.parse_rule``; None for no rule."""
+    return None if rule is None else {",".join(map(str, k)): v for k, v in rule.items}
+
+
 @dataclass(frozen=True)
 class CausalModel:
     """Declared variables plus the rule under evaluation and an optional comparator."""

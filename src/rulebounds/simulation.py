@@ -28,6 +28,7 @@ from .model import (
     CausalModel,
     TreatmentRule,
     VariableSpec,
+    rule_table,
 )
 from .strategies import StrategyRequest, conditioning_bounds, reduction_bounds
 from .tables import Cpt, Scm, joint_from_scm, marginalize
@@ -88,7 +89,7 @@ class SimConfig:
             raise ValueError(f"unknown strategies {sorted(unknown)}")
         if not self.strategies:
             raise ValueError("at least one strategy is required")
-        if self.query not in QUERIES:
+        if not isinstance(self.query, str) or self.query not in QUERIES:
             raise ValueError(f"unknown query {self.query!r}")
         require_guideline(self.query, self.guideline is not None)
         # surface rule defects before burning replications
@@ -106,12 +107,8 @@ class SimConfig:
             "card_instrument": self.card_instrument,
             "card_covariate": self.card_covariate,
             "card_treatment": self.card_treatment,
-            "rule": {",".join(map(str, k)): v for k, v in self.resolved_rule().items},
-            "guideline": (
-                {",".join(map(str, k)): v for k, v in self.guideline.items}
-                if self.guideline
-                else None
-            ),
+            "rule": rule_table(self.resolved_rule()),
+            "guideline": rule_table(self.guideline),
             "query": self.query,
             "strategies": list(self.strategies),
             "jobs": self.jobs,
@@ -215,13 +212,8 @@ def run_replication(config: SimConfig, index: int) -> SimRecord:
     model = observed_model(config)
     observed = marginalize(joint_from_scm(scm), [v.name for v in model.variables])
     request = StrategyRequest(model, observed, config.query)
-    rule = config.resolved_rule()
-    if config.query == "theta_f":
-        truth = true_policy_value(scm, rule)
-    elif config.query == "theta_g":
-        truth = true_policy_value(scm, config.guideline)
-    else:
-        truth = true_policy_value(scm, rule) - true_policy_value(scm, config.guideline)
+    rules = {"f": config.resolved_rule(), "g": config.guideline}
+    truth = sum(sign * true_policy_value(scm, rules[side]) for side, sign in QUERIES[config.query].items())
     results = {}
     for name in config.strategies:
         try:

@@ -30,6 +30,7 @@ from rulebounds.io import (
     write_json,
     write_stratum_csv,
 )
+from rulebounds.model import rule_table
 from rulebounds.strategies import StrategyRequest, conditioning_bounds, reduction_bounds
 from rulebounds.tables import empirical_joint
 
@@ -95,6 +96,10 @@ def test_parse_rule_accepts_bare_and_named_tables():
     named = parse_rule({"name": "f2", "table": {"0,1": 2}}, 2, "rule")
     assert named.name == "f2"
     assert named.table == {(0, 1): 2}
+    # rule_table is its inverse
+    assert rule_table(named) == {"0,1": 2}
+    assert parse_rule(rule_table(bare), 1, "rule").items == bare.items
+    assert rule_table(None) is None
 
 
 def test_parse_rule_defects():
@@ -166,6 +171,7 @@ def test_load_config_column_mapping(tmp_path):
         ({"enumeration_cap": True}, "enumeration_cap must be a positive integer, got True"),
         ({"data": 7}, "'data' must be a file path string"),
         ({"stratum_csv": 0}, "'stratum_csv' must be a file path string"),
+        ({"query": ["cu"]}, r"unknown query \['cu'\]; expected one of \('theta_f', 'theta_g', 'cu'\)"),
     ],
 )
 def test_load_config_defects(tmp_path, mutation, message):
@@ -264,6 +270,15 @@ def test_load_records_defects(tmp_path):
         DataError, match=r"row 3 .*value 99999999999999999999 for 'x' is outside range\(0, 3\)"
     ):
         load_records(str(huge), config)
+
+    # a field longer than csv.field_size_limit() is named by its file line, in a row or the header
+    long_field = tmp_path / "long.csv"
+    long_field.write_text('z,x,a,y\n0,1,0,1\n0,"' + "1" * 200_001 + '",0,1\n')
+    with pytest.raises(DataError, match=r"line 3 of .*long\.csv.*field larger than field limit"):
+        load_records(str(long_field), config)
+    long_field.write_text('"' + "z" * 200_001 + '",x,a,y\n0,1,0,1\n')
+    with pytest.raises(DataError, match=r"line 1 of .*long\.csv.*field larger than field limit"):
+        load_records(str(long_field), config)
 
 
 def test_out_of_range_code_is_a_data_error(tmp_path):
@@ -567,6 +582,15 @@ def test_bounds_command_stratum_csv(tmp_path, capsys):
     )
     assert code == 2
     assert "conditioning" in capsys.readouterr().err
+    # the refusal comes before the data is read, and writes nothing
+    unwritten = tmp_path / "unwritten.csv"
+    code = main(
+        ["bounds", "--config", cfg, "--data", str(tmp_path / "missing.csv"),
+         "--strategy", "reduction", "--stratum-csv", str(unwritten)]
+    )
+    assert code == 2
+    assert "config error: --stratum-csv needs the conditioning strategy" in capsys.readouterr().err
+    assert not unwritten.exists()
 
 
 def test_cli_exit_codes_for_config_problems(tmp_path, capsys):
@@ -615,6 +639,10 @@ def test_cli_exit_code_for_undecodable_and_overflowing_data(tmp_path, capsys):
     assert main(["bounds", "--config", cfg, "--data", str(data)]) == 3
     err = capsys.readouterr().err
     assert "row 3" in err and "value 99999999999999999999 for 'x'" in err
+    data.write_text('z,x,a,y\n0,1,0,1\n0,"' + "1" * 200_001 + '",0,1\n')
+    assert main(["bounds", "--config", cfg, "--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert "data error: line 3 of" in err and "field larger than field limit" in err
 
 
 def test_cli_refuses_a_repeated_model_column(tmp_path, capsys):
@@ -691,10 +719,13 @@ def test_simulate_command_config_validation(tmp_path, capsys):
         ({"card_covariate": 0}, "card_covariate must be an integer"),
         ({"master_seed": True}, "master_seed must be an integer"),
         ({"strategies": 5}, "strategies must be a tuple"),
+        ({"query": ["cu"]}, "unknown query ['cu']"),
     ):
         sim_cfg.write_text(json.dumps(raw))
         assert main(["simulate", "--config", str(sim_cfg)]) == 2
         assert message in capsys.readouterr().err
+    assert main(["simulate", "--strategies", ""]) == 2
+    assert "at least one strategy is required" in capsys.readouterr().err
 
 
 def test_compare_command_runs_oracle(tmp_path, capsys):

@@ -647,6 +647,53 @@ def test_bounds_result_validation():
     assert d["lower"] == -0.2 and d["strategy"] == "reduction"
 
 
+# what each query reads and how it combines the rule values, written out by hand:
+# (levels a stratum program needs, objective from the theta_f and theta_g objectives, lowest value)
+QUERY_EXPECTATIONS = {
+    "theta_f": (("level",), lambda f, g: f, 0.0),
+    "theta_g": (("guideline_level",), lambda f, g: g, 0.0),
+    "cu": (("level", "guideline_level"), lambda f, g: f - g, -1.0),
+}
+
+
+@pytest.mark.parametrize("query", list(QUERY_EXPECTATIONS))
+@pytest.mark.parametrize(
+    "shape",
+    [
+        SpaceShape("stratum", 3, instrument_card=2),
+        SpaceShape("reduced", 2, instrument_card=2, guideline_mode="separate"),
+    ],
+    ids=["stratum", "reduced"],
+)
+def test_query_table_sets_levels_objective_and_range(rng, shape, query):
+    assert list(QUERIES) == list(QUERY_EXPECTATIONS)
+    needs, combine, lowest = QUERY_EXPECTATIONS[query]
+    space = enumerate_response_types(shape)
+    table = table_for_space(space, random_probs(rng, tuple(v.cardinality for v in shape.variables)))
+    levels = {"level": 2, "guideline_level": 1} if shape.kind == "stratum" else {}
+
+    def objective(q, names):
+        return build_lp(space, table, q, **{n: levels[n] for n in names if n in levels}).objective
+
+    # a stratum program takes exactly the levels its query reads; a reduced one takes none
+    got = objective(query, needs)
+    if shape.kind == "stratum":
+        for missing in needs:
+            with pytest.raises(ValueError, match=f"{query!r} needs the .* assigned level"):
+                build_lp(space, table, query, **{n: levels[n] for n in needs if n != missing})
+    expected = combine(objective("theta_f", ("level",)), objective("theta_g", ("guideline_level",)))
+    assert got.tolist() == expected.tolist()
+    assert set(np.unique(got)) <= {lowest, 0.0, 1.0}
+
+    if lowest < 0:
+        assert BoundsResult(query, -1.0, 0.5, "reduction").lower == -1.0
+    else:
+        with pytest.raises(SolverError, match=f"admissible range .* for query {query!r}"):
+            BoundsResult(query, -0.2, 0.5, "reduction")
+    with pytest.raises(SolverError, match="admissible"):
+        BoundsResult(query, lowest - 0.1, 0.5, "reduction")
+
+
 # ---------------------------------------------------------------------------
 # binary reduced bounds against the closed form
 
