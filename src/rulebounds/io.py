@@ -217,7 +217,8 @@ def load_records(path: str, config: AnalysisConfig) -> tuple[np.ndarray, dict]:
     # the tokenizer takes over when the header record is exactly the first line
     if reader.line_num == 1 and data.find(b"\r", 0, body) == -1:
         records = _plain_records(data, body, len(header), positions)
-    if records is None:
+    tokenized = records is not None
+    if not tokenized:
         records = _csv_records(path, data, reader, positions, config)
 
     value_counts = {}
@@ -226,8 +227,9 @@ def load_records(path: str, config: AnalysisConfig) -> tuple[np.ndarray, dict]:
         outside = (column < 0) | (column >= v.cardinality)
         if outside.any():
             r = int(np.flatnonzero(outside)[0])
+            line = _plain_line(data, body, r) if tokenized else _file_line(data, r)
             raise DataError(
-                f"row {_file_line(data, r)} of {path!r}: value {column[r]} for {v.name!r} "
+                f"row {line} of {path!r}: value {column[r]} for {v.name!r} "
                 f"is outside range(0, {v.cardinality})"
             )
         counts = np.bincount(column, minlength=v.cardinality)
@@ -362,8 +364,20 @@ def _line_of_offset(data: bytes, offset: int) -> int:
     return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
 
 
+def _plain_line(data: bytes, start: int, index: int) -> int:
+    """File line number of the ``index``-th row the tokenizer read from ``data[start:]``.
+
+    ``start`` is the first byte after the one-line header, and a row is an
+    LF line holding a digit, as in ``_plain_block``; used only for errors.
+    """
+    b = np.frombuffer(data, dtype=np.uint8, offset=start)
+    line_first = np.concatenate(([0], np.flatnonzero(b == ord("\n")) + 1))
+    filled = np.logical_or.reduceat(b >= ord("0"), line_first[line_first < b.size])
+    return int(np.flatnonzero(filled)[index]) + 2
+
+
 def _file_line(data: bytes, index: int) -> int:
-    """File line number of the ``index``-th non-blank data row; used only for errors."""
+    """File line number of the ``index``-th non-blank row ``csv.reader`` reads; used only for errors."""
     reader = _csv_reader(data)
     next(reader)
     lines = (reader.line_num for row in reader if row and any(cell.strip() for cell in row))

@@ -13,8 +13,15 @@ configurations, treatment functions, outcome functions), and per-class
 arrays are built by broadcasting over them. Classes with identical
 observed behavior in every arm are merged into one column, keeping the
 extreme objective coefficient per group; this is exact and keeps the
-tableaus small. Which classes merge depends only on the shape, so each
-space groups its classes once.
+tableaus small. Which classes merge depends only on the shape.
+
+Reduced and stratum programs are re-solved many times per process, so their
+space caches its per-class ``cells``, its class ``grouping`` and its
+objectives. A full program is solved once, and its class count is
+exponential in the covariate domain: ``solve_bounds`` streams its classes in
+blocks of at most ``ORACLE_BLOCK`` and folds each block into the merged
+columns, so its working memory is one block plus the columns, and no
+per-class array is kept.
 """
 
 from __future__ import annotations
@@ -42,8 +49,10 @@ from .model import (
 from .tables import JointTable, reorder, with_variables
 
 DEFAULT_CAP = 10_000_000
-# response-type spaces kept per process; an evicted space frees its cells, grouping and objectives
+# response-type spaces kept per process; an evicted space frees whatever arrays it cached
 SPACE_CACHE_SIZE = 32
+# classes per block when a full program is streamed; a block is whole (r, a) rows, at least one
+ORACLE_BLOCK = 1 << 16
 BOUND_TOL = 1e-9
 
 # each query is a signed sum of rule values: "f" reads the evaluated rule, "g" the guideline
@@ -80,7 +89,8 @@ class ResponseTypeSpace:
     where each observed-cell coordinate comes from ("treatment", "outcome",
     or a root position). ``cells``, the class ``grouping`` and the memo of
     non-``full`` objectives depend only on the shape, so they live (and are
-    freed) with the space.
+    freed) with the space; ``solve_bounds`` reads neither array of a
+    ``full`` space.
     """
 
     shape: SpaceShape
@@ -112,16 +122,9 @@ class ResponseTypeSpace:
         so columns come in lexicographic order of their cell tuples. ``A``
         has one row per (arm, cell), arm-major, and a last total-mass row.
         """
-        dims = (self.n_cells,) * self.n_arms
-        codes, inverse = np.unique(np.ravel_multi_index(tuple(self.cells), dims), return_inverse=True)
-        A = np.zeros((self.n_arms * self.n_cells + 1, codes.size))
-        cols = np.arange(codes.size)
-        for arm, cell in enumerate(np.unravel_index(codes, dims)):
-            A[arm * self.n_cells + cell, cols] = 1.0
-        A[-1] = 1.0
+        codes, inverse = np.unique(_class_codes(self, self.cells), return_inverse=True)
         inverse.setflags(write=False)
-        A.setflags(write=False)
-        return inverse, A
+        return inverse, _incidence(self, codes)
 
     @property
     def n_arms(self) -> int:
@@ -229,26 +232,53 @@ def _rest_code(space, roots, positions) -> np.ndarray:
     return out
 
 
-def class_cells(space: ResponseTypeSpace) -> np.ndarray:
-    """(n_arms, n_classes) flat observed-cell index hit by each class per arm."""
+def class_cells(space: ResponseTypeSpace, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """(n_arms, n_classes) flat observed-cell index hit by each class per arm.
+
+    ``start`` and ``stop`` select the (r, a) rows ``start:stop`` of the class
+    product, each row holding every outcome function, so a slice of rows is
+    a contiguous run of classes in class order.
+    """
     roots, treat, outcome = _factors(space)
-    rest_a = _rest_code(space, roots, space.a_rest_root_positions)
-    rest_y = _rest_code(space, roots, space.y_rest_root_positions)[:, np.newaxis, np.newaxis]
+    n_a = treat.shape[1]
+    ra = np.arange(start, roots.shape[1] * n_a if stop is None else stop)
+    r, a = ra // n_a, ra % n_a
+    rest_a = _rest_code(space, roots, space.a_rest_root_positions)[r]
+    rest_y = _rest_code(space, roots, space.y_rest_root_positions)[r, np.newaxis]
     stride = dict(zip(space.cell_sources, _strides(space.cell_cards)))
-    # each cell coordinate broadcast over (r, a, y); only the outcome's varies along y
-    value = dict(enumerate(roots[:, :, np.newaxis, np.newaxis]))
+    # each cell coordinate broadcast over (row, y); only the outcome's varies along y
+    value = dict(enumerate(roots[:, r, np.newaxis]))
     outcome_part = outcome * stride.pop("outcome")
-    out = np.empty((space.n_arms, roots.shape[1], treat.shape[1], outcome.shape[1]), dtype=np.int64)
+    out = np.empty((space.n_arms, ra.size, outcome.shape[1]), dtype=np.int64)
     for z in range(space.n_arms):
         # the instrument, when present, is the slowest a-parent
         cfg = z * prod(space.a_parent_cards[1:]) + rest_a if space.shape.instrument_card else rest_a
-        value["treatment"] = treat[cfg][:, :, np.newaxis]
+        value["treatment"] = treat[cfg, a][:, np.newaxis]
         y_cfg = value["treatment"] * prod(space.y_parent_cards[1:]) + rest_y
         fixed = sum(value[src] * s for src, s in stride.items())
         np.add(fixed, outcome_part[y_cfg, np.arange(outcome.shape[1])], out=out[z])
-    out = out.reshape(space.n_arms, space.class_count)
+    out = out.reshape(space.n_arms, -1)
     out.setflags(write=False)
     return out
+
+
+def _class_codes(space, cells) -> np.ndarray:
+    """One integer per class encoding its per-arm cells, first arm slowest."""
+    return np.ravel_multi_index(tuple(cells), (space.n_cells,) * space.n_arms)
+
+
+def _incidence(space, codes) -> np.ndarray:
+    """Read-only 0/1 matrix of the merged columns ``codes``, in their order.
+
+    One row per (arm, cell), arm-major, and a last total-mass row.
+    """
+    A = np.zeros((space.n_arms * space.n_cells + 1, codes.size))
+    cols = np.arange(codes.size)
+    for arm, cell in enumerate(np.unravel_index(codes, (space.n_cells,) * space.n_arms)):
+        A[arm * space.n_cells + cell, cols] = 1.0
+    A[-1] = 1.0
+    A.setflags(write=False)
+    return A
 
 
 def _assigned_levels(space, roots, query_side, level, guideline_level):
@@ -260,11 +290,8 @@ def _assigned_levels(space, roots, query_side, level, guideline_level):
     return np.ravel(level if query_side == "f" else guideline_level)
 
 
-def _objective(space, query, level, guideline_level) -> np.ndarray:
-    # full levels are arrays over the covariate domain, so only the other kinds' int keys are memoized
-    key = (query, level, guideline_level) if space.shape.kind != "full" else None
-    if key in space.objectives:
-        return space.objectives[key]
+def _coefficients(space, query, level, guideline_level) -> np.ndarray:
+    """(n_roots, n_outcome_functions) objective coefficients; a class's ignores its treatment function."""
     roots, _, outcome = _factors(space)
     rest_y = _rest_code(space, roots, space.y_rest_root_positions)
 
@@ -272,8 +299,15 @@ def _objective(space, query, level, guideline_level) -> np.ndarray:
         lvl = _assigned_levels(space, roots, side, level, guideline_level)
         return outcome[lvl * prod(space.y_parent_cards[1:]) + rest_y]
 
-    coef = sum(sign * theta_coef(side) for side, sign in QUERIES[query].items())
-    # (n_roots, n_outcome_functions): a coefficient does not depend on the treatment function
+    return sum(sign * theta_coef(side) for side, sign in QUERIES[query].items())
+
+
+def _objective(space, query, level, guideline_level) -> np.ndarray:
+    # full levels are arrays over the covariate domain, so only the other kinds' int keys are memoized
+    key = (query, level, guideline_level) if space.shape.kind != "full" else None
+    if key in space.objectives:
+        return space.objectives[key]
+    coef = _coefficients(space, query, level, guideline_level)
     obj = np.empty(space.class_count)
     obj.reshape(coef.shape[0], -1, coef.shape[1])[...] = coef[:, np.newaxis, :]
     obj.setflags(write=False)
@@ -284,13 +318,27 @@ def _objective(space, query, level, guideline_level) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """A fully assembled program: per-class objective, cell incidence, and arm RHS."""
+    """A fully assembled program: the query, its checked levels, and the arm RHS.
+
+    The per-class ``objective`` and ``cells`` are built when first read;
+    ``solve_bounds`` never reads them on a full program.
+    """
 
     space: ResponseTypeSpace
     query: str
-    objective: np.ndarray      # (n_classes,), values in {-1, 0, 1}
-    cells: np.ndarray          # (n_arms, n_classes) flat cell index per arm
     rhs: np.ndarray            # (n_arms, n_cells) conditional cell probabilities
+    level: object = None       # as ``build_lp`` checked them
+    guideline_level: object = None
+
+    @cached_property
+    def objective(self) -> np.ndarray:
+        """(n_classes,) read-only coefficients, values in {-1, 0, 1}."""
+        return _objective(self.space, self.query, self.level, self.guideline_level)
+
+    @property
+    def cells(self) -> np.ndarray:
+        """(n_arms, n_classes) flat cell index per arm: the space's ``cells``."""
+        return self.space.cells
 
     @property
     def n_arms(self) -> int:
@@ -381,14 +429,7 @@ def build_lp(
             )
         rhs = rhs / arm_mass[:, np.newaxis]
 
-    objective = _objective(space, query, level, guideline_level)
-    return LpProblem(
-        space=space,
-        query=query,
-        objective=objective,
-        cells=space.cells,
-        rhs=rhs,
-    )
+    return LpProblem(space=space, query=query, rhs=rhs, level=level, guideline_level=guideline_level)
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,14 +469,46 @@ class BoundsResult:
         }
 
 
+def _column_extremes(size, inverse, c_min, c_max):
+    """Extreme coefficient per merged column, the classes given by their column ``inverse``."""
+    lo, hi = np.full(size, np.inf), np.full(size, -np.inf)
+    np.minimum.at(lo, inverse, c_min)
+    np.maximum.at(hi, inverse, c_max)
+    return lo, hi
+
+
+def _streamed_columns(lp: LpProblem) -> tuple:
+    """``(A, c_min, c_max)`` of a full program, folding blocks of the class product in class order.
+
+    Each block's classes are encoded as in ``grouping`` and merged into a
+    running sorted array of codes, so the columns come out in ``grouping``'s
+    order, and only one block's classes are held at a time.
+    """
+    space = lp.space
+    coef = _coefficients(space, lp.query, lp.level, lp.guideline_level).astype(float)
+    n_roots, n_y = coef.shape
+    n_a = space.class_count // coef.size
+    step = max(1, ORACLE_BLOCK // n_y)
+    codes, c_min, c_max = np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
+    for start in range(0, n_roots * n_a, step):
+        stop = min(start + step, n_roots * n_a)
+        keys = np.concatenate([codes, _class_codes(space, class_cells(space, start, stop))])
+        codes, inverse = np.unique(keys, return_inverse=True)
+        obj = coef[np.arange(start, stop) // n_a].ravel()
+        c_min, c_max = _column_extremes(
+            codes.size, inverse, np.concatenate([c_min, obj]), np.concatenate([c_max, obj])
+        )
+    return _incidence(space, codes), c_min, c_max
+
+
 def solve_bounds(lp: LpProblem) -> BoundsResult:
     """Sharp lower and upper bounds for the program, or an infeasibility error."""
-    inverse, A = lp.space.grouping
     # keep the extreme coefficient of each merged column
-    c_min = np.full(A.shape[1], np.inf)
-    c_max = np.full(A.shape[1], -np.inf)
-    np.minimum.at(c_min, inverse, lp.objective)
-    np.maximum.at(c_max, inverse, lp.objective)
+    if lp.space.shape.kind == "full":
+        A, c_min, c_max = _streamed_columns(lp)
+    else:
+        inverse, A = lp.space.grouping
+        c_min, c_max = _column_extremes(A.shape[1], inverse, lp.objective, lp.objective)
     b = np.concatenate([lp.rhs.ravel(), [1.0]])
     res_lo, res_hi = simplex.minimize_pair(c_min, c_max, A, b)
     if res_lo.status == "infeasible":

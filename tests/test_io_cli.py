@@ -405,6 +405,29 @@ def test_load_records_agrees_with_csv_reader_on_edge_files(tmp_path, raw):
     assert_same_load(str(path), config)
 
 
+@pytest.mark.parametrize(
+    "raw,line",
+    [
+        (b"z,x,a,y\n\n,,,\n0,1,0,1\n,,\n\n0,7,0,1\n", 7),
+        (b"z,x,a,y\n,,,,,,\n0,1,0,1\n\n,\n1,2,1,0\n\n\n1,2,1,5", 9),
+        (b"z,x,a,y\n3,1,0,1\n\n", 2),
+    ],
+)
+def test_tokenizer_names_the_file_line_of_an_out_of_range_code(tmp_path, raw, line):
+    """Without csv.reader, the row named is csv.reader's file line, blank and comma-only lines counted."""
+    config = load_config(write_config(tmp_path))
+    path = tmp_path / "d.csv"
+    path.write_bytes(raw)
+    for block in BLOCK_SIZES:
+        refuse = AssertionError("csv.reader ran")
+        with mock.patch.object(rulebounds.io, "_csv_records", side_effect=refuse), \
+                mock.patch.object(rulebounds.io, "_file_line", side_effect=refuse), \
+                mock.patch.object(rulebounds.io, "_BLOCK_BYTES", block):
+            with pytest.raises(DataError, match=rf"^row {line} of .*is outside range"):
+                load_records(str(path), config)
+    assert_same_load(str(path), config)
+
+
 def test_plain_tokenizer_reads_plain_files(tmp_path):
     """Digit-comma-LF files go through the tokenizer, at every block size; others do not."""
     config = load_config(write_config(tmp_path))

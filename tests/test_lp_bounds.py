@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rulebounds import simplex
+from rulebounds import lp_bounds, simplex
 from rulebounds.errors import DataError, EnumerationCapError, InfeasibleModelError, SolverError
 from rulebounds.lp_bounds import (
     DEFAULT_CAP,
@@ -512,6 +512,26 @@ def test_oracle_cells_and_objective_stay_within_four_words_per_class():
     assert peak < budget
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        small_noiv_model(x_card=6, guideline_map={(x,): 0 for x in range(6)}),
+        small_iv_model(x_card=5, z_card=2, guideline_map={(x,): 0 for x in range(5)}),
+    ],
+    ids=["1572864_classes", "5242880_classes"],
+)
+def test_direct_oracle_streams_its_classes_in_bounded_memory(model):
+    # a space an earlier test cached with its cells would hide what the oracle keeps
+    _space.cache_clear()
+    observed = feasible_table(np.random.default_rng(11), model, zero_stratum=False)
+    results = []
+    peak = _traced_peak(lambda: results.append(direct_sharp_bounds(model, observed, "cu")))
+    assert peak < 16 * 2**20
+    shape = SpaceShape("full", 2, model.instrument_card, x_cards=model.rule_covariate_cards)
+    assert results[0].diagnostics["class_count"] == _space(shape).class_count > 10**6
+    assert not {"cells", "grouping"} & set(vars(_space(shape)))
+
+
 def test_objective_coefficient_ranges(rng):
     space = enumerate_response_types(SpaceShape("reduced", 3, instrument_card=2, guideline_mode="separate"))
     table, _ = mixture_table(space, rng)
@@ -891,6 +911,23 @@ def test_cached_grouping_matches_the_row_sort(shape):
     inverse, A = reference_grouping(space)
     np.testing.assert_array_equal(space.grouping[0], inverse)
     np.testing.assert_array_equal(space.grouping[1], A)
+
+
+# one (r, a) row per block (a row of these shapes holds 16 classes), three rows, and one block
+@pytest.mark.parametrize("block", [1, 7, 48, lp_bounds.ORACLE_BLOCK])
+@pytest.mark.parametrize("shape", [shape for shape in DIFFERENTIAL_SHAPES if shape.kind == "full"])
+def test_streamed_full_columns_match_the_cached_grouping(shape, block, monkeypatch):
+    monkeypatch.setattr(lp_bounds, "ORACLE_BLOCK", block)
+    space = enumerate_response_types(shape)
+    inverse, A = space.grouping
+    for query, kwargs in queries_with_levels(shape):
+        lp = build_lp(space, uniform_table(space), query, **kwargs)
+        c_min = np.full(A.shape[1], np.inf)
+        c_max = np.full(A.shape[1], -np.inf)
+        np.minimum.at(c_min, inverse, lp.objective)
+        np.maximum.at(c_max, inverse, lp.objective)
+        for got, want in zip(lp_bounds._streamed_columns(lp), (A, c_min, c_max)):
+            np.testing.assert_array_equal(got, want, strict=True)
 
 
 # ---------------------------------------------------------------------------
