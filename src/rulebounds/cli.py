@@ -224,6 +224,9 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     if args.oracle_cap < 1:
         raise ConfigError(f"--oracle-cap must be a positive integer, got {args.oracle_cap}")
+    config = load_config(args.config)
+    if config.stratum_csv_path:
+        raise ConfigError("compare writes no stratum CSV; drop 'stratum_csv' or run 'rulebounds bounds'")
 
     def solve(request):
         comparison = compare_strategies(request, oracle_cap=args.oracle_cap)
@@ -234,7 +237,7 @@ def cmd_compare(args) -> int:
         intervals = {name: getattr(comparison, name) for name in ("reduction", "conditioning", "oracle")}
         return {"comparison": comparison.to_dict()}, intervals, tail
 
-    return _analyse(args, load_config(args.config), "compare", solve)
+    return _analyse(args, config, "compare", solve)
 
 
 def main(argv=None) -> int:

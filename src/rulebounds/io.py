@@ -27,6 +27,10 @@ from .lp_bounds import DEFAULT_CAP, QUERIES, require_guideline
 from .model import ROLES, CausalModel, TreatmentRule, VariableSpec, rule_table, validate_model
 
 VALID_STRATEGIES = ("reduction", "conditioning", "both")
+_CONFIG_KEYS = (
+    "variables", "rule", "guideline", "query", "strategy", "enumeration_cap", "data", "output", "stratum_csv",
+)
+_VARIABLE_KEYS = ("name", "cardinality", "role", "column")
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,9 @@ def load_config(path: str) -> AnalysisConfig:
     raw = read_config_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    unknown = set(raw) - set(_CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys {sorted(unknown)}; expected some of {list(_CONFIG_KEYS)}")
 
     var_specs = raw.get("variables")
     if not isinstance(var_specs, list) or not var_specs:
@@ -132,6 +139,12 @@ def load_config(path: str) -> AnalysisConfig:
         name = entry["name"]
         card = entry["cardinality"]
         role = entry["role"]
+        unknown = set(entry) - set(_VARIABLE_KEYS)
+        if unknown:
+            raise ConfigError(
+                f"variables[{i}] ({name!r}): unknown keys {sorted(unknown)}; "
+                f"expected some of {list(_VARIABLE_KEYS)}"
+            )
         if role not in ROLES:
             raise ConfigError(
                 f"variables[{i}] ({name!r}): unknown role {role!r}; expected one of {sorted(ROLES)}"

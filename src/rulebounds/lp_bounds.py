@@ -15,13 +15,13 @@ observed behavior in every arm are merged into one column, keeping the
 extreme objective coefficient per group; this is exact and keeps the
 tableaus small. Which classes merge depends only on the shape.
 
-Reduced and stratum programs are re-solved many times per process, so their
-space caches its per-class ``cells``, its class ``grouping`` and its
-objectives. A full program is solved once, and its class count is
-exponential in the covariate domain: ``solve_bounds`` streams its classes in
-blocks of at most ``ORACLE_BLOCK`` and folds each block into the merged
-columns, so its working memory is one block plus the columns, and no
-per-class array is kept.
+Every program gets its merged columns the same way: ``solve_bounds`` streams
+the classes in blocks of at most ``CLASS_BLOCK`` and folds each block into
+the columns, so its working memory is one block plus the columns, and no
+per-class array is kept. Reduced and stratum programs are re-solved many
+times per process with a few level keys, so their space memoizes the merged
+program per key; a full program's levels are arrays over its covariate
+domain, so it is folded afresh on each solve.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from .tables import JointTable, reorder, with_variables
 DEFAULT_CAP = 10_000_000
 # response-type spaces kept per process; an evicted space frees whatever arrays it cached
 SPACE_CACHE_SIZE = 32
-# classes per block when a full program is streamed; a block is whole (r, a) rows, at least one
-ORACLE_BLOCK = 1 << 16
+# classes per block when a program's classes are streamed; a block is whole (r, a) rows, at least one
+CLASS_BLOCK = 1 << 16
 BOUND_TOL = 1e-9
 
 # each query is a signed sum of rule values: "f" reads the evaluated rule, "g" the guideline
@@ -87,10 +87,10 @@ class ResponseTypeSpace:
     parent slowest. ``*_rest_root_positions`` say which root supplies each
     non-instrument / non-treatment parent value, and ``cell_sources`` say
     where each observed-cell coordinate comes from ("treatment", "outcome",
-    or a root position). ``cells``, the class ``grouping`` and the memo of
-    non-``full`` objectives depend only on the shape, so they live (and are
-    freed) with the space; ``solve_bounds`` reads neither array of a
-    ``full`` space.
+    or a root position). ``columns`` memoizes the read-only merged program
+    ``(A, c_min, c_max)`` of each ``(query, level, guideline_level)`` of a
+    non-``full`` space; it lives (and is freed) with the space, and holds
+    no per-class array.
     """
 
     shape: SpaceShape
@@ -106,25 +106,7 @@ class ResponseTypeSpace:
     y_rest_root_positions: tuple
     cell_sources: tuple
     class_count: int
-    objectives: dict = field(default_factory=dict, init=False, repr=False)
-
-    @cached_property
-    def cells(self) -> np.ndarray:
-        """Read-only ``class_cells`` of this space, built on first use."""
-        return class_cells(self)
-
-    @cached_property
-    def grouping(self) -> tuple:
-        """Read-only ``(inverse, A)``: each class's merged column and the 0/1 matrix.
-
-        Classes hitting the same cell in every arm share a column. Each
-        class's per-arm cells are encoded as one integer, first arm slowest,
-        so columns come in lexicographic order of their cell tuples. ``A``
-        has one row per (arm, cell), arm-major, and a last total-mass row.
-        """
-        codes, inverse = np.unique(_class_codes(self, self.cells), return_inverse=True)
-        inverse.setflags(write=False)
-        return inverse, _incidence(self, codes)
+    columns: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_arms(self) -> int:
@@ -137,7 +119,7 @@ class ResponseTypeSpace:
 
 @lru_cache(maxsize=SPACE_CACHE_SIZE)
 def _space(shape: SpaceShape) -> ResponseTypeSpace:
-    """The space of ``shape``, wired by name; no arrays are built until ``cells`` is read.
+    """The space of ``shape``, wired by name; no per-class arrays are built here.
 
     Every cell other than the treatment and the outcome is a root. The
     treatment reads the instrument and every root but the rule's
@@ -262,25 +244,6 @@ def class_cells(space: ResponseTypeSpace, start: int = 0, stop: int | None = Non
     return out
 
 
-def _class_codes(space, cells) -> np.ndarray:
-    """One integer per class encoding its per-arm cells, first arm slowest."""
-    return np.ravel_multi_index(tuple(cells), (space.n_cells,) * space.n_arms)
-
-
-def _incidence(space, codes) -> np.ndarray:
-    """Read-only 0/1 matrix of the merged columns ``codes``, in their order.
-
-    One row per (arm, cell), arm-major, and a last total-mass row.
-    """
-    A = np.zeros((space.n_arms * space.n_cells + 1, codes.size))
-    cols = np.arange(codes.size)
-    for arm, cell in enumerate(np.unravel_index(codes, (space.n_cells,) * space.n_arms)):
-        A[arm * space.n_cells + cell, cols] = 1.0
-    A[-1] = 1.0
-    A.setflags(write=False)
-    return A
-
-
 def _assigned_levels(space, roots, query_side, level, guideline_level):
     """Treatment level the evaluated (or comparator) rule assigns in each root configuration."""
     if space.shape.kind == "reduced":
@@ -302,26 +265,13 @@ def _coefficients(space, query, level, guideline_level) -> np.ndarray:
     return sum(sign * theta_coef(side) for side, sign in QUERIES[query].items())
 
 
-def _objective(space, query, level, guideline_level) -> np.ndarray:
-    # full levels are arrays over the covariate domain, so only the other kinds' int keys are memoized
-    key = (query, level, guideline_level) if space.shape.kind != "full" else None
-    if key in space.objectives:
-        return space.objectives[key]
-    coef = _coefficients(space, query, level, guideline_level)
-    obj = np.empty(space.class_count)
-    obj.reshape(coef.shape[0], -1, coef.shape[1])[...] = coef[:, np.newaxis, :]
-    obj.setflags(write=False)
-    if key is not None:
-        space.objectives[key] = obj
-    return obj
-
-
 @dataclass(frozen=True, eq=False)
 class LpProblem:
     """A fully assembled program: the query, its checked levels, and the arm RHS.
 
-    The per-class ``objective`` and ``cells`` are built when first read;
-    ``solve_bounds`` never reads them on a full program.
+    The per-class ``objective`` and ``cells`` are built when first read and
+    kept only on the program, for reference checks on the unmerged program;
+    ``solve_bounds`` never reads them.
     """
 
     space: ResponseTypeSpace
@@ -333,12 +283,16 @@ class LpProblem:
     @cached_property
     def objective(self) -> np.ndarray:
         """(n_classes,) read-only coefficients, values in {-1, 0, 1}."""
-        return _objective(self.space, self.query, self.level, self.guideline_level)
+        coef = _coefficients(self.space, self.query, self.level, self.guideline_level)
+        obj = np.empty(self.space.class_count)
+        obj.reshape(coef.shape[0], -1, coef.shape[1])[...] = coef[:, np.newaxis, :]
+        obj.setflags(write=False)
+        return obj
 
-    @property
+    @cached_property
     def cells(self) -> np.ndarray:
-        """(n_arms, n_classes) flat cell index per arm: the space's ``cells``."""
-        return self.space.cells
+        """(n_arms, n_classes) flat cell index per arm: ``class_cells`` of the space."""
+        return class_cells(self.space)
 
     @property
     def n_arms(self) -> int:
@@ -469,46 +423,50 @@ class BoundsResult:
         }
 
 
-def _column_extremes(size, inverse, c_min, c_max):
-    """Extreme coefficient per merged column, the classes given by their column ``inverse``."""
-    lo, hi = np.full(size, np.inf), np.full(size, -np.inf)
-    np.minimum.at(lo, inverse, c_min)
-    np.maximum.at(hi, inverse, c_max)
-    return lo, hi
-
-
 def _streamed_columns(lp: LpProblem) -> tuple:
-    """``(A, c_min, c_max)`` of a full program, folding blocks of the class product in class order.
+    """Read-only ``(A, c_min, c_max)``: the merged program, folding blocks of classes in class order.
 
-    Each block's classes are encoded as in ``grouping`` and merged into a
-    running sorted array of codes, so the columns come out in ``grouping``'s
-    order, and only one block's classes are held at a time.
+    Classes hitting the same cell in every arm share a column, which keeps
+    the extreme objective coefficient of its classes. Each class's per-arm
+    cells are encoded as one integer, first arm slowest, and each block's
+    codes are merged into a running sorted array of codes, so columns come
+    in lexicographic order of their cell tuples and only one block's
+    classes are held at a time.
     """
     space = lp.space
     coef = _coefficients(space, lp.query, lp.level, lp.guideline_level).astype(float)
     n_roots, n_y = coef.shape
     n_a = space.class_count // coef.size
-    step = max(1, ORACLE_BLOCK // n_y)
+    step = max(1, CLASS_BLOCK // n_y)
+    per_arm = (space.n_cells,) * space.n_arms
     codes, c_min, c_max = np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
     for start in range(0, n_roots * n_a, step):
         stop = min(start + step, n_roots * n_a)
-        keys = np.concatenate([codes, _class_codes(space, class_cells(space, start, stop))])
-        codes, inverse = np.unique(keys, return_inverse=True)
+        block = np.ravel_multi_index(tuple(class_cells(space, start, stop)), per_arm)
+        codes, inverse = np.unique(np.concatenate([codes, block]), return_inverse=True)
         obj = coef[np.arange(start, stop) // n_a].ravel()
-        c_min, c_max = _column_extremes(
-            codes.size, inverse, np.concatenate([c_min, obj]), np.concatenate([c_max, obj])
-        )
-    return _incidence(space, codes), c_min, c_max
+        lo, hi = np.full(codes.size, np.inf), np.full(codes.size, -np.inf)
+        np.minimum.at(lo, inverse, np.concatenate([c_min, obj]))
+        np.maximum.at(hi, inverse, np.concatenate([c_max, obj]))
+        c_min, c_max = lo, hi
+    # the 0/1 matrix: one row per (arm, cell), arm-major, and a last total-mass row
+    A = np.zeros((space.n_arms * space.n_cells + 1, codes.size))
+    for arm, cell in enumerate(np.unravel_index(codes, per_arm)):
+        A[arm * space.n_cells + cell, np.arange(codes.size)] = 1.0
+    A[-1] = 1.0
+    for array in (A, c_min, c_max):
+        array.setflags(write=False)
+    return A, c_min, c_max
 
 
 def solve_bounds(lp: LpProblem) -> BoundsResult:
     """Sharp lower and upper bounds for the program, or an infeasibility error."""
-    # keep the extreme coefficient of each merged column
-    if lp.space.shape.kind == "full":
-        A, c_min, c_max = _streamed_columns(lp)
-    else:
-        inverse, A = lp.space.grouping
-        c_min, c_max = _column_extremes(A.shape[1], inverse, lp.objective, lp.objective)
+    # a full program's levels are arrays over its covariate domain, so only the other kinds are memoized
+    key = (lp.query, lp.level, lp.guideline_level) if lp.space.shape.kind != "full" else None
+    columns = lp.space.columns.get(key) or _streamed_columns(lp)
+    if key is not None:
+        lp.space.columns[key] = columns
+    A, c_min, c_max = columns
     b = np.concatenate([lp.rhs.ravel(), [1.0]])
     res_lo, res_hi = simplex.minimize_pair(c_min, c_max, A, b)
     if res_lo.status == "infeasible":

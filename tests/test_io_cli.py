@@ -180,6 +180,28 @@ def test_load_config_defects(tmp_path, mutation, message):
         load_config(path)
 
 
+def test_load_config_refuses_unknown_keys(tmp_path, capsys):
+    # a misspelt key is a config error naming it, at the top level and on a variable
+    data = write_data(tmp_path)
+    top = write_config(tmp_path, name="top.json", enumeraton_cap=1)
+    with pytest.raises(ConfigError, match=r"unknown config keys \['enumeraton_cap'\]"):
+        load_config(top)
+    variables = [dict(v, colum="nope") if v["name"] == "x" else v for v in BASE_CONFIG["variables"]]
+    misspelt = write_config(tmp_path, name="var.json", variables=variables)
+    with pytest.raises(ConfigError, match=r"variables\[1\] \('x'\): unknown keys \['colum'\]"):
+        load_config(misspelt)
+    for cfg in (top, misspelt):
+        assert main(["bounds", "--config", cfg, "--data", data]) == 2
+        assert "config error: " in capsys.readouterr().err
+    # every documented key is accepted
+    variables = [dict(v, column=v["name"]) for v in BASE_CONFIG["variables"]]
+    every = write_config(
+        tmp_path, name="every.json", variables=variables, enumeration_cap=10**6,
+        data="d.csv", output="o.json", stratum_csv="s.csv",
+    )
+    assert load_config(every).stratum_csv_path == "s.csv"
+
+
 def test_load_config_unreadable_inputs(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.json"))
@@ -773,6 +795,19 @@ def test_compare_command_runs_oracle(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "oracle note" in printed
     assert "use the reduction or conditioning strategy instead" in printed
+
+
+def test_compare_refuses_a_config_stratum_csv(tmp_path, capsys):
+    data = write_data(tmp_path)
+    strata = tmp_path / "strata.csv"
+    cfg = write_config(tmp_path, stratum_csv=str(strata))
+    # the refusal comes before the data is read, and writes nothing
+    assert main(["compare", "--config", cfg, "--data", str(tmp_path / "missing.csv")]) == 2
+    assert "config error: compare writes no stratum CSV" in capsys.readouterr().err
+    assert not strata.exists()
+    # bounds writes it from the same config
+    assert main(["bounds", "--config", cfg, "--data", data]) == 0
+    assert strata.exists()
 
 
 def test_readme_library_example_runs(monkeypatch, capsys):

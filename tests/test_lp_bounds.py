@@ -9,6 +9,7 @@ aggregation loses nothing.
 """
 
 import tracemalloc
+from dataclasses import fields
 from itertools import product
 
 import numpy as np
@@ -174,43 +175,47 @@ def test_space_is_cached_and_frozen():
         cells[0, 0] = 5
 
 
-def test_space_cache_stays_bounded():
+def test_space_cache_stays_bounded(rng):
     shape = SpaceShape("stratum", 2, instrument_card=3)
     first = enumerate_response_types(shape)
-    cells = first.cells
-    grouping = first.grouping
+    table, _ = mixture_table(first, rng)
+    solve_bounds(build_lp(first, table, "theta_f", level=1))
+    columns = first.columns[("theta_f", 1, None)]
     # single-level extra covariates give distinct 16-class shapes
     for n in range(1, SPACE_CACHE_SIZE + 2):
         enumerate_response_types(SpaceShape("reduced", 2, extra_cards=(1,) * n))
     assert _space.cache_info().currsize == SPACE_CACHE_SIZE
     again = enumerate_response_types(shape)
     assert again is not first
-    np.testing.assert_array_equal(again.cells, cells)
-    assert not again.cells.flags.writeable
-    # the grouping is rebuilt equal and read-only
-    for old, new in zip(grouping, again.grouping):
-        np.testing.assert_array_equal(new, old)
+    # the evicted space's memo went with it; a solve rebuilds the columns equal and read-only
+    assert again.columns == {}
+    solve_bounds(build_lp(again, table, "theta_f", level=1))
+    for old, new in zip(columns, again.columns[("theta_f", 1, None)]):
+        np.testing.assert_array_equal(new, old, strict=True)
         assert not new.flags.writeable
 
 
 def test_solving_leaves_the_cached_grouping_intact(rng):
+    # the memoized columns are read-only, and a solve that reuses them leaves them as they were
     space = enumerate_response_types(SpaceShape("stratum", 3, instrument_card=2))
-    inverse, A = space.grouping
-    before = (inverse.tobytes(), A.tobytes())
     table, _ = mixture_table(space, rng)
-    lp = build_lp(space, table, "cu", level=2, guideline_level=0)
-    solve_bounds(lp)
-    assert space.grouping[0] is inverse and space.grouping[1] is A
-    assert (inverse.tobytes(), A.tobytes()) == before
+    solve_bounds(build_lp(space, table, "cu", level=2, guideline_level=0))
+    columns = space.columns[("cu", 2, 0)]
+    before = [array.tobytes() for array in columns]
+    assert not any(array.flags.writeable for array in columns)
+    table, _ = mixture_table(space, rng)
+    solve_bounds(build_lp(space, table, "cu", level=2, guideline_level=0))
+    assert space.columns[("cu", 2, 0)] is columns
+    assert [array.tobytes() for array in columns] == before
 
 
 def test_full_space_stores_no_objectives(rng):
-    # full objectives depend on the rule tables, so they are not kept
+    # full objectives depend on the rule tables, so their merged columns are not kept
     space = enumerate_response_types(SpaceShape("full", 2, instrument_card=2, x_cards=(2,)))
     table, _ = mixture_table(space, rng)
     for rule_map in ({(0,): 0, (1,): 1}, {(0,): 1, (1,): 1}):
         solve_bounds(build_lp(space, table, "theta_f", level=TreatmentRule.from_table(rule_map).levels((2,))))
-    assert space.objectives == {}
+    assert space.columns == {}
 
 
 def test_built_models_carry_their_shape():
@@ -478,9 +483,10 @@ def test_sampled_classes_match_explicit_enumeration(shape):
     full = {"level": rule.levels((6,)), "guideline_level": guideline.levels((6,))}
     kwargs = full if shape.kind == "full" else {}
     objectives = {q: build_lp(space, table, q, **kwargs).objective for q in ("theta_f", "theta_g", "cu")}
+    cells = class_cells(space)
     for j in sample.tolist():
         cls = class_at(space, j)
-        assert space.cells[:, j].tolist() == explicit_cells(space, cls), (j, cls)
+        assert cells[:, j].tolist() == explicit_cells(space, cls), (j, cls)
         f = explicit_theta_coef(space, cls, "f", None, None, rule, guideline)
         g = explicit_theta_coef(space, cls, "g", None, None, rule, guideline)
         want = {"theta_f": f, "theta_g": g, "cu": f - g}
@@ -506,9 +512,8 @@ def test_oracle_cells_and_objective_stay_within_four_words_per_class():
     table = uniform_table(space)
     rule = TreatmentRule.from_table({(x,): x % 2 for x in range(6)}, name="f")
     guideline = TreatmentRule.from_table({(x,): 0 for x in range(6)}, name="g")
-    space.cells  # built (and cached) outside the objective's trace
     levels = {"level": rule.levels((6,)), "guideline_level": guideline.levels((6,))}
-    peak = _traced_peak(lambda: build_lp(space, table, "cu", **levels))
+    peak = _traced_peak(lambda: build_lp(space, table, "cu", **levels).objective)
     assert peak < budget
 
 
@@ -529,7 +534,28 @@ def test_direct_oracle_streams_its_classes_in_bounded_memory(model):
     assert peak < 16 * 2**20
     shape = SpaceShape("full", 2, model.instrument_card, x_cards=model.rule_covariate_cards)
     assert results[0].diagnostics["class_count"] == _space(shape).class_count > 10**6
-    assert not {"cells", "grouping"} & set(vars(_space(shape)))
+    assert _space(shape).columns == {}
+
+
+def test_reduced_program_streams_its_classes_in_bounded_memory(monkeypatch):
+    # the study's 52,488-class reduction program, folded in blocks of a few (r, a) rows
+    monkeypatch.setattr(lp_bounds, "CLASS_BLOCK", 64)
+    _space.cache_clear()
+    space = enumerate_response_types(SpaceShape("reduced", 3, instrument_card=2, guideline_mode="separate"))
+    lp = build_lp(space, uniform_table(space), "cu")
+    slack = 64 * 2**10  # the factor tables, one block and the RHS
+    # the fold holds one block and the merged program; one float per class alone is 410 KiB
+    A, c_min, c_max = lp_bounds._streamed_columns(lp)
+    assert _traced_peak(lambda: lp_bounds._streamed_columns(lp)) < 2 * A.nbytes + slack
+    # the first solve holds the merged program it builds and what its simplex needs, no more
+    b = np.concatenate([lp.rhs.ravel(), [1.0]])
+    simplex_peak = _traced_peak(lambda: simplex.minimize_pair(c_min, c_max, A, b))
+    assert _traced_peak(lambda: solve_bounds(lp)) < A.nbytes + simplex_peak + slack
+    # afterwards the space keeps only the columns memo, and the program built no per-class array
+    assert set(vars(space)) == {f.name for f in fields(space)}
+    assert set(space.columns) == {("cu", None, None)}
+    assert all(array.shape[-1] == A.shape[1] for array in space.columns[("cu", None, None)])
+    assert not {"cells", "objective"} & set(vars(lp))
 
 
 def test_objective_coefficient_ranges(rng):
@@ -624,12 +650,16 @@ def test_build_lp_refuses_malformed_levels(kind, defect):
 
 
 def test_build_lp_accepts_integer_level_forms(rng):
-    # numpy and 0-d integers share the plain int's memoized objective
+    # numpy and 0-d integers are checked to the plain int, so they share its memoized columns
     space = enumerate_response_types(SpaceShape("stratum", 3))
     table = uniform_table(space)
-    plain = build_lp(space, table, "theta_f", level=1).objective
+    solve_bounds(build_lp(space, table, "theta_f", level=1))
+    keys, plain = set(space.columns), space.columns[("theta_f", 1, None)]
     for level in (np.int64(1), np.uint8(1), np.array(1)):
-        assert build_lp(space, table, "theta_f", level=level).objective is plain
+        lp = build_lp(space, table, "theta_f", level=level)
+        assert type(lp.level) is int
+        solve_bounds(lp)
+        assert set(space.columns) == keys and space.columns[("theta_f", 1, None)] is plain
     full = enumerate_response_types(SpaceShape("full", 3, x_cards=(2,)))
     table = uniform_table(full)
     want = build_lp(full, table, "theta_f", level=np.array([0, 2])).objective
@@ -853,7 +883,7 @@ def test_stratum_cu_with_levels(rng):
 
 
 # ---------------------------------------------------------------------------
-# the cached class grouping against a per-call row sort
+# the streamed, memoized columns against a per-call row sort
 
 
 DIFFERENTIAL_SHAPES = list(
@@ -881,7 +911,7 @@ def queries_with_levels(shape):
 
 
 def reference_grouping(space):
-    """``(inverse, A)`` built by a row sort of the per-arm cells, as before spaces cached it."""
+    """``(inverse, A)`` built by a row sort of all per-arm cells at once, with no streaming."""
     groups, inverse = np.unique(class_cells(space).T, axis=0, return_inverse=True)
     A = np.zeros((space.n_arms * space.n_cells + 1, groups.shape[0]))
     cols = np.arange(groups.shape[0])
@@ -891,13 +921,19 @@ def reference_grouping(space):
     return inverse.ravel(), A
 
 
-def reference_bounds(lp):
-    """Bounds of the row-sort program, or the row label of its infeasibility."""
+def reference_columns(lp):
+    """``(A, c_min, c_max)`` of the row-sort program: each column's extreme class coefficients."""
     inverse, A = reference_grouping(lp.space)
     c_min = np.full(A.shape[1], np.inf)
     c_max = np.full(A.shape[1], -np.inf)
     np.minimum.at(c_min, inverse, lp.objective)
     np.maximum.at(c_max, inverse, lp.objective)
+    return A, c_min, c_max
+
+
+def reference_bounds(lp):
+    """Bounds of the row-sort program, or the row label of its infeasibility."""
+    A, c_min, c_max = reference_columns(lp)
     b = np.concatenate([lp.rhs.ravel(), [1.0]])
     lo, hi = simplex.minimize_pair(c_min, c_max, A, b)
     if lo.status == "infeasible":
@@ -907,26 +943,30 @@ def reference_bounds(lp):
 
 @pytest.mark.parametrize("shape", DIFFERENTIAL_SHAPES)
 def test_cached_grouping_matches_the_row_sort(shape):
+    # what solve_bounds keeps per key: a non-full space's merged program, nothing for a full one
     space = enumerate_response_types(shape)
-    inverse, A = reference_grouping(space)
-    np.testing.assert_array_equal(space.grouping[0], inverse)
-    np.testing.assert_array_equal(space.grouping[1], A)
-
-
-# one (r, a) row per block (a row of these shapes holds 16 classes), three rows, and one block
-@pytest.mark.parametrize("block", [1, 7, 48, lp_bounds.ORACLE_BLOCK])
-@pytest.mark.parametrize("shape", [shape for shape in DIFFERENTIAL_SHAPES if shape.kind == "full"])
-def test_streamed_full_columns_match_the_cached_grouping(shape, block, monkeypatch):
-    monkeypatch.setattr(lp_bounds, "ORACLE_BLOCK", block)
-    space = enumerate_response_types(shape)
-    inverse, A = space.grouping
     for query, kwargs in queries_with_levels(shape):
         lp = build_lp(space, uniform_table(space), query, **kwargs)
-        c_min = np.full(A.shape[1], np.inf)
-        c_max = np.full(A.shape[1], -np.inf)
-        np.minimum.at(c_min, inverse, lp.objective)
-        np.maximum.at(c_max, inverse, lp.objective)
-        for got, want in zip(lp_bounds._streamed_columns(lp), (A, c_min, c_max)):
+        A, c_min, c_max = reference_columns(lp)
+        res = solve_bounds(lp)
+        assert res.diagnostics["merged_columns"] == A.shape[1]
+        if shape.kind == "full":
+            assert space.columns == {}
+            continue
+        memo = space.columns[(query, lp.level, lp.guideline_level)]
+        for got, want in zip(memo, (A, c_min, c_max)):
+            np.testing.assert_array_equal(got, want, strict=True)
+
+
+# blocks of one (r, a) row (a block is never less), of one to a few rows, and the default
+@pytest.mark.parametrize("block", [1, 7, 48, lp_bounds.CLASS_BLOCK])
+@pytest.mark.parametrize("shape", DIFFERENTIAL_SHAPES)
+def test_streamed_columns_match_the_row_sort(shape, block, monkeypatch):
+    monkeypatch.setattr(lp_bounds, "CLASS_BLOCK", block)
+    space = enumerate_response_types(shape)
+    for query, kwargs in queries_with_levels(shape):
+        lp = build_lp(space, uniform_table(space), query, **kwargs)
+        for got, want in zip(lp_bounds._streamed_columns(lp), reference_columns(lp)):
             np.testing.assert_array_equal(got, want, strict=True)
 
 
