@@ -15,8 +15,8 @@ import hashlib
 import json
 import os
 import tempfile
+from array import array
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -225,14 +225,13 @@ def load_records(path: str, config: AnalysisConfig) -> tuple[np.ndarray, dict]:
     header = [h.strip() for h in header]
     positions = _column_positions(path, header, config)
 
-    records = None
+    records = lines = None
     body = data.find(b"\n") + 1 or len(data)
     # the tokenizer takes over when the header record is exactly the first line
     if reader.line_num == 1 and data.find(b"\r", 0, body) == -1:
         records = _plain_records(data, body, len(header), positions)
-    tokenized = records is not None
-    if not tokenized:
-        records = _csv_records(path, data, reader, positions, config)
+    if records is None:
+        records, lines = _csv_records(path, reader, positions, config)
 
     value_counts = {}
     for j, v in enumerate(config.model.variables):
@@ -240,7 +239,7 @@ def load_records(path: str, config: AnalysisConfig) -> tuple[np.ndarray, dict]:
         outside = (column < 0) | (column >= v.cardinality)
         if outside.any():
             r = int(np.flatnonzero(outside)[0])
-            line = _plain_line(data, body, r) if tokenized else _file_line(data, r)
+            line = _plain_line(data, body, r) if lines is None else lines[r]
             raise DataError(
                 f"row {line} of {path!r}: value {column[r]} for {v.name!r} "
                 f"is outside range(0, {v.cardinality})"
@@ -282,12 +281,14 @@ def _csv_reader(data: bytes):
     return csv.reader(TextIOWrapper(BytesIO(data), encoding="utf-8", newline=""))
 
 
-def _csv_records(
-    path: str, data: bytes, reader, positions: list, config: AnalysisConfig
-) -> np.ndarray:
-    """Records of the rows ``reader`` has left, cell by cell; defects name the file line."""
+def _csv_records(path: str, reader, positions: list, config: AnalysisConfig) -> tuple:
+    """Records of the rows ``reader`` has left, cell by cell, and the file line each ends on; defects name it."""
+    rows, lines = [], array("q")
     try:
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        for row in reader:
+            if row and any(cell.strip() for cell in row):
+                rows.append(row)
+                lines.append(reader.line_num)
     except csv.Error as err:  # a field over csv.field_size_limit(), for one
         raise DataError(f"line {reader.line_num} of {path!r}: {err}") from None
     records = np.empty((len(rows), len(positions)), dtype=np.int64)
@@ -295,7 +296,7 @@ def _csv_records(
         for j, pos in enumerate(positions):
             if pos >= len(row):
                 raise DataError(
-                    f"row {_file_line(data, r)} of {path!r} has only {len(row)} fields"
+                    f"row {lines[r]} of {path!r} has only {len(row)} fields"
                 )
             cell = row[pos].strip()
             try:
@@ -303,16 +304,16 @@ def _csv_records(
             except ValueError:
                 name = config.model.variables[j].name
                 raise DataError(
-                    f"row {_file_line(data, r)} of {path!r}: value {cell!r} for {name!r} "
+                    f"row {lines[r]} of {path!r}: value {cell!r} for {name!r} "
                     "is not an integer"
                 ) from None
             except OverflowError:  # an integer too large for int64
                 v = config.model.variables[j]
                 raise DataError(
-                    f"row {_file_line(data, r)} of {path!r}: value {int(cell)} for {v.name!r} "
+                    f"row {lines[r]} of {path!r}: value {int(cell)} for {v.name!r} "
                     f"is outside range(0, {v.cardinality})"
                 ) from None
-    return records
+    return records, lines
 
 
 def _plain_records(data: bytes, start: int, n_fields: int, positions: list) -> Optional[np.ndarray]:
@@ -387,14 +388,6 @@ def _plain_line(data: bytes, start: int, index: int) -> int:
     line_first = np.concatenate(([0], np.flatnonzero(b == ord("\n")) + 1))
     filled = np.logical_or.reduceat(b >= ord("0"), line_first[line_first < b.size])
     return int(np.flatnonzero(filled)[index]) + 2
-
-
-def _file_line(data: bytes, index: int) -> int:
-    """File line number of the ``index``-th non-blank row ``csv.reader`` reads; used only for errors."""
-    reader = _csv_reader(data)
-    next(reader)
-    lines = (reader.line_num for row in reader if row and any(cell.strip() for cell in row))
-    return next(islice(lines, index, None))
 
 
 def file_sha256(path: str) -> str:

@@ -8,20 +8,18 @@ shape is a mixture over classes, each class pinning down one observed cell
 per instrument arm. Sharp bounds on a counterfactual query are then the
 extrema of a linear objective over the mixture polytope.
 
-The classes are the product of three small factor tables (root
-configurations, treatment functions, outcome functions), and per-class
-arrays are built by broadcasting over them. Classes with identical
-observed behavior in every arm are merged into one column, keeping the
-extreme objective coefficient per group; this is exact and keeps the
-tableaus small. Which classes merge depends only on the shape.
-
-Every program gets its merged columns the same way: ``solve_bounds`` streams
-the classes in blocks of at most ``CLASS_BLOCK`` and folds each block into
-the columns, so its working memory is one block plus the columns, and no
-per-class array is kept. Reduced and stratum programs are re-solved many
-times per process with a few level keys, so their space memoizes the merged
-program per key; a full program's levels are arrays over its covariate
-domain, so it is folded afresh on each solve.
+Classes with identical observed behavior in every arm are merged into one
+column, keeping the extreme objective coefficient per group (Balke and
+Pearl's response-function partition); this is exact and keeps the tableaus
+small. A class's cells and coefficient depend only on its root
+configuration and its *response profile* there: the treatment level it
+gives in each arm and the outcome it gives at each level. Each arm and
+each level reads a distinct parent configuration, so every profile is some
+class's, and merging the profiles gives the same columns. Each space does
+that once (``ResponseTypeSpace.merged``); no solve walks the classes. The
+per-class arrays (``class_cells``, ``LpProblem.cells`` and ``.objective``),
+broadcast from three small factor tables, state the unmerged program for
+reference checks only.
 """
 
 from __future__ import annotations
@@ -49,10 +47,8 @@ from .model import (
 from .tables import JointTable, reorder, with_variables
 
 DEFAULT_CAP = 10_000_000
-# response-type spaces kept per process; an evicted space frees whatever arrays it cached
+# response-type spaces (and digit tables) kept per process; an evicted space frees whatever it cached
 SPACE_CACHE_SIZE = 32
-# classes per block when a program's classes are streamed; a block is whole (r, a) rows, at least one
-CLASS_BLOCK = 1 << 16
 BOUND_TOL = 1e-9
 
 # each query is a signed sum of rule values: "f" reads the evaluated rule, "g" the guideline
@@ -87,10 +83,8 @@ class ResponseTypeSpace:
     parent slowest. ``*_rest_root_positions`` say which root supplies each
     non-instrument / non-treatment parent value, and ``cell_sources`` say
     where each observed-cell coordinate comes from ("treatment", "outcome",
-    or a root position). ``columns`` memoizes the read-only merged program
-    ``(A, c_min, c_max)`` of each ``(query, level, guideline_level)`` of a
-    non-``full`` space; it lives (and is freed) with the space, and holds
-    no per-class array.
+    or a root position). ``merged`` is built on first use and lives (and is
+    freed) with the space; no per-class array is kept.
     """
 
     shape: SpaceShape
@@ -106,7 +100,6 @@ class ResponseTypeSpace:
     y_rest_root_positions: tuple
     cell_sources: tuple
     class_count: int
-    columns: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_arms(self) -> int:
@@ -115,6 +108,36 @@ class ResponseTypeSpace:
     @property
     def n_cells(self) -> int:
         return prod(self.cell_cards)
+
+    @cached_property
+    def merged(self) -> tuple:
+        """Read-only ``(A, inverse)``: the merged columns, and the column of each response profile.
+
+        ``inverse[r, t, y]`` is the column of root configuration ``r`` under
+        arm profile ``t`` (the level given in each arm, first arm slowest)
+        and outcome profile ``y`` (the outcome given at each level, level 0
+        slowest). A profile's per-arm cells are encoded as one integer, first
+        arm slowest, so columns come in lexicographic order of their cell
+        tuples. ``A`` has one row per (arm, cell), arm-major, and a last
+        total-mass row.
+        """
+        roots = _digits(self.root_cards)
+        arm_levels = _digits((self.shape.treat_card,) * self.n_arms)
+        outcomes = _digits((2,) * self.shape.treat_card)
+        per_arm = (self.n_cells,) * self.n_arms
+        value, cells = dict(enumerate(roots[:, :, np.newaxis, np.newaxis])), []
+        for level in arm_levels:
+            value.update(treatment=level[:, np.newaxis], outcome=outcomes[level])
+            cells.append(sum(value[src] * s for src, s in zip(self.cell_sources, _strides(self.cell_cards))))
+        codes, inverse = np.unique(np.ravel_multi_index(cells, per_arm), return_inverse=True)
+        A = np.zeros((self.n_arms * self.n_cells + 1, codes.size))
+        for arm, cell in enumerate(np.unravel_index(codes, per_arm)):
+            A[arm * self.n_cells + cell, np.arange(codes.size)] = 1.0
+        A[-1] = 1.0
+        inverse = inverse.reshape(roots.shape[1], arm_levels.shape[1], -1)
+        for array in (A, inverse):
+            array.setflags(write=False)
+        return A, inverse
 
 
 @lru_cache(maxsize=SPACE_CACHE_SIZE)
@@ -164,6 +187,8 @@ def enumerate_response_types(source, cap: int = DEFAULT_CAP) -> ResponseTypeSpac
     """Fetch the response-type space, refusing if it exceeds ``cap`` classes.
 
     ``source`` is a ``SpaceShape`` or a built model carrying one as ``.shape``.
+    The cap reads only the class count: no solve walks the classes, only the
+    per-class reference arrays (``class_cells``, ``LpProblem.objective``) do.
     """
     shape = source if isinstance(source, SpaceShape) else source.shape
     space = _space(shape)
@@ -186,11 +211,14 @@ def _strides(cards) -> list:
     return [prod(cards[i + 1 :]) for i in range(len(cards))]
 
 
+@lru_cache(maxsize=SPACE_CACHE_SIZE)
 def _digits(cards) -> np.ndarray:
-    """(len(cards), prod(cards)) table of the digits of every mixed-radix code over ``cards``."""
+    """Read-only (len(cards), prod(cards)) digits of every mixed-radix code over ``cards``, kept for reuse."""
     codes = np.arange(prod(cards), dtype=np.int64)
     strides = np.array(_strides(cards), dtype=np.int64)[:, np.newaxis]
-    return codes // strides % np.array(cards, dtype=np.int64)[:, np.newaxis]
+    digits = codes // strides % np.array(cards, dtype=np.int64)[:, np.newaxis]
+    digits.setflags(write=False)
+    return digits
 
 
 def _factors(space: ResponseTypeSpace):
@@ -214,24 +242,18 @@ def _rest_code(space, roots, positions) -> np.ndarray:
     return out
 
 
-def class_cells(space: ResponseTypeSpace, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """(n_arms, n_classes) flat observed-cell index hit by each class per arm.
-
-    ``start`` and ``stop`` select the (r, a) rows ``start:stop`` of the class
-    product, each row holding every outcome function, so a slice of rows is
-    a contiguous run of classes in class order.
-    """
+def class_cells(space: ResponseTypeSpace) -> np.ndarray:
+    """(n_arms, n_classes) flat observed-cell index hit by each class per arm."""
     roots, treat, outcome = _factors(space)
     n_a = treat.shape[1]
-    ra = np.arange(start, roots.shape[1] * n_a if stop is None else stop)
-    r, a = ra // n_a, ra % n_a
+    r, a = np.divmod(np.arange(roots.shape[1] * n_a), n_a)
     rest_a = _rest_code(space, roots, space.a_rest_root_positions)[r]
     rest_y = _rest_code(space, roots, space.y_rest_root_positions)[r, np.newaxis]
     stride = dict(zip(space.cell_sources, _strides(space.cell_cards)))
     # each cell coordinate broadcast over (row, y); only the outcome's varies along y
     value = dict(enumerate(roots[:, r, np.newaxis]))
     outcome_part = outcome * stride.pop("outcome")
-    out = np.empty((space.n_arms, ra.size, outcome.shape[1]), dtype=np.int64)
+    out = np.empty((space.n_arms, r.size, outcome.shape[1]), dtype=np.int64)
     for z in range(space.n_arms):
         # the instrument, when present, is the slowest a-parent
         cfg = z * prod(space.a_parent_cards[1:]) + rest_a if space.shape.instrument_card else rest_a
@@ -269,9 +291,9 @@ def _coefficients(space, query, level, guideline_level) -> np.ndarray:
 class LpProblem:
     """A fully assembled program: the query, its checked levels, and the arm RHS.
 
-    The per-class ``objective`` and ``cells`` are built when first read and
-    kept only on the program, for reference checks on the unmerged program;
-    ``solve_bounds`` never reads them.
+    The per-class ``objective`` and ``cells`` state the unmerged program,
+    for reference checks that re-solve it; they are built when first read,
+    kept only on the program, and never read by ``solve_bounds``.
     """
 
     space: ResponseTypeSpace
@@ -423,50 +445,24 @@ class BoundsResult:
         }
 
 
-def _streamed_columns(lp: LpProblem) -> tuple:
-    """Read-only ``(A, c_min, c_max)``: the merged program, folding blocks of classes in class order.
-
-    Classes hitting the same cell in every arm share a column, which keeps
-    the extreme objective coefficient of its classes. Each class's per-arm
-    cells are encoded as one integer, first arm slowest, and each block's
-    codes are merged into a running sorted array of codes, so columns come
-    in lexicographic order of their cell tuples and only one block's
-    classes are held at a time.
-    """
-    space = lp.space
-    coef = _coefficients(space, lp.query, lp.level, lp.guideline_level).astype(float)
-    n_roots, n_y = coef.shape
-    n_a = space.class_count // coef.size
-    step = max(1, CLASS_BLOCK // n_y)
-    per_arm = (space.n_cells,) * space.n_arms
-    codes, c_min, c_max = np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
-    for start in range(0, n_roots * n_a, step):
-        stop = min(start + step, n_roots * n_a)
-        block = np.ravel_multi_index(tuple(class_cells(space, start, stop)), per_arm)
-        codes, inverse = np.unique(np.concatenate([codes, block]), return_inverse=True)
-        obj = coef[np.arange(start, stop) // n_a].ravel()
-        lo, hi = np.full(codes.size, np.inf), np.full(codes.size, -np.inf)
-        np.minimum.at(lo, inverse, np.concatenate([c_min, obj]))
-        np.maximum.at(hi, inverse, np.concatenate([c_max, obj]))
-        c_min, c_max = lo, hi
-    # the 0/1 matrix: one row per (arm, cell), arm-major, and a last total-mass row
-    A = np.zeros((space.n_arms * space.n_cells + 1, codes.size))
-    for arm, cell in enumerate(np.unravel_index(codes, per_arm)):
-        A[arm * space.n_cells + cell, np.arange(codes.size)] = 1.0
-    A[-1] = 1.0
-    for array in (A, c_min, c_max):
-        array.setflags(write=False)
+def _columns(lp: LpProblem) -> tuple:
+    """``(A, c_min, c_max)``: the space's merged columns, each keeping its profiles' extreme coefficients."""
+    A, inverse = lp.space.merged
+    roots, outcomes = _digits(lp.space.root_cards), _digits((2,) * lp.space.shape.treat_card)
+    # signed outcomes at the assigned levels, whatever the arm profile; float keeps ufunc.at off its cast path
+    obj = sum(
+        sign * outcomes[_assigned_levels(lp.space, roots, side, lp.level, lp.guideline_level)]
+        for side, sign in QUERIES[lp.query].items()
+    )[:, np.newaxis, :].astype(float)
+    c_min, c_max = np.full(A.shape[1], np.inf), np.full(A.shape[1], -np.inf)
+    np.minimum.at(c_min, inverse, obj)
+    np.maximum.at(c_max, inverse, obj)
     return A, c_min, c_max
 
 
 def solve_bounds(lp: LpProblem) -> BoundsResult:
     """Sharp lower and upper bounds for the program, or an infeasibility error."""
-    # a full program's levels are arrays over its covariate domain, so only the other kinds are memoized
-    key = (lp.query, lp.level, lp.guideline_level) if lp.space.shape.kind != "full" else None
-    columns = lp.space.columns.get(key) or _streamed_columns(lp)
-    if key is not None:
-        lp.space.columns[key] = columns
-    A, c_min, c_max = columns
+    A, c_min, c_max = _columns(lp)
     b = np.concatenate([lp.rhs.ravel(), [1.0]])
     res_lo, res_hi = simplex.minimize_pair(c_min, c_max, A, b)
     if res_lo.status == "infeasible":
@@ -500,9 +496,11 @@ def direct_sharp_bounds(
 ) -> BoundsResult:
     """Bounds from the unreduced space over (covariates, treatment, outcome[, instrument]).
 
-    Exact but exponential in the covariate domain, so guarded by ``cap``;
-    intended as a cross-check for small models. Extra covariates are not
-    supported here.
+    Exact, and intended as a cross-check of the strategies. The class count
+    grows exponentially with the covariate domain and ``cap`` still refuses
+    a space by that count, but the solve merges the space's response
+    profiles, a few per covariate cell, and never walks the classes. Extra
+    covariates are not supported.
     """
     check_request(model, observed, query)
     if model.extra_covariates:

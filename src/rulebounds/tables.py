@@ -91,7 +91,9 @@ def condition(table: JointTable, assignments: Mapping[str, int]) -> tuple[Option
 
 
 def reorder(table: JointTable, names: Sequence[str]) -> JointTable:
-    """Transpose axes into the given order; ``names`` must be a permutation."""
+    """Transpose axes into the order ``names``, a permutation; a table already in it is returned itself."""
+    if tuple(names) == table.names:
+        return table
     if sorted(names) != sorted(table.names):
         raise ValueError(f"{list(names)} is not a permutation of {table.names}")
     perm = tuple(table.axis(n) for n in names)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rulebounds import lp_bounds
 from rulebounds.strategies import StrategyRequest, conditioning_bounds, reduction_bounds
 
 from conftest import feasible_table, small_iv_model
@@ -82,3 +83,18 @@ def test_benchmark_skips_a_zero_mass_stratum():
     observed = feasible_table(np.random.default_rng(5), model, zero_stratum=True)
     results = [checks.stratum_lp(model, observed, "theta_f", x) for x in model.rule_domain()]
     assert [r for r in results if r[1] is None] == [(0.0, None)]
+
+
+def test_reference_programs_keep_their_per_class_arrays():
+    # checks.scipy_lp_bounds re-solves the unmerged program from LpProblem.cells and .objective,
+    # and tracing.py wraps class_cells, which builds those cells
+    checks = load_perfbench("checks")
+    model = small_iv_model(x_card=3, treat_card=3, guideline_map={(0,): 1, (1,): 2, (2,): 0})
+    observed = feasible_table(np.random.default_rng(9), model, zero_stratum=False)
+    reduced = checks.reduced_lp(model, observed, "cu")
+    assert reduced.space.class_count == 52_488  # the study's reduction program
+    _, stratum = checks.stratum_lp(model, observed, "cu", (1,))
+    for lp in (reduced, stratum):
+        assert lp.cells.shape == (lp.n_arms, lp.space.class_count)
+        assert lp.objective.shape == (lp.space.class_count,)
+    assert callable(lp_bounds.class_cells)

@@ -443,7 +443,6 @@ def test_tokenizer_names_the_file_line_of_an_out_of_range_code(tmp_path, raw, li
     for block in BLOCK_SIZES:
         refuse = AssertionError("csv.reader ran")
         with mock.patch.object(rulebounds.io, "_csv_records", side_effect=refuse), \
-                mock.patch.object(rulebounds.io, "_file_line", side_effect=refuse), \
                 mock.patch.object(rulebounds.io, "_BLOCK_BYTES", block):
             with pytest.raises(DataError, match=rf"^row {line} of .*is outside range"):
                 load_records(str(path), config)

@@ -11,6 +11,7 @@ aggregation loses nothing.
 import tracemalloc
 from dataclasses import fields
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from rulebounds.model import (
     build_reduced_model,
     build_stratum_model,
 )
+from rulebounds.strategies import AGREE_TOL, StrategyRequest, conditioning_bounds
 from rulebounds.tables import JointTable, condition, marginalize
 
 from conftest import (
@@ -180,42 +182,49 @@ def test_space_cache_stays_bounded(rng):
     first = enumerate_response_types(shape)
     table, _ = mixture_table(first, rng)
     solve_bounds(build_lp(first, table, "theta_f", level=1))
-    columns = first.columns[("theta_f", 1, None)]
+    merged = first.merged
     # single-level extra covariates give distinct 16-class shapes
     for n in range(1, SPACE_CACHE_SIZE + 2):
         enumerate_response_types(SpaceShape("reduced", 2, extra_cards=(1,) * n))
     assert _space.cache_info().currsize == SPACE_CACHE_SIZE
     again = enumerate_response_types(shape)
     assert again is not first
-    # the evicted space's memo went with it; a solve rebuilds the columns equal and read-only
-    assert again.columns == {}
+    # the evicted space's merge went with it; a solve rebuilds it equal and read-only
+    assert "merged" not in vars(again)
     solve_bounds(build_lp(again, table, "theta_f", level=1))
-    for old, new in zip(columns, again.columns[("theta_f", 1, None)]):
+    for old, new in zip(merged, vars(again)["merged"]):
         np.testing.assert_array_equal(new, old, strict=True)
         assert not new.flags.writeable
 
 
 def test_solving_leaves_the_cached_grouping_intact(rng):
-    # the memoized columns are read-only, and a solve that reuses them leaves them as they were
+    # the cached merge is read-only, and every query's solve reuses it and leaves it as it was
     space = enumerate_response_types(SpaceShape("stratum", 3, instrument_card=2))
     table, _ = mixture_table(space, rng)
     solve_bounds(build_lp(space, table, "cu", level=2, guideline_level=0))
-    columns = space.columns[("cu", 2, 0)]
-    before = [array.tobytes() for array in columns]
-    assert not any(array.flags.writeable for array in columns)
-    table, _ = mixture_table(space, rng)
-    solve_bounds(build_lp(space, table, "cu", level=2, guideline_level=0))
-    assert space.columns[("cu", 2, 0)] is columns
-    assert [array.tobytes() for array in columns] == before
+    merged = space.merged
+    before = [array.tobytes() for array in merged]
+    assert not any(array.flags.writeable for array in merged)
+    for query, kwargs in queries_with_levels(space.shape):
+        table, _ = mixture_table(space, rng)
+        solve_bounds(build_lp(space, table, query, **kwargs))
+    assert space.merged is merged
+    assert [array.tobytes() for array in merged] == before
 
 
 def test_full_space_stores_no_objectives(rng):
-    # full objectives depend on the rule tables, so their merged columns are not kept
-    space = enumerate_response_types(SpaceShape("full", 2, instrument_card=2, x_cards=(2,)))
-    table, _ = mixture_table(space, rng)
-    for rule_map in ({(0,): 0, (1,): 1}, {(0,): 1, (1,): 1}):
-        solve_bounds(build_lp(space, table, "theta_f", level=TreatmentRule.from_table(rule_map).levels((2,))))
-    assert space.columns == {}
+    # no space keeps a class-length array, whatever its kind: only its merge over response profiles
+    for shape in (*SAMPLED_SHAPES, SpaceShape("full", 2, instrument_card=2, x_cards=(2,)), SpaceShape("stratum", 3)):
+        space = enumerate_response_types(shape)
+        for query, kwargs in queries_with_levels(shape):
+            solve_bounds(build_lp(space, uniform_table(space), query, **kwargs))
+        assert set(vars(space)) == {f.name for f in fields(space)} | {"merged"}
+        A, inverse = space.merged
+        k = shape.treat_card
+        assert inverse.shape == (prod(space.root_cards), k**space.n_arms, 2**k)
+        assert A.shape == (space.n_arms * space.n_cells + 1, inverse.max() + 1)
+        if shape.kind != "stratum":  # a stratum's classes are its profiles
+            assert 8 * inverse.size <= space.class_count
 
 
 def test_built_models_carry_their_shape():
@@ -534,28 +543,53 @@ def test_direct_oracle_streams_its_classes_in_bounded_memory(model):
     assert peak < 16 * 2**20
     shape = SpaceShape("full", 2, model.instrument_card, x_cards=model.rule_covariate_cards)
     assert results[0].diagnostics["class_count"] == _space(shape).class_count > 10**6
-    assert _space(shape).columns == {}
+    assert all(array.size < 10**4 for array in _space(shape).merged)
 
 
-def test_reduced_program_streams_its_classes_in_bounded_memory(monkeypatch):
-    # the study's 52,488-class reduction program, folded in blocks of a few (r, a) rows
-    monkeypatch.setattr(lp_bounds, "CLASS_BLOCK", 64)
+def test_reduced_program_streams_its_classes_in_bounded_memory():
+    # the study's 52,488-class reduction program, merged over its 648 response profiles
     _space.cache_clear()
     space = enumerate_response_types(SpaceShape("reduced", 3, instrument_card=2, guideline_mode="separate"))
     lp = build_lp(space, uniform_table(space), "cu")
-    slack = 64 * 2**10  # the factor tables, one block and the RHS
-    # the fold holds one block and the merged program; one float per class alone is 410 KiB
-    A, c_min, c_max = lp_bounds._streamed_columns(lp)
-    assert _traced_peak(lambda: lp_bounds._streamed_columns(lp)) < 2 * A.nbytes + slack
-    # the first solve holds the merged program it builds and what its simplex needs, no more
+    slack = 64 * 2**10  # a few words per profile, the columns' coefficients and the RHS
+    # the first solve builds the merge and keeps A; one float per class alone is 410 KiB
+    first = _traced_peak(lambda: solve_bounds(lp))
+    A, c_min, c_max = lp_bounds._columns(lp)
     b = np.concatenate([lp.rhs.ravel(), [1.0]])
     simplex_peak = _traced_peak(lambda: simplex.minimize_pair(c_min, c_max, A, b))
-    assert _traced_peak(lambda: solve_bounds(lp)) < A.nbytes + simplex_peak + slack
-    # afterwards the space keeps only the columns memo, and the program built no per-class array
-    assert set(vars(space)) == {f.name for f in fields(space)}
-    assert set(space.columns) == {("cu", None, None)}
-    assert all(array.shape[-1] == A.shape[1] for array in space.columns[("cu", None, None)])
+    assert first < A.nbytes + simplex_peak + slack
+    assert _traced_peak(lambda: solve_bounds(lp)) < simplex_peak + slack
+    # afterwards the space keeps only its merge, and the program built no per-class array
+    assert set(vars(space)) == {f.name for f in fields(space)} | {"merged"}
+    assert space.merged[1].size == 648 and space.merged[0] is A
     assert not {"cells", "objective"} & set(vars(lp))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        small_noiv_model(x_card=6, guideline_map={(x,): 0 for x in range(6)}),
+        small_iv_model(x_card=5, z_card=2, guideline_map={(x,): 0 for x in range(5)}),
+        small_iv_model(x_card=6, z_card=2, guideline_map={(x,): int(x < 3) for x in range(6)}),
+        small_noiv_model(x_card=8, guideline_map={(x,): int(x < 3) for x in range(8)}),
+    ],
+    ids=["1572864_classes", "5242880_classes", "100663296_classes", "134217728_classes"],
+)
+def test_direct_oracle_solves_in_under_a_mebibyte(model):
+    # the solve never walks the classes: even past the default cap, a space of 10^8 classes
+    # costs what its few dozen response profiles do, and the oracle agrees with conditioning
+    _space.cache_clear()
+    observed = feasible_table(np.random.default_rng(13), model, zero_stratum=False)
+    results = []
+    peak = _traced_peak(lambda: results.append(direct_sharp_bounds(model, observed, "cu", cap=2**28)))
+    assert peak < 2**20
+    oracle = results[0]
+    if oracle.diagnostics["class_count"] > DEFAULT_CAP:
+        with pytest.raises(EnumerationCapError):
+            direct_sharp_bounds(model, observed, "cu")
+    cond = conditioning_bounds(StrategyRequest(model, observed, "cu"))
+    assert abs(oracle.lower - cond.lower) <= AGREE_TOL
+    assert abs(oracle.upper - cond.upper) <= AGREE_TOL
 
 
 def test_objective_coefficient_ranges(rng):
@@ -650,21 +684,23 @@ def test_build_lp_refuses_malformed_levels(kind, defect):
 
 
 def test_build_lp_accepts_integer_level_forms(rng):
-    # numpy and 0-d integers are checked to the plain int, so they share its memoized columns
+    # numpy and 0-d integers are checked to the plain int, and give the same merged program
     space = enumerate_response_types(SpaceShape("stratum", 3))
     table = uniform_table(space)
-    solve_bounds(build_lp(space, table, "theta_f", level=1))
-    keys, plain = set(space.columns), space.columns[("theta_f", 1, None)]
+    plain = lp_bounds._columns(build_lp(space, table, "theta_f", level=1))
     for level in (np.int64(1), np.uint8(1), np.array(1)):
         lp = build_lp(space, table, "theta_f", level=level)
         assert type(lp.level) is int
-        solve_bounds(lp)
-        assert set(space.columns) == keys and space.columns[("theta_f", 1, None)] is plain
+        for got, want in zip(lp_bounds._columns(lp), plain):
+            np.testing.assert_array_equal(got, want, strict=True)
     full = enumerate_response_types(SpaceShape("full", 3, x_cards=(2,)))
     table = uniform_table(full)
-    want = build_lp(full, table, "theta_f", level=np.array([0, 2])).objective
+    want = build_lp(full, table, "theta_f", level=np.array([0, 2]))
     for level in ([0, 2], np.array([0, 2], dtype=np.uint8)):
-        np.testing.assert_array_equal(build_lp(full, table, "theta_f", level=level).objective, want)
+        lp = build_lp(full, table, "theta_f", level=level)
+        np.testing.assert_array_equal(lp.objective, want.objective)
+        for got, expected in zip(lp_bounds._columns(lp), lp_bounds._columns(want)):
+            np.testing.assert_array_equal(got, expected, strict=True)
 
 
 def test_build_lp_refuses_levels_for_a_reduced_program(rng):
@@ -883,15 +919,12 @@ def test_stratum_cu_with_levels(rng):
 
 
 # ---------------------------------------------------------------------------
-# the streamed, memoized columns against a per-call row sort
+# the cached merge over response profiles against a row sort of the classes
 
 
 DIFFERENTIAL_SHAPES = list(
     dict.fromkeys(CROSSCHECK_SHAPES + [shape for shape, n in FROZEN_COUNTS if n <= 1000])
 )
-
-_RULE = TreatmentRule.from_table({(0,): 0, (1,): 1}, name="f")
-_GUIDELINE = TreatmentRule.from_table({(0,): 1, (1,): 1}, name="g")
 
 
 def queries_with_levels(shape):
@@ -904,21 +937,28 @@ def queries_with_levels(shape):
             + [("cu", {"level": f, "guideline_level": g}) for f, g in product(levels, levels)]
         )
     if shape.kind == "full":
-        levels = {"level": _RULE.levels((2,)), "guideline_level": _GUIDELINE.levels((2,))}
+        # the rule alternates its two levels over the covariate cells; the guideline treats the first three
+        cells = np.arange(prod(shape.x_cards)).reshape(shape.x_cards)
+        levels = {"level": cells % 2, "guideline_level": (cells < 3).astype(np.int64)}
         return [(query, levels) for query in QUERIES]
     queries = QUERIES if shape.guideline_mode != "none" else ("theta_f",)
     return [(query, {}) for query in queries]
 
 
-def reference_grouping(space):
-    """``(inverse, A)`` built by a row sort of all per-arm cells at once, with no streaming."""
-    groups, inverse = np.unique(class_cells(space).T, axis=0, return_inverse=True)
+def columns_of(space, groups):
+    """The 0/1 constraint matrix whose columns hold the per-arm cell rows ``groups``."""
     A = np.zeros((space.n_arms * space.n_cells + 1, groups.shape[0]))
     cols = np.arange(groups.shape[0])
     for arm in range(space.n_arms):
         A[arm * space.n_cells + groups[:, arm], cols] = 1.0
     A[-1, :] = 1.0
-    return inverse.ravel(), A
+    return A
+
+
+def reference_grouping(space):
+    """``(inverse, A)`` built by a row sort of every class's per-arm cells at once."""
+    groups, inverse = np.unique(class_cells(space).T, axis=0, return_inverse=True)
+    return inverse.ravel(), columns_of(space, groups)
 
 
 def reference_columns(lp):
@@ -941,32 +981,85 @@ def reference_bounds(lp):
     return lo.value, hi.value
 
 
+def explicit_profile(space, cls):
+    """``(r, t, y)`` index of one explicit class's response profile, recomputed from its maps."""
+    roots = dict(zip(space.root_names, cls.roots))
+
+    def config(names, cards, head, value):
+        idx = 0
+        for name, card in zip(names, cards):
+            idx = idx * card + (value if name == head else roots[name])
+        return idx
+
+    k = space.shape.treat_card
+    arms = range(space.shape.instrument_card) if space.shape.instrument_card else [None]
+    levels = [cls.a_map[config(space.a_parent_names, space.a_parent_cards, "instrument", z)] for z in arms]
+    outcomes = [cls.y_map[config(space.y_parent_names, space.y_parent_cards, "treatment", a)] for a in range(k)]
+    return (
+        int(np.ravel_multi_index(cls.roots, space.root_cards)),
+        int(np.ravel_multi_index(levels, (k,) * space.n_arms)),
+        int(np.ravel_multi_index(outcomes, (2,) * k)),
+    )
+
+
 @pytest.mark.parametrize("shape", DIFFERENTIAL_SHAPES)
 def test_cached_grouping_matches_the_row_sort(shape):
-    # what solve_bounds keeps per key: a non-full space's merged program, nothing for a full one
+    # what every space caches, whatever its kind: the row sort's columns, and each class's column
+    # at its response profile
     space = enumerate_response_types(shape)
+    inverse, A = reference_grouping(space)
     for query, kwargs in queries_with_levels(shape):
-        lp = build_lp(space, uniform_table(space), query, **kwargs)
-        A, c_min, c_max = reference_columns(lp)
-        res = solve_bounds(lp)
+        res = solve_bounds(build_lp(space, uniform_table(space), query, **kwargs))
         assert res.diagnostics["merged_columns"] == A.shape[1]
-        if shape.kind == "full":
-            assert space.columns == {}
-            continue
-        memo = space.columns[(query, lp.level, lp.guideline_level)]
-        for got, want in zip(memo, (A, c_min, c_max)):
+    merged_A, profile_column = space.merged
+    np.testing.assert_array_equal(merged_A, A, strict=True)
+    profiles = [explicit_profile(space, cls) for cls in iter_classes(space)]
+    assert [profile_column[p] for p in profiles] == inverse.tolist()
+    assert len(set(profiles)) == profile_column.size  # every profile is some class's
+
+
+def streamed_columns(space, objectives, block):
+    """``(A, c_min, c_max)`` folded over the classes in blocks of ``block``, one row per objective.
+
+    Each block's cell rows are sorted together with the groups seen so far, and each group keeps
+    the extreme coefficients of its classes; no step sees more than one block and the groups."""
+    cells = class_cells(space).T
+    groups = cells[:0]
+    c_min = c_max = np.empty((0, objectives.shape[0]))
+    for start in range(0, space.class_count, block):
+        coef = objectives[:, start : start + block].T
+        rows = np.concatenate([groups, cells[start : start + block]])
+        groups, inverse = np.unique(rows, axis=0, return_inverse=True)
+        lo = np.full((groups.shape[0], coef.shape[1]), np.inf)
+        hi = np.full((groups.shape[0], coef.shape[1]), -np.inf)
+        np.minimum.at(lo, inverse.ravel(), np.concatenate([c_min, coef]))
+        np.maximum.at(hi, inverse.ravel(), np.concatenate([c_max, coef]))
+        c_min, c_max = lo, hi
+    return columns_of(space, groups), c_min.T, c_max.T
+
+
+# blocks of one class, of a few, of several dozen, and of every class at once
+@pytest.mark.parametrize("block", [1, 7, 48, 65536])
+@pytest.mark.parametrize("shape", DIFFERENTIAL_SHAPES)
+def test_streamed_columns_match_the_row_sort(shape, block):
+    # the cached merge against the classes folded block by block: the same columns, and the same
+    # extremes per column whichever blocks a column's classes fall in
+    space = enumerate_response_types(shape)
+    table = uniform_table(space)
+    lps = [build_lp(space, table, query, **kwargs) for query, kwargs in queries_with_levels(shape)]
+    A, c_min, c_max = streamed_columns(space, np.stack([lp.objective for lp in lps]), block)
+    for lp, lo, hi in zip(lps, c_min, c_max):
+        for got, want in zip(lp_bounds._columns(lp), (A, lo, hi)):
             np.testing.assert_array_equal(got, want, strict=True)
 
 
-# blocks of one (r, a) row (a block is never less), of one to a few rows, and the default
-@pytest.mark.parametrize("block", [1, 7, 48, lp_bounds.CLASS_BLOCK])
-@pytest.mark.parametrize("shape", DIFFERENTIAL_SHAPES)
-def test_streamed_columns_match_the_row_sort(shape, block, monkeypatch):
-    monkeypatch.setattr(lp_bounds, "CLASS_BLOCK", block)
+# the study's 52,488-class and the oracle's 1,572,864-class shapes as well
+@pytest.mark.parametrize("shape", DIFFERENTIAL_SHAPES + SAMPLED_SHAPES)
+def test_merged_columns_match_the_row_sort(shape):
     space = enumerate_response_types(shape)
     for query, kwargs in queries_with_levels(shape):
         lp = build_lp(space, uniform_table(space), query, **kwargs)
-        for got, want in zip(lp_bounds._streamed_columns(lp), reference_columns(lp)):
+        for got, want in zip(lp_bounds._columns(lp), reference_columns(lp)):
             np.testing.assert_array_equal(got, want, strict=True)
 
 

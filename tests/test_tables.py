@@ -116,6 +116,19 @@ def test_reorder_roundtrip(rng):
         reorder(table, ["a", "b"])
 
 
+def test_reorder_into_the_same_order_returns_the_table(rng):
+    # tables are read-only, so one already in order is shared rather than rebuilt
+    table = JointTable(specs(("a", 2), ("b", 3)), random_probs(rng, (2, 3)))
+    assert reorder(table, table.names) is table
+    assert reorder(table, list(table.names)) is table
+    flipped = reorder(table, ["b", "a"])
+    assert flipped is not table and flipped.names == ("b", "a")
+    assert not flipped.probs.flags.writeable
+    np.testing.assert_array_equal(flipped.probs, table.probs.T)
+    with pytest.raises(ValueError, match="permutation"):
+        reorder(table, ["a", "a"])
+
+
 def test_with_variables_checks_cardinalities(rng):
     vs = specs(("a", 2), ("b", 3))
     table = JointTable(vs, random_probs(rng, (2, 3)))
