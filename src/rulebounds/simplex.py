@@ -1,10 +1,18 @@
-"""Self-contained dense two-phase simplex for small equality-form programs.
+"""Self-contained two-phase tableau simplex for small equality-form programs.
 
 Solves min c.x subject to A x = b, x >= 0. Problem sizes in this package
 stay below a few hundred rows and columns, so a dense tableau with Dantzig
-pricing (switching to Bland's rule if progress stalls) is fast and simple
-to audit. Infeasibility is reported with the most-violated row taken from
+pricing is fast and simple to audit. Once a tableau has made
+``stall_after`` pivots in total it prices by Bland's rule instead, which
+guarantees termination; the switch counts pivots, it does not detect
+stalling. Infeasibility is reported with the most-violated row taken from
 the phase-1 basis, which minimizes the total constraint violation.
+
+A pivot updates only the rows whose entry in the pivot column is non-zero
+(a handful in the package's partition-structured programs) and builds no
+tableau-sized temporary. Every entry it changes gets the same arithmetic
+as the full rank-one update ``T -= outer(col, T[i])``, so the pivot
+sequence and the results do not depend on the sparsity.
 
 Bound pairs share one tableau: phase 1 runs once, then the lower and upper
 objectives are optimized back to back, the second warm-starting from the
@@ -67,10 +75,11 @@ class _Tableau:
 
     def _pivot(self, i: int, j: int) -> None:
         T = self.T
-        T[i, :] /= T[i, j]
-        col = T[:, j].copy()
-        col[i] = 0.0
-        T -= np.outer(col, T[i, :])
+        row = T[i]
+        row /= row[j]
+        T[i, j] = 0.0  # keeps row i itself out of the update below
+        rows = T[:, j].nonzero()[0]
+        T[rows] -= T[rows, j, None] * row
         T[:, j] = 0.0
         T[i, j] = 1.0
         leaving = self.basis[i]
@@ -88,21 +97,20 @@ class _Tableau:
                     f"simplex exceeded {self.max_iter} pivots (m={m}, n={self.n})"
                 )
             red = T[-1, :-1]
-            improving = self.allowed & (red < -OPT_TOL)
-            if not improving.any():
+            priced = np.where(self.allowed, red, np.inf)
+            j = int(priced.argmin())
+            if not priced[j] < -OPT_TOL:
                 return True
-            if self.iterations <= self.stall_after:
-                j = int(np.where(improving, red, np.inf).argmin())
-            else:
-                j = int(improving.argmax())  # Bland: lowest index, ensures termination
+            if self.iterations > self.stall_after:
+                # Bland: lowest improving index, ensures termination
+                j = int((priced < -OPT_TOL).argmax())
             col = T[:m, j]
-            rows = np.flatnonzero(col > PIV_TOL)
+            rows = (col > PIV_TOL).nonzero()[0]
             if rows.size == 0:
                 return False
             ratios = T[rows, -1] / col[rows]
-            best = ratios.min()
-            ties = rows[ratios <= best + RATIO_TIE_TOL]
-            i = int(ties[np.argmin(self.basis[ties])])
+            ties = rows[ratios <= ratios.min() + RATIO_TIE_TOL]
+            i = int(ties[0]) if ties.size == 1 else int(ties[np.argmin(self.basis[ties])])
             self._pivot(i, j)
 
     def _load_cost(self, cost: np.ndarray) -> None:

@@ -25,6 +25,8 @@ from rulebounds.model import (
     TreatmentRule,
     VariableSpec,
 )
+from rulebounds import simplex
+from rulebounds.errors import SolverError
 from rulebounds.lp_bounds import BoundsResult, SpaceShape, class_cells, enumerate_response_types
 from rulebounds.tables import JointTable, reorder
 
@@ -175,6 +177,53 @@ def scipy_lp_bounds(lp):
         return None
     assert lo.status == 0 and hi.status == 0, (lo.status, hi.status)
     return float(lo.fun), float(-hi.fun)
+
+
+class DenseTableau(simplex._Tableau):
+    """The tableau with a dense rank-one pivot: the reference for the row-sparse one.
+
+    ``_pivot`` subtracts ``outer(col, T[i])`` from the whole tableau and
+    ``_optimize`` prices with an explicit improving mask and always breaks
+    ratio ties by ``argmin``. ``simplex._Tableau`` must take the same pivots
+    and reach array-equal tableaus.
+    """
+
+    def _pivot(self, i: int, j: int) -> None:
+        T = self.T
+        T[i, :] /= T[i, j]
+        col = T[:, j].copy()
+        col[i] = 0.0
+        T -= np.outer(col, T[i, :])
+        T[:, j] = 0.0
+        T[i, j] = 1.0
+        leaving = self.basis[i]
+        self.basis[i] = j
+        if leaving >= self.n:
+            self.allowed[leaving] = False
+        self.iterations += 1
+
+    def _optimize(self) -> bool:
+        T, m = self.T, self.m
+        while True:
+            if self.iterations > self.max_iter:
+                raise SolverError(f"simplex exceeded {self.max_iter} pivots (m={m}, n={self.n})")
+            red = T[-1, :-1]
+            improving = self.allowed & (red < -simplex.OPT_TOL)
+            if not improving.any():
+                return True
+            if self.iterations <= self.stall_after:
+                j = int(np.where(improving, red, np.inf).argmin())
+            else:
+                j = int(improving.argmax())
+            col = T[:m, j]
+            rows = np.flatnonzero(col > simplex.PIV_TOL)
+            if rows.size == 0:
+                return False
+            ratios = T[rows, -1] / col[rows]
+            best = ratios.min()
+            ties = rows[ratios <= best + simplex.RATIO_TIE_TOL]
+            i = int(ties[np.argmin(self.basis[ties])])
+            self._pivot(i, j)
 
 
 def closed_form_binary_reduction(
