@@ -139,6 +139,11 @@ class ResponseTypeSpace:
             array.setflags(write=False)
         return A, inverse
 
+    @cached_property
+    def warm_starts(self) -> dict:
+        """Per query, a reduced program's ``simplex.WarmStart``, built on its first solve."""
+        return {}
+
 
 @lru_cache(maxsize=SPACE_CACHE_SIZE)
 def _space(shape: SpaceShape) -> ResponseTypeSpace:
@@ -464,7 +469,14 @@ def solve_bounds(lp: LpProblem) -> BoundsResult:
     """Sharp lower and upper bounds for the program, or an infeasibility error."""
     A, c_min, c_max = _columns(lp)
     b = np.concatenate([lp.rhs.ravel(), [1.0]])
-    res_lo, res_hi = simplex.minimize_pair(c_min, c_max, A, b)
+    start = None
+    if lp.space.shape.kind == "reduced":
+        # a reduced program's costs depend on its space and query alone; only b changes
+        starts = lp.space.warm_starts
+        if lp.query not in starts:
+            starts[lp.query] = simplex.warm_start(c_min, c_max, A)
+        start = starts[lp.query]
+    res_lo, res_hi = simplex.minimize_pair(c_min, c_max, A, b, start=start)
     if res_lo.status == "infeasible":
         label = lp.row_label(res_lo.violation_row)
         raise InfeasibleModelError(
@@ -484,6 +496,7 @@ def solve_bounds(lp: LpProblem) -> BoundsResult:
             "merged_columns": int(A.shape[1]),
             "constraint_rows": int(A.shape[0]),
             "simplex_iterations": int(res_lo.iterations + res_hi.iterations),
+            "solve": res_lo.solve,
         },
     )
 

@@ -15,13 +15,29 @@ as the full rank-one update ``T -= outer(col, T[i])``, so the pivot
 sequence and the results do not depend on the sparsity.
 
 Bound pairs share one tableau: phase 1 runs once, then the lower and upper
-objectives are optimized back to back, the second warm-starting from the
+objectives are optimized back to back, the second starting from the
 first's optimal basis.
+
+A program solved many times with only ``b`` changing can skip phase 1.
+``warm_start`` solves it once, cold, at the canonical right-hand side
+``b = A·1/n`` (which ``x = 1/n`` makes feasible for every ``A``) and keeps
+each side's optimal tableau. ``minimize_pair(..., start=...)`` then copies
+a side's tableau, sets its right-hand side to ``B⁻¹b`` (the artificial
+columns hold ``B⁻¹``) and, since changing ``b`` leaves the basis dual
+feasible, restores primal feasibility by dual simplex pivots (Lemke 1954):
+the most negative row leaves, and the entering column wins the ratio test
+on the reduced costs, ties going to the lowest index. The basis depends on
+the program alone, never on what was solved before. The pair goes the
+cold way instead when the dual finds no entering column (``b`` is
+infeasible, and phase 1 names the most violated row), when an artificial
+parked on a redundant row reads nonzero, or after ``max_pivots`` dual
+pivots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -32,6 +48,7 @@ OPT_TOL = 1e-11   # reduced-cost threshold for optimality
 PIV_TOL = 1e-10   # smallest pivot magnitude accepted
 RATIO_TIE_TOL = 1e-12
 FEAS_TOL = 1e-9   # phase-1 total violation above which the program is infeasible
+PRIMAL_TOL = 1e-12  # a warm re-solve's basic values must be at least -PRIMAL_TOL
 
 
 @dataclass(frozen=True)
@@ -42,6 +59,7 @@ class SimplexResult:
     iterations: int
     violation_row: Optional[int] = None
     violation_total: Optional[float] = None
+    solve: str = "cold"              # "warm" when re-solved from a WarmStart without phase 1
 
 
 class _Tableau:
@@ -163,11 +181,45 @@ class _Tableau:
         self._load_cost(cost)
         if not self._optimize():
             raise SolverError("objective unbounded below; expected a bounded feasible set")
+        return self._vertex(c)
+
+    def _vertex(self, c: np.ndarray, solve: str = "cold") -> SimplexResult:
+        """The current basic solution, valued at ``c``."""
         x = np.zeros(self.n)
         real = self.basis < self.n
         x[self.basis[real]] = self.T[: self.m, -1][real]
         np.clip(x, 0.0, None, out=x)
-        return SimplexResult(status="optimal", value=float(c @ x), x=x, iterations=self.iterations)
+        return SimplexResult(
+            status="optimal", value=float(c @ x), x=x, iterations=self.iterations, solve=solve
+        )
+
+    def _copy(self) -> "_Tableau":
+        twin = copy.copy(self)
+        twin.T, twin.basis, twin.allowed = self.T.copy(), self.basis.copy(), self.allowed.copy()
+        return twin
+
+    def _resolve(self, b: np.ndarray, max_pivots: int) -> bool:
+        """Re-optimize the loaded cost for a new right-hand side by dual pivots.
+
+        False when the pair must go the cold way: a parked artificial reads
+        nonzero, a row has no entering column, or ``max_pivots`` is reached.
+        """
+        T, m, n = self.T, self.m, self.n
+        T[:, -1] = T[:, n : n + m] @ b
+        rhs = T[:m, -1]
+        if np.any(np.abs(rhs[self.basis >= n]) > PRIMAL_TOL):
+            return False
+        while True:
+            i = int(rhs.argmin())
+            if not rhs[i] < -PRIMAL_TOL:
+                return True
+            # after phase 1 the allowed columns are exactly the real ones
+            cols = (T[i, :n] < -PIV_TOL).nonzero()[0]
+            if cols.size == 0 or self.iterations >= max_pivots:
+                return False
+            # the smallest ratio keeps every reduced cost nonnegative; argmin takes the lowest index of a tie
+            j = int(cols[(T[-1, cols] / -T[i, cols]).argmin()])
+            self._pivot(i, j)
 
 
 def minimize(c, A, b) -> SimplexResult:
@@ -175,15 +227,71 @@ def minimize(c, A, b) -> SimplexResult:
     return _Tableau(A, b).solve(c)
 
 
-def minimize_pair(c_lo, c_hi, A, b):
+@dataclass(frozen=True, eq=False)
+class WarmStart:
+    """Each side's optimal tableau of one program at its canonical right-hand side."""
+
+    c_lo: np.ndarray
+    c_hi: np.ndarray
+    sign: np.ndarray         # row signs the canonical tableau applied to A and b
+    sides: tuple             # tableaus after the lower and after the upper solve
+    max_pivots: int          # dual pivots per side before the cold path takes over
+
+    def resolve(self, b: np.ndarray) -> tuple:
+        """``((lower, upper), pivots)``, or ``(None, pivots)`` when the pair must go cold."""
+        results, pivots = [], 0
+        for side, c in zip(self.sides, (self.c_lo, -self.c_hi)):
+            tableau = side._copy()
+            tableau.iterations = 0
+            done = tableau._resolve(self.sign * b, self.max_pivots)
+            pivots += tableau.iterations
+            if not done:
+                return None, pivots
+            results.append(tableau._vertex(c, solve="warm"))
+        lo, hi_neg = results
+        return (lo, replace(hi_neg, value=-hi_neg.value)), pivots
+
+
+def warm_start(c_lo, c_hi, A) -> WarmStart:
+    """Solve the pair once, cold, at ``b = A·1/n`` and keep each side's optimal tableau."""
+    c_lo, c_hi = np.array(c_lo, dtype=float), np.array(c_hi, dtype=float)
+    b = np.asarray(A, dtype=float).mean(axis=1)
+    tableau = _Tableau(A, b)
+    sides = []
+    for c in (c_lo, -c_hi):
+        if tableau.solve(c).status != "optimal":
+            raise SolverError("canonical right-hand side A·1/n found infeasible; constraint setup is broken")
+        side = tableau._copy()
+        for array in (side.T, side.basis, side.allowed):
+            array.setflags(write=False)
+        sides.append(side)
+    return WarmStart(c_lo, c_hi, np.where(b < 0, -1.0, 1.0), tuple(sides), max_pivots=tableau.m)
+
+
+def minimize_pair(c_lo, c_hi, A, b, start: Optional[WarmStart] = None):
     """min of ``c_lo`` and max of ``c_hi`` over one shared feasible region.
 
     Returns (lower_result, upper_result) where the upper result reports the
     maximum of ``c_hi`` directly. Phase 1 runs once; the second solve reuses
-    the first's final basis.
+    the first's final basis. With ``start``, built by ``warm_start`` from the
+    same ``c_lo``, ``c_hi`` and ``A``, each side is re-solved from its
+    canonical tableau by dual pivots; when that fails the pair is solved
+    cold, and the lower result's ``iterations`` counts the dual pivots too.
     """
+    spent = 0
+    if start is not None:
+        if not (np.array_equal(start.c_lo, c_lo) and np.array_equal(start.c_hi, c_hi)):
+            raise ValueError("warm start was built for other costs")
+        b = np.asarray(b, dtype=float)
+        if b.shape != start.sign.shape:
+            raise ValueError(f"shape mismatch: warm start has {start.sign.size} rows, b {b.shape}")
+        pair, spent = start.resolve(b)
+        if pair is not None:
+            return pair
     tableau = _Tableau(A, b)
     lo = tableau.solve(np.asarray(c_lo, dtype=float))
+    if spent:
+        lo = replace(lo, iterations=lo.iterations + spent)
     if lo.status != "optimal":
         return lo, lo
     before = tableau.iterations

@@ -12,7 +12,6 @@ parallel runs match serial runs bit for bit.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -294,6 +293,9 @@ def run_study(config: SimConfig) -> SimReport:
     start = time.perf_counter()
     indices = range(config.replications)
     if config.jobs > 1:
+        # imported here so a serial study, and every other command, never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             records = list(
                 pool.map(_worker, [(config, i) for i in indices], chunksize=16)

@@ -218,8 +218,13 @@ def test_full_space_stores_no_objectives(rng):
         space = enumerate_response_types(shape)
         for query, kwargs in queries_with_levels(shape):
             solve_bounds(build_lp(space, uniform_table(space), query, **kwargs))
-        assert set(vars(space)) == {f.name for f in fields(space)} | {"merged"}
+        # a reduced space also keeps each query's warm-start tableaus, sized by the program
+        warm = {"warm_starts"} if shape.kind == "reduced" else set()
+        assert set(vars(space)) == {f.name for f in fields(space)} | {"merged"} | warm
         A, inverse = space.merged
+        for start in vars(space).get("warm_starts", {}).values():
+            for side in start.sides:
+                assert side.T.shape == (A.shape[0] + 1, A.shape[1] + A.shape[0] + 1)
         k = shape.treat_card
         assert inverse.shape == (prod(space.root_cards), k**space.n_arms, 2**k)
         assert A.shape == (space.n_arms * space.n_cells + 1, inverse.max() + 1)
@@ -557,10 +562,13 @@ def test_reduced_program_streams_its_classes_in_bounded_memory():
     A, c_min, c_max = lp_bounds._columns(lp)
     b = np.concatenate([lp.rhs.ravel(), [1.0]])
     simplex_peak = _traced_peak(lambda: simplex.minimize_pair(c_min, c_max, A, b))
-    assert first < A.nbytes + simplex_peak + slack
+    # it also keeps the query's warm start: one tableau per side, sized by the program
+    kept = sum(side.T.nbytes for side in space.warm_starts["cu"].sides)
+    assert kept == 2 * 8 * (A.shape[0] + 1) * (A.shape[1] + A.shape[0] + 1)
+    assert first < A.nbytes + kept + simplex_peak + slack
     assert _traced_peak(lambda: solve_bounds(lp)) < simplex_peak + slack
-    # afterwards the space keeps only its merge, and the program built no per-class array
-    assert set(vars(space)) == {f.name for f in fields(space)} | {"merged"}
+    # afterwards the space keeps only its merge and warm starts, and the program built no per-class array
+    assert set(vars(space)) == {f.name for f in fields(space)} | {"merged", "warm_starts"}
     assert space.merged[1].size == 648 and space.merged[0] is A
     assert not {"cells", "objective"} & set(vars(lp))
 
@@ -972,10 +980,15 @@ def reference_columns(lp):
 
 
 def reference_bounds(lp):
-    """Bounds of the row-sort program, or the row label of its infeasibility."""
+    """Bounds of the row-sort program, or the row label of its infeasibility.
+
+    A reduced program is re-solved, as ``solve_bounds`` does, from a warm start
+    of its own, built here from the row-sort columns.
+    """
     A, c_min, c_max = reference_columns(lp)
     b = np.concatenate([lp.rhs.ravel(), [1.0]])
-    lo, hi = simplex.minimize_pair(c_min, c_max, A, b)
+    start = simplex.warm_start(c_min, c_max, A) if lp.space.shape.kind == "reduced" else None
+    lo, hi = simplex.minimize_pair(c_min, c_max, A, b, start=start)
     if lo.status == "infeasible":
         return lp.row_label(lo.violation_row)
     return lo.value, hi.value

@@ -5,6 +5,11 @@ own CPT indexing helpers so that the draw order and row layout stay pinned
 by an independent computation.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -224,6 +229,15 @@ def test_parallel_matches_serial():
     )
     assert [r.to_dict() for r in serial.records] == [r.to_dict() for r in parallel.records]
     assert serial.validity_rate == parallel.validity_rate
+
+
+def test_importing_the_cli_leaves_out_the_process_pool():
+    # only run_study with jobs > 1 loads the pool (test_parallel_matches_serial covers that path)
+    src = str(Path(simulation.__file__).parents[1])
+    code = "import sys, rulebounds.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_anomalies_are_recorded_not_fatal(monkeypatch):
