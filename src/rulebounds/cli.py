@@ -18,7 +18,7 @@ from .io import (
     build_report,
     file_sha256,
     load_config,
-    load_records,
+    load_table,
     model_summary,
     parse_rule,
     read_config_json,
@@ -33,7 +33,6 @@ from .strategies import (
     conditioning_bounds,
     reduction_bounds,
 )
-from .tables import empirical_joint
 
 
 def _analysis_parser(sub, name: str, summary: str, func) -> argparse.ArgumentParser:
@@ -116,9 +115,7 @@ def _analyse(args, config: AnalysisConfig, command: str, solve) -> int:
     data_path = args.data or config.data_path
     if not data_path:
         raise ConfigError("no data file: pass --data or set 'data' in the config")
-    records, data_info = load_records(data_path, config)
-    table = empirical_joint(records, config.model.variables)
-    del records  # the solve needs only the joint table; keep the raw rows out of its peak memory
+    table, data_info = load_table(data_path, config)
     own, intervals, tail = solve(StrategyRequest(config.model, table, config.query, cap=config.cap))
     report = build_report(
         command,

@@ -6,6 +6,16 @@ models may use bare keys ("3": 1). Data files are UTF-8 CSV with a header
 row and integer codes; the optional per-variable "column" field maps
 variable names to differently named columns. Blank lines are skipped, and
 error messages name rows by their line number in the file.
+
+``load_records`` returns a file's records, one row of codes per subject;
+``load_table`` returns their empirical joint table, which is all the CLI
+needs. One byte tokenizer decodes plain integer files (digits, commas and
+LF only) a block of lines at a time: ``load_records`` copies each block
+into the record array, while ``load_table`` folds it straight into cell
+counts, so its memory beyond the file's bytes follows one block. Other
+files go through ``csv.reader``. A file ``load_table`` cannot fold, for a
+code out of range or no rows, is read as ``load_records`` reads it, so
+every error is worded the same.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from . import __version__
 from .errors import ConfigError, DataError
 from .lp_bounds import DEFAULT_CAP, QUERIES, require_guideline
 from .model import ROLES, CausalModel, TreatmentRule, VariableSpec, rule_table, validate_model
+from .tables import JointTable, empirical_joint
 
 VALID_STRATEGIES = ("reduction", "conditioning", "both")
 _CONFIG_KEYS = (
@@ -185,7 +196,7 @@ def load_config(path: str) -> AnalysisConfig:
 
 # Bytes of the plain grammar the tokenizer reads; anything else goes to csv.reader.
 _PLAIN_BYTES = b"0123456789,\n"
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 16
 _MAX_DIGITS = 18  # every 18-digit code fits int64
 
 
@@ -200,6 +211,42 @@ def load_records(path: str, config: AnalysisConfig) -> tuple[np.ndarray, dict]:
     decoded by a vectorised tokenizer; any other file, CRLF or spaced for
     example, goes through ``csv.reader`` row by row, which also words every
     row-level error. Both give the same records.
+    """
+    return _records(path, config, *_open_data(path, config))
+
+
+def load_table(path: str, config: AnalysisConfig) -> tuple[JointTable, dict]:
+    """The empirical joint of a CSV file's records over the model's variables, and the loading info.
+
+    The same table and info as ``empirical_joint`` over ``load_records``,
+    or the same ``DataError``. A plain file is decoded block by block
+    straight into cell counts, so beyond the file's bytes its memory
+    follows one block, not the row count. Any other file, or a plain one
+    holding a code outside its variable's range or no row at all, goes
+    through ``load_records``' record path, which words every error.
+    """
+    opened = _open_data(path, config)
+    data, _, n_fields, positions, body = opened
+    variables = config.model.variables
+    counts = None if body is None else _plain_counts(data, body, n_fields, positions, variables)
+    if counts is None:
+        records, info = _records(path, config, *opened)
+        return empirical_joint(records, variables), info
+    n = int(counts.sum())
+    value_counts = {}
+    for j, v in enumerate(variables):
+        margin = counts.sum(axis=tuple(k for k in range(len(variables)) if k != j))
+        value_counts[v.name] = {str(level): int(margin[level]) for level in v.levels}
+    return JointTable(variables, counts / n), _data_info(path, data, n, value_counts)
+
+
+def _open_data(path: str, config: AnalysisConfig) -> tuple:
+    """Read a data file and its header.
+
+    Returns the file's bytes, its ``csv.reader`` past the header, the
+    header's width, the model's column positions, and the first byte after
+    the header when the tokenizer may read on from it, else None: it may
+    when the header record is exactly the first line, with no CR.
     """
     try:
         with open(path, "rb") as fh:
@@ -223,13 +270,19 @@ def load_records(path: str, config: AnalysisConfig) -> tuple[np.ndarray, dict]:
     except csv.Error as err:
         raise DataError(f"line {reader.line_num} of {path!r}: {err}") from None
     header = [h.strip() for h in header]
-    positions = _column_positions(path, header, config)
-
-    records = lines = None
     body = data.find(b"\n") + 1 or len(data)
-    # the tokenizer takes over when the header record is exactly the first line
-    if reader.line_num == 1 and data.find(b"\r", 0, body) == -1:
-        records = _plain_records(data, body, len(header), positions)
+    if reader.line_num != 1 or data.find(b"\r", 0, body) != -1:
+        body = None
+    return data, reader, len(header), _column_positions(path, header, config), body
+
+
+def _records(
+    path: str, config: AnalysisConfig, data: bytes, reader, n_fields: int, positions: list, body: Optional[int]
+) -> tuple:
+    """``load_records`` on a file ``_open_data`` has read."""
+    records = lines = None
+    if body is not None:
+        records = _plain_records(data, body, n_fields, positions)
     if records is None:
         records, lines = _csv_records(path, reader, positions, config)
 
@@ -246,13 +299,16 @@ def load_records(path: str, config: AnalysisConfig) -> tuple[np.ndarray, dict]:
             )
         counts = np.bincount(column, minlength=v.cardinality)
         value_counts[v.name] = {str(level): int(counts[level]) for level in v.levels}
-    info = {
+    return records, _data_info(path, data, int(records.shape[0]), value_counts)
+
+
+def _data_info(path: str, data: bytes, n_records: int, value_counts: dict) -> dict:
+    return {
         "path": os.path.abspath(path),
         "sha256": hashlib.sha256(data).hexdigest(),
-        "n_records": int(records.shape[0]),
+        "n_records": n_records,
         "value_counts": value_counts,
     }
-    return records, info
 
 
 def _column_positions(path: str, header: list, config: AnalysisConfig) -> list:
@@ -317,59 +373,91 @@ def _csv_records(path: str, reader, positions: list, config: AnalysisConfig) -> 
 
 
 def _plain_records(data: bytes, start: int, n_fields: int, positions: list) -> Optional[np.ndarray]:
-    """Records of the rows in ``data[start:]``, or None when they fall outside the plain grammar.
-
-    The grammar: only ASCII digits, commas and LF, no field longer than
-    ``csv.field_size_limit()``, and every row that holds a digit holding
-    exactly ``n_fields - 1`` commas, with 1 to ``_MAX_DIGITS`` digits in each
-    field at ``positions``; other rows are blank. Such rows split and
-    convert exactly as ``csv.reader`` and ``int`` do. Blocks of whole lines
-    bound the index arrays' memory.
-    """
+    """Records of the rows in ``data[start:]``, or None when they fall outside the plain grammar."""
     out = np.empty((data.count(b"\n", start) + 1, len(positions)), dtype=np.int64, order="F")
     n = 0
+    for columns in _plain_blocks(data, start, n_fields, positions):
+        if columns is None:
+            return None
+        rows = len(columns[0])
+        for j, column in enumerate(columns):
+            out[n:n + rows, j] = column
+        n += rows
+    return out[:n]
+
+
+def _plain_counts(data: bytes, start: int, n_fields: int, positions: list, variables) -> Optional[np.ndarray]:
+    """Row counts of the model's cells over the rows in ``data[start:]``, an array shaped as the cells.
+
+    None when the rows fall outside the plain grammar, hold a code outside
+    its variable's range, or are none at all; the record path words those.
+    """
+    shape = tuple(v.cardinality for v in variables)
+    counts = np.zeros(int(np.prod(shape)), dtype=np.int64)
+    for columns in _plain_blocks(data, start, n_fields, positions):
+        if columns is None:
+            return None
+        try:
+            cells = np.ravel_multi_index(columns, shape)
+        except ValueError:  # a code outside its variable's range
+            return None
+        counts += np.bincount(cells, minlength=counts.size)
+    return counts.reshape(shape) if counts.any() else None
+
+
+def _plain_blocks(data: bytes, start: int, n_fields: int, positions: list):
+    """Decode ``data[start:]`` a block of whole lines at a time; the plain grammar's one decoder.
+
+    Yields, per block, the int64 codes of each non-blank row in the columns
+    at ``positions``, one array per position; yields None for a block outside
+    the grammar. The grammar: only ASCII digits, commas and LF, no field
+    longer than ``csv.field_size_limit()``, and every row that holds a digit
+    holding exactly ``n_fields - 1`` commas, with 1 to ``_MAX_DIGITS`` digits
+    in each field at ``positions``; other rows are blank. Such rows split and
+    convert exactly as ``csv.reader`` and ``int`` do. Blocks bound the index
+    arrays' memory.
+    """
     while start < len(data):
         stop = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
         chunk = data[start:stop]
         start = stop
         if chunk.translate(None, _PLAIN_BYTES):
-            return None
-        rows = _plain_block(np.frombuffer(chunk, dtype=np.uint8), n_fields, positions, out[n:])
-        if rows is None:
-            return None
-        n += rows
-    return out[:n]
+            yield None
+        else:
+            yield _plain_block(np.frombuffer(chunk, dtype=np.uint8), n_fields, positions)
 
 
-def _plain_block(b: np.ndarray, n_fields: int, positions: list, out: np.ndarray) -> Optional[int]:
-    """Decode the non-blank lines of a block of plain bytes into ``out``; the row count, or None."""
+def _plain_block(b: np.ndarray, n_fields: int, positions: list) -> Optional[list]:
+    """The codes of the non-blank lines of a block of plain bytes, one array per position, or None."""
     is_newline = b == ord("\n")
     # field i spans bytes bounds[i] + 1 .. bounds[i + 1] - 1, ended by a comma, newline or block end
     bounds = np.concatenate(([-1], np.flatnonzero(is_newline | (b == ord(","))), [b.size]))
-    if np.diff(bounds).max() > csv.field_size_limit():
+    width = np.diff(bounds) - 1
+    if width.max() >= csv.field_size_limit():
         return None
-    line_first = np.concatenate(([0], np.flatnonzero(is_newline[bounds[1:-1]]) + 1))
-    line_commas = np.diff(line_first, append=len(bounds) - 1) - 1
-    if b[-1] == ord("\n"):  # the empty line after the last newline
-        line_first, line_commas = line_first[:-1], line_commas[:-1]
-    filled = np.logical_or.reduceat(b >= ord("0"), bounds[line_first] + 1)  # holds a digit
-    rows = line_first[filled]
-    if np.any(line_commas[filled] != n_fields - 1):
+    # line i holds fields line_first[i] .. line_first[i + 1] - 1; after a final LF, one empty line
+    line_first = np.concatenate(([0], np.flatnonzero(is_newline[bounds[1:-1]]) + 1, [width.size]))
+    fields = np.diff(line_first)
+    # a line spans its digits plus one byte per field, so it holds a digit when it spans more
+    filled = bounds[line_first[1:]] - bounds[line_first[:-1]] > fields
+    rows = line_first[:-1][filled]
+    if np.any(fields[filled] != n_fields):
         return None
     if not rows.size:
-        return 0
-    for j, p in enumerate(positions):
-        first, end = bounds[rows + p] + 1, bounds[rows + p + 1]
-        digits = end - first
+        return [rows] * len(positions)
+    columns = []
+    for p in positions:
+        field = rows + p
+        first, digits = bounds[field] + 1, width[field]
         shortest, longest = int(digits.min()), int(digits.max())
         if shortest < 1 or longest > _MAX_DIGITS:
             return None
-        value = np.zeros(len(rows), dtype=np.int64)
-        for k in range(longest):
-            step = value * 10 + (b[np.minimum(first + k, end - 1)] - ord("0"))
+        value = b[first].astype(np.int64) - ord("0")
+        for k in range(1, longest):
+            step = value * 10 + (b[np.minimum(first + k, first + digits - 1)] - ord("0"))
             value = step if k < shortest else np.where(k < digits, step, value)
-        out[:len(rows), j] = value
-    return len(rows)
+        columns.append(value)
+    return columns
 
 
 def _line_of_offset(data: bytes, offset: int) -> int:

@@ -207,17 +207,18 @@ def empirical_joint(records, variables: Sequence[VariableSpec]) -> JointTable:
         )
     if arr.shape[0] == 0:
         raise DataError("records are empty")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
-            raise DataError("records must contain integer codes")
-        arr = arr.astype(np.int64)
+    integral = np.issubdtype(arr.dtype, np.integer)
+    if not integral and not np.all(arr == np.floor(arr)):
+        raise DataError("records must contain integer codes")
+    # range first, so an infinite or huge float code is named as it is, not as its integer cast
     for j, v in enumerate(variables):
         col = arr[:, j]
         bad = np.flatnonzero((col < 0) | (col >= v.cardinality))
         if bad.size:
+            value = col[bad[0]]
             raise DataError(
-                f"variable {v.name!r}: value {int(col[bad[0]])} at record {int(bad[0])} "
-                f"outside range(0, {v.cardinality}) ({bad.size} offending records)"
+                f"variable {v.name!r}: value {int(value) if np.isfinite(value) else value} "
+                f"at record {int(bad[0])} outside range(0, {v.cardinality}) ({bad.size} offending records)"
             )
     shape = tuple(v.cardinality for v in variables)
     cells = np.ravel_multi_index(tuple(arr.T.astype(np.intp, copy=False)), shape)

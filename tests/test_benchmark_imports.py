@@ -36,6 +36,18 @@ def test_traced_layer_functions_exist():
             assert callable(getattr(module, name, None)), f"rulebounds.{layer}.{name}"
 
 
+def test_traced_loader_returns_records_and_info(tmp_path):
+    # tracing.py counts loaded rows as load_records(...)[0].shape[0], on plain and csv.reader files
+    from rulebounds.io import load_config, load_records
+
+    config = load_config(str(PERFBENCH.parent / "configs" / "example.json"))
+    plain = tmp_path / "plain.csv"
+    plain.write_text("z,x,a,y\n0,1,0,1\n1,2,1,0\n")
+    for path in (PERFBENCH.parent / "data" / "example_observed.csv", plain):
+        records, info = load_records(str(path), config)
+        assert records.ndim == 2 and records.shape[0] == info["n_records"] > 0
+
+
 def test_benchmark_programs_match_the_strategies():
     checks = load_perfbench("checks")
     model = small_iv_model(x_card=3, treat_card=2)

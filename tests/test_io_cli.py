@@ -10,6 +10,7 @@ import importlib.util
 import json
 import os
 import re
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -25,6 +26,7 @@ from rulebounds.io import (
     build_report,
     load_config,
     load_records,
+    load_table,
     model_summary,
     parse_rule,
     write_json,
@@ -330,22 +332,45 @@ def load_or_error(path, config):
 BLOCK_SIZES = (1, 7, 16, rulebounds.io._BLOCK_BYTES)
 
 
-def assert_same_load(path, config):
-    """``load_records`` agrees with its csv.reader path at every block size.
+def tabulate_or_error(load, path, config):
+    """The probs and info of ``load``'s table, or a ``DataError``'s text."""
+    try:
+        table, info = load(path, config)
+    except DataError as err:
+        return str(err)
+    return table.probs, info
 
-    Same records and info, or a ``DataError`` with the same text.
+
+def records_table(path, config):
+    records, info = load_records(path, config)
+    return empirical_joint(records, config.model.variables), info
+
+
+def assert_same_load(path, config):
+    """``load_records`` agrees with its csv.reader path at every block size, and ``load_table`` with both.
+
+    Same records and info, or a ``DataError`` with the same text; ``load_table``
+    gives bit-identical probs and the same info as ``empirical_joint`` over
+    the csv.reader path's records, or the same error.
     """
     with mock.patch.object(rulebounds.io, "_plain_records", return_value=None):
         slow = load_or_error(path, config)
+        slow_table = tabulate_or_error(records_table, path, config)
     for block in BLOCK_SIZES:
         with mock.patch.object(rulebounds.io, "_BLOCK_BYTES", block):
             fast = load_or_error(path, config)
+            table = tabulate_or_error(load_table, path, config)
         if isinstance(fast, str) or isinstance(slow, str):
             assert fast == slow
         else:
             np.testing.assert_array_equal(fast[0], slow[0])
             assert fast[0].dtype == slow[0].dtype
             assert fast[1] == slow[1]
+        if isinstance(table, str) or isinstance(slow_table, str):
+            assert table == slow_table
+        else:
+            assert np.array_equal(table[0], slow_table[0])
+            assert table[1] == slow_table[1]
 
 
 PLAIN_CELLS = st.sampled_from(["0", "1", "2", "01", "001", "0" * 17 + "1"])
@@ -485,6 +510,75 @@ def test_plain_tokenizer_reads_plain_files(tmp_path):
             load_records(str(path), config)
         assert slow.called == (path in (crlf, spaced))
         assert_same_load(str(path), config)
+
+
+def load_gen():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def test_load_table_folds_plain_files_into_counts(tmp_path):
+    """Plain files are tabulated without records, at every block size; others take the record path."""
+    config = load_config(write_config(tmp_path))
+    gen = load_gen()
+    counts = np.random.default_rng(6).integers(0, 40, size=(2, 3, 2, 2))
+    fixed_width = tmp_path / "bench.csv"
+    gen.write_csv(str(fixed_width), counts, ["z", "x", "a", "y"], 6)
+    sparse = tmp_path / "sparse.csv"
+    sparse.write_text("note,z ,x,a,y\n7,0,01,0,1\n\n,,,,\n12,1,2,001,0\n\n3,0,0,1,1")
+    for block in BLOCK_SIZES:
+        refuse = AssertionError("the record path ran")
+        with mock.patch.object(rulebounds.io, "_csv_records", side_effect=refuse), \
+                mock.patch.object(rulebounds.io, "_records", side_effect=refuse), \
+                mock.patch.object(rulebounds.io, "_BLOCK_BYTES", block):
+            table, info = load_table(str(fixed_width), config)
+            np.testing.assert_array_equal(table.probs, counts / counts.sum())
+            assert info["n_records"] == counts.sum()
+            assert info["sha256"] == rulebounds.io.file_sha256(str(fixed_width))
+            assert info["value_counts"]["x"] == {
+                str(x): int(counts[:, x].sum()) for x in range(3)
+            }
+            table, info = load_table(str(sparse), config)
+            assert info["n_records"] == 3
+            assert table.probs[0, 1, 0, 1] == table.probs[1, 2, 1, 0] == table.probs[0, 0, 1, 1] == 1 / 3
+
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(b"z,x,a,y\r\n0,1,0,1\r\n1,2,1,0\r\n")
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("z,x,a,y\n0, 1,+0,1\n")
+    out_of_range = tmp_path / "range.csv"
+    out_of_range.write_text("z,x,a,y\n0,1,0,1\n0,3,0,1\n")
+    for path in (fixed_width, sparse, crlf, spaced, out_of_range):
+        with mock.patch.object(rulebounds.io, "_records", wraps=rulebounds.io._records) as records, \
+                mock.patch.object(rulebounds.io, "_csv_records", wraps=rulebounds.io._csv_records) as slow:
+            tabulate_or_error(load_table, str(path), config)
+        assert records.called == (path in (crlf, spaced, out_of_range))
+        assert slow.called == (path in (crlf, spaced))
+        assert_same_load(str(path), config)
+
+
+def test_load_table_memory_follows_one_block_not_the_row_count(tmp_path):
+    """Beyond the file's bytes, tabulating a plain file holds about one block's index arrays."""
+    config = load_config(write_config(tmp_path))
+    gen = load_gen()
+    excess = []
+    for rows in (100_000, 400_000):
+        path = tmp_path / f"rows{rows}.csv"
+        gen.write_csv(str(path), gen.counts_for_model(config.model, 3, rows), ["z", "x", "a", "y"], 3)
+        tracemalloc.start()
+        try:
+            table, info = load_table(str(path), config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info["n_records"] == rows
+        excess.append(peak - path.stat().st_size)
+    assert max(excess) < 32 * rulebounds.io._BLOCK_BYTES
+    assert abs(excess[1] - excess[0]) < rulebounds.io._BLOCK_BYTES // 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+import warnings
 from itertools import product
 
 import numpy as np
@@ -161,6 +163,19 @@ def test_empirical_joint_errors():
     # integral floats are accepted
     table = empirical_joint(np.array([[1.0, 2.0]]), vs)
     assert table.probs[1, 2] == 1.0
+
+
+@pytest.mark.parametrize(
+    "value,shown", [(np.inf, "inf"), (-np.inf, "-inf"), (1e30, str(int(1e30))), (-3.0, "-3")]
+)
+def test_empirical_joint_names_a_float_code_outside_the_range(value, shown):
+    # the range is checked before the integer cast, which would warn and wrap an infinite or huge code
+    vs = specs(("a", 2), ("b", 3))
+    message = rf"^variable 'a': value {re.escape(shown)} at record 1 outside range\(0, 2\)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=message):
+            empirical_joint(np.array([[1.0, 2.0], [value, 0.0]]), vs)
 
 
 def test_cpt_validation():
