@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .errors import (
     ConfigError,
     DataError,
-    EnumerationCapError,
     InfeasibleModelError,
+    ProgramTooLargeError,
     RuleboundsError,
     SolverError,
 )
@@ -37,9 +37,9 @@ __all__ = [
     "CausalModel",
     "ConfigError",
     "DataError",
-    "EnumerationCapError",
     "InfeasibleModelError",
     "JointTable",
+    "ProgramTooLargeError",
     "RuleboundsError",
     "SolverError",
     "StrategyRequest",

@@ -1,7 +1,8 @@
 """Command-line interface: ``bounds``, ``simulate``, and ``compare``.
 
-Exit codes: 0 success, 2 configuration problem, 3 data problem,
-4 observed data incompatible with the assumed structure.
+Exit codes: 0 success, 2 configuration problem or a program over the
+memory budget, 3 data problem, 4 observed data incompatible with the
+assumed structure.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import sys
 from dataclasses import fields, replace
 
-from .errors import ConfigError, DataError, EnumerationCapError, InfeasibleModelError
+from .errors import ConfigError, DataError, InfeasibleModelError, ProgramTooLargeError
 from .io import (
     VALID_STRATEGIES,
     AnalysisConfig,
@@ -25,7 +26,7 @@ from .io import (
     write_json,
     write_stratum_csv,
 )
-from .lp_bounds import DEFAULT_CAP, QUERIES
+from .lp_bounds import QUERIES
 from .simulation import SimConfig, run_study
 from .strategies import (
     StrategyRequest,
@@ -63,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bounds.add_argument("--query", choices=QUERIES, help="override the config's query")
     p_bounds.add_argument("--stratum-csv", help="also write per-stratum bounds as CSV")
-    p_bounds.add_argument("--cap", type=int, help="response-type enumeration cap override")
 
     p_sim = sub.add_parser(
         "simulate", help="validate bounds against randomly drawn ground-truth models"
@@ -79,14 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--output", help="report JSON path (default stdout)")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_cmp = _analysis_parser(
-        sub, "compare", "run both strategies and, when tractable, the direct sharp oracle", cmd_compare
-    )
-    p_cmp.add_argument(
-        "--oracle-cap",
-        type=int,
-        default=DEFAULT_CAP,
-        help="largest class count the direct oracle may enumerate",
+    _analysis_parser(
+        sub, "compare", "run both strategies and, when its program fits, the direct sharp oracle", cmd_compare
     )
     return parser
 
@@ -116,7 +110,7 @@ def _analyse(args, config: AnalysisConfig, command: str, solve) -> int:
     if not data_path:
         raise ConfigError("no data file: pass --data or set 'data' in the config")
     table, data_info = load_table(data_path, config)
-    own, intervals, tail = solve(StrategyRequest(config.model, table, config.query, cap=config.cap))
+    own, intervals, tail = solve(StrategyRequest(config.model, table, config.query))
     report = build_report(
         command,
         {
@@ -138,7 +132,7 @@ def _analyse(args, config: AnalysisConfig, command: str, solve) -> int:
 
 
 def cmd_bounds(args) -> int:
-    config = _override(load_config(args.config), query=args.query, strategy=args.strategy, cap=args.cap)
+    config = _override(load_config(args.config), query=args.query, strategy=args.strategy)
     stratum_csv = args.stratum_csv or config.stratum_csv_path
     if stratum_csv and config.strategy == "reduction":
         raise ConfigError("--stratum-csv needs the conditioning strategy")
@@ -219,14 +213,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.oracle_cap < 1:
-        raise ConfigError(f"--oracle-cap must be a positive integer, got {args.oracle_cap}")
     config = load_config(args.config)
     if config.stratum_csv_path:
         raise ConfigError("compare writes no stratum CSV; drop 'stratum_csv' or run 'rulebounds bounds'")
 
     def solve(request):
-        comparison = compare_strategies(request, oracle_cap=args.oracle_cap)
+        comparison = compare_strategies(request)
         tail = [f"  oracle note: {comparison.oracle_note}"] if comparison.oracle_note else []
         tail.append(f"  conditioning inside reduction: {comparison.containment_ok}")
         if comparison.oracle_matches_conditioning is not None:
@@ -242,7 +234,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, EnumerationCapError) as err:
+    except (ConfigError, ProgramTooLargeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except DataError as err:

@@ -26,17 +26,17 @@ class InfeasibleModelError(RuleboundsError):
         self.violation = violation
 
 
-class EnumerationCapError(RuleboundsError):
-    """A response-type space is too large to materialize.
+class ProgramTooLargeError(RuleboundsError):
+    """A program's profile arrays or tableau would exceed ``lp_bounds.MAX_TABLEAU_BYTES``.
 
-    ``count`` is the exact class count computed before enumeration,
-    ``cap`` the configured limit it exceeded.
+    Raised before they are allocated: ``needed`` is the bytes they would
+    take, ``budget`` the limit they exceed.
     """
 
-    def __init__(self, message, *, count, cap):
+    def __init__(self, message, *, needed, budget):
         super().__init__(message)
-        self.count = count
-        self.cap = cap
+        self.needed = needed
+        self.budget = budget
 
 
 class SolverError(RuleboundsError):

@@ -20,6 +20,7 @@ every error is worded the same.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import json
@@ -33,13 +34,13 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DataError
-from .lp_bounds import DEFAULT_CAP, QUERIES, require_guideline
+from .lp_bounds import QUERIES, require_guideline
 from .model import ROLES, CausalModel, TreatmentRule, VariableSpec, rule_table, validate_model
 from .tables import JointTable, empirical_joint
 
 VALID_STRATEGIES = ("reduction", "conditioning", "both")
 _CONFIG_KEYS = (
-    "variables", "rule", "guideline", "query", "strategy", "enumeration_cap", "data", "output", "stratum_csv",
+    "variables", "rule", "guideline", "query", "strategy", "data", "output", "stratum_csv",
 )
 _VARIABLE_KEYS = ("name", "cardinality", "role", "column")
 
@@ -51,7 +52,6 @@ class AnalysisConfig:
     model: CausalModel
     query: str
     strategy: str
-    cap: int
     columns: dict                 # variable name -> CSV column name
     data_path: Optional[str]
     output_path: Optional[str]
@@ -70,8 +70,6 @@ class AnalysisConfig:
             raise ConfigError(
                 f"unknown strategy {self.strategy!r}; expected one of {VALID_STRATEGIES}"
             )
-        if not isinstance(self.cap, int) or isinstance(self.cap, bool) or self.cap < 1:
-            raise ConfigError(f"enumeration_cap must be a positive integer, got {self.cap!r}")
         for key, path in (
             ("data", self.data_path),
             ("output", self.output_path),
@@ -185,7 +183,6 @@ def load_config(path: str) -> AnalysisConfig:
         model=model,
         query=raw.get("query", "theta_f"),
         strategy=raw.get("strategy", "both"),
-        cap=raw.get("enumeration_cap", DEFAULT_CAP),
         columns=columns,
         data_path=raw.get("data"),
         output_path=raw.get("output"),
@@ -253,13 +250,16 @@ def _open_data(path: str, config: AnalysisConfig) -> tuple:
             data = fh.read()
     except OSError as err:
         raise DataError(f"cannot read data {path!r}: {err}") from None
-    if not data.isascii():
+    checked = len(data) if data.isascii() else 0  # else a block at a time: no decoded copy of the file
+    while checked < len(data):
+        stop = checked + max(_BLOCK_BYTES, 4)  # a character cut at a block's end starts the next block
         try:
-            data.decode("utf-8")
+            checked += codecs.utf_8_decode(memoryview(data)[checked:stop], "strict", stop >= len(data))[1]
         except UnicodeDecodeError as err:
+            bad = checked + err.start
             raise DataError(
-                f"line {_line_of_offset(data, err.start)} of {path!r}: byte "
-                f"0x{data[err.start]:02x} is not UTF-8; data files must be UTF-8"
+                f"line {_line_of_offset(data, bad)} of {path!r}: byte "
+                f"0x{data[bad]:02x} is not UTF-8; data files must be UTF-8"
             ) from None
 
     reader = _csv_reader(data)

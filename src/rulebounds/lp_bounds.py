@@ -16,10 +16,11 @@ configuration and its *response profile* there: the treatment level it
 gives in each arm and the outcome it gives at each level. Each arm and
 each level reads a distinct parent configuration, so every profile is some
 class's, and merging the profiles gives the same columns. Each space does
-that once (``ResponseTypeSpace.merged``); no solve walks the classes. The
-per-class arrays (``class_cells``, ``LpProblem.cells`` and ``.objective``),
-broadcast from three small factor tables, state the unmerged program for
-reference checks only.
+that once (``ResponseTypeSpace.merged``), refusing a program over
+``MAX_TABLEAU_BYTES``; no solve walks the classes. The per-class arrays
+(``class_cells``, ``LpProblem.cells`` and ``.objective``), broadcast from
+three small factor tables, state the unmerged program for reference checks
+only.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import prod
 import numpy as np
 
 from . import simplex
-from .errors import DataError, EnumerationCapError, InfeasibleModelError, SolverError
+from .errors import DataError, InfeasibleModelError, ProgramTooLargeError, SolverError
 from .model import (
     CANON_INSTRUMENT,
     CANON_OUTCOME,
@@ -46,7 +47,9 @@ from .model import (
 )
 from .tables import JointTable, reorder, with_variables
 
-DEFAULT_CAP = 10_000_000
+# the most any one array of a program may take: its profile arrays, or its dense simplex tableau
+# (a solve holds A, pivot temporaries and, for a reduction, its warm starts too: 2.7 to 5 tableaus)
+MAX_TABLEAU_BYTES = 256 * 2**20
 # response-type spaces (and digit tables) kept per process; an evicted space frees whatever it cached
 SPACE_CACHE_SIZE = 32
 BOUND_TOL = 1e-9
@@ -116,28 +119,51 @@ class ResponseTypeSpace:
         ``inverse[r, t, y]`` is the column of root configuration ``r`` under
         arm profile ``t`` (the level given in each arm, first arm slowest)
         and outcome profile ``y`` (the outcome given at each level, level 0
-        slowest). A profile's per-arm cells are encoded as one integer, first
+        slowest). A profile's per-arm cell tuple is ranked arm by arm, first
         arm slowest, so columns come in lexicographic order of their cell
-        tuples. ``A`` has one row per (arm, cell), arm-major, and a last
-        total-mass row.
+        tuples and no code outgrows the profile count. ``A`` has one row per
+        (arm, cell), arm-major, and a last total-mass row. Profile arrays or
+        a simplex tableau over ``MAX_TABLEAU_BYTES`` raise
+        ``ProgramTooLargeError`` before they are allocated: the profiles are
+        counted first, the columns before ``A``.
         """
+        k, n_arms = self.shape.treat_card, self.n_arms
+        profiles = prod(self.root_cards) * k**n_arms * 2**k
+        # each arm's cells, their codes and np.unique's buffers: at most n_arms + 8 int64 arrays over the profiles
+        self._check_budget(8 * profiles * (n_arms + 8), f"merging its {profiles:,} response profiles")
         roots = _digits(self.root_cards)
-        arm_levels = _digits((self.shape.treat_card,) * self.n_arms)
-        outcomes = _digits((2,) * self.shape.treat_card)
-        per_arm = (self.n_cells,) * self.n_arms
-        value, cells = dict(enumerate(roots[:, :, np.newaxis, np.newaxis])), []
+        arm_levels = _digits((k,) * n_arms)
+        outcomes = _digits((2,) * k)
+        value, cells, inverse = dict(enumerate(roots[:, :, np.newaxis, np.newaxis])), [], 0
         for level in arm_levels:
             value.update(treatment=level[:, np.newaxis], outcome=outcomes[level])
-            cells.append(sum(value[src] * s for src, s in zip(self.cell_sources, _strides(self.cell_cards))))
-        codes, inverse = np.unique(np.ravel_multi_index(cells, per_arm), return_inverse=True)
-        A = np.zeros((self.n_arms * self.n_cells + 1, codes.size))
-        for arm, cell in enumerate(np.unravel_index(codes, per_arm)):
-            A[arm * self.n_cells + cell, np.arange(codes.size)] = 1.0
+            cells.append(sum(value[src] * s for src, s in zip(self.cell_sources, _strides(self.cell_cards))).ravel())
+            inverse = np.unique(inverse * self.n_cells + cells[-1], return_inverse=True)[1]
+        rows, columns = n_arms * self.n_cells + 1, int(inverse.max()) + 1  # A is smaller than the tableau
+        tableau = 8 * (rows + 1) * (columns + rows + 1)
+        self._check_budget(tableau, f"the simplex tableau of its {rows:,} rows × {columns:,} columns")
+        first = np.empty(columns, dtype=np.intp)
+        first[inverse] = np.arange(inverse.size)  # one profile of each column
+        cells = [cell[first] for cell in cells]  # each column's cell per arm; the profile arrays go before A
+        A = np.zeros((rows, columns))
+        for arm, cell in enumerate(cells):
+            A[arm * self.n_cells + cell, np.arange(columns)] = 1.0
         A[-1] = 1.0
         inverse = inverse.reshape(roots.shape[1], arm_levels.shape[1], -1)
         for array in (A, inverse):
             array.setflags(write=False)
         return A, inverse
+
+    def _check_budget(self, needed: int, what: str) -> None:
+        """Refuse ``what`` when it needs more than ``MAX_TABLEAU_BYTES``."""
+        if needed > MAX_TABLEAU_BYTES:
+            raise ProgramTooLargeError(
+                f"the {_STRATEGY_BY_KIND[self.shape.kind]} program is too large: {what} needs "
+                f"{needed:,} bytes ({needed / 2**20:,.1f} MiB), over the budget of "
+                f"{MAX_TABLEAU_BYTES:,} bytes ({MAX_TABLEAU_BYTES / 2**20:g} MiB)",
+                needed=needed,
+                budget=MAX_TABLEAU_BYTES,
+            )
 
     @cached_property
     def warm_starts(self) -> dict:
@@ -188,27 +214,13 @@ def _space(shape: SpaceShape) -> ResponseTypeSpace:
     )
 
 
-def enumerate_response_types(source, cap: int = DEFAULT_CAP) -> ResponseTypeSpace:
-    """Fetch the response-type space, refusing if it exceeds ``cap`` classes.
+def enumerate_response_types(source) -> ResponseTypeSpace:
+    """The response-type space of ``source``, a ``SpaceShape`` or a built model carrying one as ``.shape``.
 
-    ``source`` is a ``SpaceShape`` or a built model carrying one as ``.shape``.
-    The cap reads only the class count: no solve walks the classes, only the
-    per-class reference arrays (``class_cells``, ``LpProblem.objective``) do.
+    Nothing is built here, whatever the class count: a space's size is
+    guarded where its columns are merged (``ResponseTypeSpace.merged``).
     """
-    shape = source if isinstance(source, SpaceShape) else source.shape
-    space = _space(shape)
-    if space.class_count > cap:
-        advice = (
-            "use the reduction or conditioning strategy instead"
-            if shape.kind == "full"
-            else "raise it with --cap or the config's 'enumeration_cap'"
-        )
-        raise EnumerationCapError(
-            f"response-type space has {space.class_count} classes, exceeding the cap of {cap}; {advice}",
-            count=space.class_count,
-            cap=cap,
-        )
-    return space
+    return _space(source if isinstance(source, SpaceShape) else source.shape)
 
 
 def _strides(cards) -> list:
@@ -248,7 +260,10 @@ def _rest_code(space, roots, positions) -> np.ndarray:
 
 
 def class_cells(space: ResponseTypeSpace) -> np.ndarray:
-    """(n_arms, n_classes) flat observed-cell index hit by each class per arm."""
+    """(n_arms, n_classes) flat observed-cell index hit by each class per arm.
+
+    Unguarded reference code: its class-length arrays serve checks on small fixed shapes.
+    """
     roots, treat, outcome = _factors(space)
     n_a = treat.shape[1]
     r, a = np.divmod(np.arange(roots.shape[1] * n_a), n_a)
@@ -298,7 +313,8 @@ class LpProblem:
 
     The per-class ``objective`` and ``cells`` state the unmerged program,
     for reference checks that re-solve it; they are built when first read,
-    kept only on the program, and never read by ``solve_bounds``.
+    kept only on the program, and never read by ``solve_bounds``. Each is
+    a class-length array that no budget guards.
     """
 
     space: ResponseTypeSpace
@@ -309,7 +325,7 @@ class LpProblem:
 
     @cached_property
     def objective(self) -> np.ndarray:
-        """(n_classes,) read-only coefficients, values in {-1, 0, 1}."""
+        """(n_classes,) read-only coefficients, values in {-1, 0, 1}; unguarded reference code."""
         coef = _coefficients(self.space, self.query, self.level, self.guideline_level)
         obj = np.empty(self.space.class_count)
         obj.reshape(coef.shape[0], -1, coef.shape[1])[...] = coef[:, np.newaxis, :]
@@ -318,7 +334,7 @@ class LpProblem:
 
     @cached_property
     def cells(self) -> np.ndarray:
-        """(n_arms, n_classes) flat cell index per arm: ``class_cells`` of the space."""
+        """(n_arms, n_classes) flat cell index per arm: ``class_cells`` of the space, unguarded reference code."""
         return class_cells(self.space)
 
     @property
@@ -505,15 +521,15 @@ def direct_sharp_bounds(
     model: CausalModel,
     observed: JointTable,
     query: str = "theta_f",
-    cap: int = DEFAULT_CAP,
 ) -> BoundsResult:
     """Bounds from the unreduced space over (covariates, treatment, outcome[, instrument]).
 
     Exact, and intended as a cross-check of the strategies. The class count
-    grows exponentially with the covariate domain and ``cap`` still refuses
-    a space by that count, but the solve merges the space's response
-    profiles, a few per covariate cell, and never walks the classes. Extra
-    covariates are not supported.
+    grows exponentially with the covariate domain, but the solve merges the
+    space's response profiles, a few per covariate cell, and never walks the
+    classes. Its program grows with the covariate domain: one over
+    ``MAX_TABLEAU_BYTES`` raises ``ProgramTooLargeError`` before its arrays
+    are built. Extra covariates are not supported.
     """
     check_request(model, observed, query)
     if model.extra_covariates:
@@ -521,7 +537,7 @@ def direct_sharp_bounds(
     shape = SpaceShape(
         "full", model.treatment.cardinality, model.instrument_card, x_cards=model.rule_covariate_cards
     )
-    space = enumerate_response_types(shape, cap=cap)
+    space = enumerate_response_types(shape)
 
     arm = (model.instrument,) if model.instrument is not None else ()
     source = arm + model.rule_covariates + (model.treatment, model.outcome)

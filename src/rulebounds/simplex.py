@@ -1,16 +1,18 @@
-"""Self-contained two-phase tableau simplex for small equality-form programs.
+"""Self-contained two-phase tableau simplex for equality-form programs.
 
-Solves min c.x subject to A x = b, x >= 0. Problem sizes in this package
-stay below a few hundred rows and columns, so a dense tableau with Dantzig
-pricing is fast and simple to audit. Once a tableau has made
-``stall_after`` pivots in total it prices by Bland's rule instead, which
-guarantees termination; the switch counts pivots, it does not detect
-stalling. Infeasibility is reported with the most-violated row taken from
-the phase-1 basis, which minimizes the total constraint violation.
+Solves min c.x subject to A x = b, x >= 0, on a dense tableau with Dantzig
+pricing, simple to audit. Programs have a few hundred rows and columns, or
+thousands for the direct oracle over a wide covariate domain;
+``lp_bounds`` refuses one whose tableau would exceed
+``MAX_TABLEAU_BYTES``. Once a tableau has made ``stall_after`` pivots in
+total it prices by Bland's rule instead, which guarantees termination; the
+switch counts pivots, it does not detect stalling. Infeasibility is
+reported with the most-violated row taken from the phase-1 basis, which
+minimizes the total constraint violation.
 
 A pivot updates only the rows whose entry in the pivot column is non-zero
-(a handful in the package's partition-structured programs) and builds no
-tableau-sized temporary. Every entry it changes gets the same arithmetic
+(a handful in the package's partition-structured programs), and its
+temporaries span only those rows. Every entry it changes gets the same arithmetic
 as the full rank-one update ``T -= outer(col, T[i])``, so the pivot
 sequence and the results do not depend on the sparsity.
 
@@ -66,22 +68,20 @@ class _Tableau:
     """One feasibility session over fixed (A, b); supports repeated objectives."""
 
     def __init__(self, A, b):
-        A = np.array(A, dtype=float)
-        b = np.array(b, dtype=float)
+        A = np.asarray(A, dtype=float)  # read only: the tableau is the one copy
+        b = np.asarray(b, dtype=float)
         if A.ndim != 2:
             raise ValueError("A must be a matrix")
         m, n = A.shape
         if b.shape != (m,):
             raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
-        neg = b < 0
-        A[neg] *= -1.0
-        b[neg] *= -1.0
+        sign = np.where(b < 0, -1.0, 1.0)[:, np.newaxis]
         self.m, self.n = m, n
         # columns: [0, n) real variables, [n, n+m) artificials, last column RHS
         T = np.zeros((m + 1, n + m + 1))
-        T[:m, :n] = A
-        T[:m, n : n + m] = np.eye(m)
-        T[:m, -1] = b
+        np.multiply(A, sign, out=T[:m, :n])
+        np.fill_diagonal(T[:m, n : n + m], 1.0)
+        T[:m, -1] = sign[:, 0] * b
         self.T = T
         self.basis = np.arange(n, n + m)
         self.allowed = np.ones(n + m, dtype=bool)
@@ -261,7 +261,7 @@ def warm_start(c_lo, c_hi, A) -> WarmStart:
     for c in (c_lo, -c_hi):
         if tableau.solve(c).status != "optimal":
             raise SolverError("canonical right-hand side A·1/n found infeasible; constraint setup is broken")
-        side = tableau._copy()
+        side = tableau._copy() if not sides else tableau  # the upper side keeps the session tableau itself
         for array in (side.T, side.basis, side.allowed):
             array.setflags(write=False)
         sides.append(side)

@@ -16,9 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, EnumerationCapError, InfeasibleModelError
+from .errors import DataError, InfeasibleModelError, ProgramTooLargeError
 from .lp_bounds import (
-    DEFAULT_CAP,
     BoundsResult,
     build_lp,
     check_request,
@@ -43,7 +42,6 @@ class StrategyRequest:
     model: CausalModel
     observed: JointTable
     query: str = "theta_f"
-    cap: int = DEFAULT_CAP
 
     def __post_init__(self):
         check_request(self.model, self.observed, self.query)
@@ -70,7 +68,7 @@ def reduce_table(model: CausalModel, reduced: SpaceShape, observed: JointTable) 
 def reduction_bounds(request: StrategyRequest) -> BoundsResult:
     """Bounds from the single program on the reduced observed table."""
     reduced = build_reduced_model(request.model)
-    space = enumerate_response_types(reduced, cap=request.cap)
+    space = enumerate_response_types(reduced)
     table = reduce_table(request.model, reduced, request.observed)
     lp = build_lp(space, table, request.query)
     result = solve_bounds(lp)
@@ -97,7 +95,7 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
     cell_shape = tuple(v.cardinality for v in cell_specs)
     probs = reorder(request.observed, [v.name for v in order]).probs.reshape((-1,) + cell_shape)
     masses = probs.reshape(probs.shape[0], -1).sum(axis=1)
-    space = enumerate_response_types(shape, cap=request.cap)
+    space = enumerate_response_types(shape)
     nx = len(model.rule_covariates)
     strata: list[dict] = []
     lower = 0.0
@@ -157,7 +155,7 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
 
 @dataclass(frozen=True, eq=False)
 class StrategyComparison:
-    """Both strategies side by side, plus the direct oracle when tractable."""
+    """Both strategies side by side, plus the direct oracle when it runs."""
 
     query: str
     reduction: BoundsResult
@@ -181,14 +179,13 @@ class StrategyComparison:
         }
 
 
-def compare_strategies(
-    request: StrategyRequest, oracle_cap: Optional[int] = None
-) -> StrategyComparison:
-    """Run both strategies; add the direct oracle when the model is small enough.
+def compare_strategies(request: StrategyRequest) -> StrategyComparison:
+    """Run both strategies and the direct oracle; the oracle's absence is noted.
 
     The conditioning interval is expected to sit inside the reduction
     interval (it uses strictly finer information); ``containment_ok``
-    records whether that held to tolerance.
+    records whether that held to tolerance. The oracle is skipped, with a
+    note, for extra covariates or a program over ``MAX_TABLEAU_BYTES``.
     """
     red = reduction_bounds(request)
     cond = conditioning_bounds(request)
@@ -196,24 +193,17 @@ def compare_strategies(
         cond.lower >= red.lower - CONTAINMENT_TOL
         and cond.upper <= red.upper + CONTAINMENT_TOL
     )
-    oracle = None
-    note = None
-    matches = None
-    if oracle_cap is not None:
-        if request.model.extra_covariates:
-            note = "direct oracle skipped: extra covariates not supported"
-        else:
-            try:
-                oracle = direct_sharp_bounds(
-                    request.model, request.observed, request.query, cap=oracle_cap
-                )
-            except EnumerationCapError as err:
-                note = str(err)
-        if oracle is not None:
-            matches = (
-                abs(oracle.lower - cond.lower) <= AGREE_TOL
-                and abs(oracle.upper - cond.upper) <= AGREE_TOL
-            )
+    oracle = note = None
+    if request.model.extra_covariates:
+        note = "direct oracle skipped: extra covariates not supported"
+    else:
+        try:
+            oracle = direct_sharp_bounds(request.model, request.observed, request.query)
+        except ProgramTooLargeError as err:
+            note = f"direct oracle skipped: {err}"
+    matches = None if oracle is None else (
+        abs(oracle.lower - cond.lower) <= AGREE_TOL and abs(oracle.upper - cond.upper) <= AGREE_TOL
+    )
     return StrategyComparison(
         query=request.query,
         reduction=red,

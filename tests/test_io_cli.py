@@ -4,12 +4,14 @@ End-to-end runs go through ``main`` with real files under tmp_path and
 check exit codes, report contents, and agreement with the library calls.
 """
 
+import argparse
 import csv
 import dataclasses
 import importlib.util
 import json
 import os
 import re
+import shlex
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -20,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rulebounds.io
-from rulebounds.cli import main
+from rulebounds.cli import build_parser, main
 from rulebounds.errors import ConfigError, DataError
 from rulebounds.io import (
     build_report,
@@ -127,7 +129,6 @@ def test_load_config_happy_path(tmp_path):
     assert config.model.guideline.name == "standard"
     assert config.query == "theta_f"
     assert config.strategy == "both"
-    assert config.cap == 10_000_000
     assert config.columns == {"z": "z", "x": "x", "a": "a", "y": "y"}
     assert config.data_path == "records.csv"
     assert config.output_path == "out.json"
@@ -164,13 +165,13 @@ def test_load_config_column_mapping(tmp_path):
         ({"query": "theta_q"}, "unknown query"),
         ({"query": "cu", "guideline": None}, "needs a 'guideline'"),
         ({"strategy": "oracle"}, "unknown strategy"),
-        ({"enumeration_cap": -1}, "enumeration_cap"),
+        ({"enumeration_cap": 10**9}, "enumeration_cap"),
         (
             {"variables": BASE_CONFIG["variables"] + [
                 {"name": "y", "cardinality": 2, "role": "outcome"}]},
             "invalid model",
         ),
-        ({"enumeration_cap": True}, "enumeration_cap must be a positive integer, got True"),
+        ({"oracle_cap": 4}, "oracle_cap"),
         ({"data": 7}, "'data' must be a file path string"),
         ({"stratum_csv": 0}, "'stratum_csv' must be a file path string"),
         ({"query": ["cu"]}, r"unknown query \['cu'\]; expected one of \('theta_f', 'theta_g', 'cu'\)"),
@@ -198,8 +199,7 @@ def test_load_config_refuses_unknown_keys(tmp_path, capsys):
     # every documented key is accepted
     variables = [dict(v, column=v["name"]) for v in BASE_CONFIG["variables"]]
     every = write_config(
-        tmp_path, name="every.json", variables=variables, enumeration_cap=10**6,
-        data="d.csv", output="o.json", stratum_csv="s.csv",
+        tmp_path, name="every.json", variables=variables, data="d.csv", output="o.json", stratum_csv="s.csv",
     )
     assert load_config(every).stratum_csv_path == "s.csv"
 
@@ -581,6 +581,57 @@ def test_load_table_memory_follows_one_block_not_the_row_count(tmp_path):
     assert abs(excess[1] - excess[0]) < rulebounds.io._BLOCK_BYTES // 8
 
 
+def test_non_ascii_header_costs_no_decoded_copy_of_the_file(tmp_path):
+    """UTF-8 is checked a block at a time: a non-ASCII header name adds at most one block to the peak."""
+    variables = [dict(v, column="résultat") if v["name"] == "y" else v for v in BASE_CONFIG["variables"]]
+    configs = (load_config(write_config(tmp_path)), load_config(write_config(tmp_path, "é.json", variables=variables)))
+    gen = load_gen()
+    counts = gen.counts_for_model(configs[0].model, 5, 200_000)
+    loads = []
+    for config, y in zip(configs, ("y", "résultat")):
+        path = tmp_path / f"{y}.csv"
+        gen.write_csv(str(path), counts, ["z", "x", "a", y], 5)
+        tracemalloc.start()
+        try:
+            table, info = load_table(str(path), config)
+            loads.append((table.probs, info["value_counts"], tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+    (ascii_probs, ascii_counts, ascii_peak), (probs, value_counts, peak) = loads
+    assert np.array_equal(probs, ascii_probs) and value_counts == ascii_counts
+    assert peak - ascii_peak < rulebounds.io._BLOCK_BYTES
+
+
+def test_utf8_check_names_the_line_across_a_block_boundary(tmp_path):
+    config = load_config(write_config(tmp_path))
+    block = rulebounds.io._BLOCK_BYTES
+    plain = b"z,x,a,y\n" + b"0,1,0,1\n" * (block // 8 + 100)  # 8-byte lines: line n + 1 starts at byte 8n
+    # a bad byte just past the boundary, and a lead byte cut by it whose continuation is bad
+    for offset, byte in ((block + 2, 0xFF), (block - 1, 0xC3)):
+        data = bytearray(plain)
+        data[offset] = byte
+        path = tmp_path / f"bad{offset}.csv"
+        path.write_bytes(bytes(data))
+        line = data[:offset].count(b"\n") + 1
+        assert line == offset // 8 + 1
+        with pytest.raises(DataError) as exc:
+            load_table(str(path), config)
+        assert str(exc.value) == f"line {line} of {str(path)!r}: byte 0x{byte:02x} is not UTF-8; data files must be UTF-8"
+    # a character cut by the boundary, of two, three or four bytes, loads; its text column is not read
+    header, row = b"z,x,a,y,note\n", b"0,1,0,1,-\n"
+    head = header + row * ((block - 100) // len(row))
+    for char in ("é", "€", "𝄞"):
+        start = b"1,2,1,0,"
+        cut = start + b"-" * (block - 1 - len(head) - len(start)) + char.encode() + b"\n"
+        data = head + cut + row * 3
+        assert data[block - 1:block - 1 + len(char.encode())] == char.encode()
+        path = tmp_path / "cut.csv"
+        path.write_bytes(data)
+        table, info = load_table(str(path), config)
+        assert info["n_records"] == data.count(b"\n") - 1
+        assert table.probs[1, 2, 1, 0] == 1 / info["n_records"]
+
+
 # ---------------------------------------------------------------------------
 # report assembly and writing
 
@@ -663,7 +714,7 @@ def test_bounds_command_matches_library(tmp_path, capsys):
     config = load_config(cfg)
     records, _ = load_records(data, config)
     table = empirical_joint(records, config.model.variables)
-    request = StrategyRequest(config.model, table, "theta_f", cap=config.cap)
+    request = StrategyRequest(config.model, table, "theta_f")
     red = reduction_bounds(request)
     cond = conditioning_bounds(request)
     assert doc["results"]["reduction"]["lower"] == red.lower
@@ -741,17 +792,16 @@ def test_cli_exit_codes_for_config_problems(tmp_path, capsys):
 
     cfg = write_config(tmp_path)
     assert main(["bounds", "--config", cfg]) == 2  # no data anywhere
-    assert main(["bounds", "--config", cfg, "--data", data, "--cap", "10"]) == 2
-    err = capsys.readouterr().err
-    assert "--cap" in err and "enumeration_cap" in err  # the reduced program is over the cap
-    assert "reduction or conditioning" not in err
-    for cap in ("0", "-3"):
-        assert main(["bounds", "--config", cfg, "--data", data, "--cap", cap]) == 2
-        assert "enumeration_cap must be a positive integer" in capsys.readouterr().err
-    for cap in ("0", "-5"):
-        assert main(["compare", "--config", cfg, "--data", data, "--oracle-cap", cap]) == 2
-        err = capsys.readouterr().err
-        assert f"--oracle-cap must be a positive integer, got {cap}" in err
+    capsys.readouterr()
+    # the retired class caps are refused by name, never silently ignored
+    for command, flag in (("bounds", "--cap"), ("compare", "--oracle-cap")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--data", data, flag, "10"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 10" in capsys.readouterr().err
+    old_key = write_config(tmp_path, name="old.json", enumeration_cap=10**9)
+    assert main(["bounds", "--config", old_key, "--data", data]) == 2
+    assert "config error: unknown config keys ['enumeration_cap']" in capsys.readouterr().err
 
 
 def test_cli_exit_codes_for_data_problems(tmp_path, capsys):
@@ -870,10 +920,7 @@ def test_compare_command_runs_oracle(tmp_path, capsys):
     cfg = write_config(tmp_path)
     data = write_data(tmp_path)
     out = tmp_path / "cmp.json"
-    code = main(
-        ["compare", "--config", cfg, "--data", data, "--output", str(out),
-         "--oracle-cap", "100000"]
-    )
+    code = main(["compare", "--config", cfg, "--data", data, "--output", str(out)])
     assert code == 0
     printed = capsys.readouterr().out
     assert "conditioning inside reduction: True" in printed
@@ -883,11 +930,86 @@ def test_compare_command_runs_oracle(tmp_path, capsys):
     assert cmp["oracle"] is not None
     assert cmp["oracle_matches_conditioning"] is True
 
-    tiny = main(["compare", "--config", cfg, "--data", data, "--oracle-cap", "4"])
-    assert tiny == 0
-    printed = capsys.readouterr().out
-    assert "oracle note" in printed
-    assert "use the reduction or conditioning strategy instead" in printed
+
+def _write_uniform_case(tmp_path, name, variables, rule, cells):
+    """A config over ``variables`` and a CSV with one all-zero-outcome row per instrument arm of each of ``cells``.
+
+    Every program is feasible: each arm sees treatment 0 and outcome 0.
+    """
+    names = [v["name"] for v in variables]
+    lines = [",".join(names)]
+    for z in range(variables[0]["cardinality"]):
+        for cell in cells:
+            lines.append(",".join(map(str, (z,) + cell + (0, 0))))
+    data = tmp_path / f"{name}.csv"
+    data.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path, name=f"{name}.json", variables=variables, rule=rule, guideline=None)
+    return cfg, str(data)
+
+
+def test_program_size_not_class_count_decides_a_refusal(tmp_path, capsys):
+    def var(name, card, role):
+        return {"name": name, "cardinality": card, "role": role}
+
+    # a 4-level extra covariate: 322,486,272 classes, yet a 145 × 360 reduction program
+    variables = [var("z", 2, "instrument"), var("x", 3, "rule_covariate"), var("w", 4, "extra_covariate"),
+                 var("a", 3, "treatment"), var("y", 2, "outcome")]
+    cells = [(x, w) for x in range(3) for w in range(4)]
+    cfg, data = _write_uniform_case(tmp_path, "extra", variables, {"0": 0, "1": 1, "2": 2}, cells)
+    out = tmp_path / "extra-report.json"
+    assert main(["bounds", "--config", cfg, "--data", data, "--output", str(out)]) == 0
+    diagnostics = json.loads(out.read_text())["results"]["reduction"]["diagnostics"]
+    assert diagnostics["class_count"] == 322_486_272
+    assert (diagnostics["constraint_rows"], diagnostics["merged_columns"]) == (145, 360)
+
+    # treatment 4 with an 8-arm instrument: 4,194,304 profiles are refused before they are built
+    variables = [var("z", 8, "instrument"), var("x", 4, "rule_covariate"), var("a", 4, "treatment"),
+                 var("y", 2, "outcome")]
+    cfg, data = _write_uniform_case(tmp_path, "arms", variables, {str(x): x for x in range(4)}, [(x,) for x in range(4)])
+    assert main(["bounds", "--config", cfg, "--data", data]) == 2
+    err = capsys.readouterr().err
+    assert "config error: the reduction program is too large: merging its 4,194,304 response profiles" in err
+    assert "needs 536,870,912 bytes (512.0 MiB), over the budget of 268,435,456 bytes (256 MiB)" in err
+
+    # covariates (10, 10, 10): the strategies run, and the oracle's 3.8 GiB tableau is noted, not built
+    variables = [var("z", 2, "instrument")] + [var(f"x{i}", 10, "rule_covariate") for i in range(3)] + [
+        var("a", 3, "treatment"), var("y", 2, "outcome")]
+    rule = {f"{i},{j},{k}": i % 3 for i in range(10) for j in range(10) for k in range(10)}
+    cfg, data = _write_uniform_case(tmp_path, "wide", variables, rule, [(0, 0, 0), (1, 2, 3)])
+    out = tmp_path / "wide-report.json"
+    assert main(["compare", "--config", cfg, "--data", data, "--output", str(out)]) == 0
+    comparison = json.loads(out.read_text())["comparison"]
+    assert comparison["oracle"] is None and comparison["oracle_matches_conditioning"] is None
+    assert comparison["oracle_note"].startswith(
+        "direct oracle skipped: the direct_oracle program is too large: "
+        "the simplex tableau of its 12,001 rows × 30,000 columns needs 4,032,864,032 bytes"
+    )
+    assert f"oracle note: {comparison['oracle_note']}" in capsys.readouterr().out
+
+    # 8-arm instruments with 400 and 240 cells per arm: their codes would overflow int64, yet each
+    # program is refused by its tableau, as an oracle note under compare and exit 2 under bounds
+    variables = [var("z", 8, "instrument"), var("x0", 10, "rule_covariate"), var("x1", 10, "rule_covariate"),
+                 var("a", 2, "treatment"), var("y", 2, "outcome")]
+    rule = {f"{i},{j}": i % 2 for i in range(10) for j in range(10)}
+    cfg, data = _write_uniform_case(tmp_path, "wide8", variables, rule, [(0, 0), (1, 2)])
+    out = tmp_path / "wide8-report.json"
+    assert main(["compare", "--config", cfg, "--data", data, "--output", str(out)]) == 0
+    comparison = json.loads(out.read_text())["comparison"]
+    assert comparison["oracle"] is None and comparison["reduction"] and comparison["conditioning"]
+    assert comparison["oracle_note"].startswith(
+        "direct oracle skipped: the direct_oracle program is too large: "
+        "the simplex tableau of its 3,201 rows × 102,000 columns needs "
+    )
+    capsys.readouterr()
+    variables = [var("z", 8, "instrument"), var("x", 2, "rule_covariate"), var("w", 30, "extra_covariate"),
+                 var("a", 2, "treatment"), var("y", 2, "outcome")]
+    cells = [(x, w) for x in range(2) for w in range(30)]
+    cfg, data = _write_uniform_case(tmp_path, "extra8", variables, {"0": 0, "1": 1}, cells)
+    assert main(["bounds", "--config", cfg, "--data", data]) == 2
+    assert (
+        "config error: the reduction program is too large: the simplex tableau of its 1,921 rows × 61,200 columns"
+        in capsys.readouterr().err
+    )
 
 
 def test_compare_refuses_a_config_stratum_csv(tmp_path, capsys):
@@ -901,6 +1023,30 @@ def test_compare_refuses_a_config_stratum_csv(tmp_path, capsys):
     # bounds writes it from the same config
     assert main(["bounds", "--config", cfg, "--data", data]) == 0
     assert strata.exists()
+
+
+def test_readme_commands_parse():
+    """Every concrete ``rulebounds`` command in README's sh blocks parses; every synopsis flag exists."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        # a trailing backslash, or an indented line opening with an option, continues a command
+        block = re.sub(r"\n\s+(?=\[|--)", " ", block.replace("\\\n", "\n"))
+        lines = (line.split("#")[0].strip() for line in block.splitlines())
+        commands += [line for line in lines if line.startswith("rulebounds ")]
+    assert len(commands) == 8
+    for command in commands:
+        argv = shlex.split(command)[1:]
+        if "[" in command:  # a usage synopsis
+            options = subcommands[argv[0]]._option_string_actions
+            assert set(re.findall(r"--[a-z][a-z-]*", command)) <= set(options), command
+        else:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {command}")
 
 
 def test_readme_library_example_runs(monkeypatch, capsys):

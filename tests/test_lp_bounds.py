@@ -19,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rulebounds import lp_bounds, simplex
-from rulebounds.errors import DataError, EnumerationCapError, InfeasibleModelError, SolverError
+from rulebounds.errors import DataError, InfeasibleModelError, ProgramTooLargeError, SolverError
 from rulebounds.lp_bounds import (
-    DEFAULT_CAP,
+    MAX_TABLEAU_BYTES,
     QUERIES,
     SPACE_CACHE_SIZE,
     BoundsResult,
@@ -40,7 +40,7 @@ from rulebounds.model import (
     build_reduced_model,
     build_stratum_model,
 )
-from rulebounds.strategies import AGREE_TOL, StrategyRequest, conditioning_bounds
+from rulebounds.strategies import AGREE_TOL, StrategyRequest, conditioning_bounds, reduction_bounds
 from rulebounds.tables import JointTable, condition, marginalize
 
 from conftest import (
@@ -151,21 +151,31 @@ def test_class_at_matches_iteration_for_small_spaces():
         assert [class_at(space, j) for j in range(expected)] == list(iter_classes(space))
 
 
-def test_cap_refusal_reports_count_and_cap():
-    with pytest.raises(EnumerationCapError) as exc:
-        enumerate_response_types(PAPER_SHAPE, cap=10_000)
-    assert exc.value.count == 835_884_417_024
-    assert exc.value.cap == 10_000
-    assert "use the reduction or conditioning strategy" in str(exc.value)
-    assert DEFAULT_CAP == 10_000_000
-    with pytest.raises(EnumerationCapError):
-        enumerate_response_types(PAPER_SHAPE)  # default cap also refuses
-    # the strategies' own programs can only raise the cap
-    for shape in (SpaceShape("reduced", 2, guideline_mode="separate"), SpaceShape("stratum", 3)):
-        with pytest.raises(EnumerationCapError) as exc:
-            enumerate_response_types(shape, cap=1)
-        assert "--cap" in str(exc.value) and "enumeration_cap" in str(exc.value)
-        assert "reduction or conditioning" not in str(exc.value)
+def test_budget_refusal_reports_bytes_and_budget(monkeypatch):
+    # the study's reduction program: 648 response profiles over 2 arms, merged into 109 rows × 270 columns
+    shape = SpaceShape("reduced", 3, instrument_card=2, guideline_mode="separate")
+    profile_bytes = 8 * 648 * (2 + 8)
+    tableau_bytes = 8 * (109 + 1) * (270 + 109 + 1)
+    for budget, needed, what in (
+        (profile_bytes - 1, profile_bytes, "merging its 648 response profiles"),
+        (profile_bytes, tableau_bytes, "the simplex tableau of its 109 rows × 270 columns"),
+    ):
+        _space.cache_clear()
+        monkeypatch.setattr(lp_bounds, "MAX_TABLEAU_BYTES", budget)
+        space = enumerate_response_types(shape)
+        with pytest.raises(ProgramTooLargeError) as exc:
+            space.merged
+        assert (exc.value.needed, exc.value.budget) == (needed, budget)
+        message = str(exc.value)
+        assert message.startswith(f"the reduction program is too large: {what} needs {needed:,} bytes")
+        assert f"over the budget of {budget:,} bytes" in message
+        assert "merged" not in vars(space)  # nothing is cached, so a later read checks again
+    monkeypatch.setattr(lp_bounds, "MAX_TABLEAU_BYTES", tableau_bytes)
+    assert space.merged[0].shape == (109, 270)
+    # the class count alone refuses nothing: the paper shape's 835,884,417,024 classes merge into 73 × 180
+    monkeypatch.undo()
+    assert MAX_TABLEAU_BYTES == lp_bounds.MAX_TABLEAU_BYTES == 256 * 2**20
+    assert enumerate_response_types(PAPER_SHAPE).merged[0].shape == (73, 180)
 
 
 def test_space_is_cached_and_frozen():
@@ -584,17 +594,14 @@ def test_reduced_program_streams_its_classes_in_bounded_memory():
     ids=["1572864_classes", "5242880_classes", "100663296_classes", "134217728_classes"],
 )
 def test_direct_oracle_solves_in_under_a_mebibyte(model):
-    # the solve never walks the classes: even past the default cap, a space of 10^8 classes
-    # costs what its few dozen response profiles do, and the oracle agrees with conditioning
+    # the solve never walks the classes: a space of 10^8 classes costs what its
+    # few dozen response profiles do, and the oracle agrees with conditioning
     _space.cache_clear()
     observed = feasible_table(np.random.default_rng(13), model, zero_stratum=False)
     results = []
-    peak = _traced_peak(lambda: results.append(direct_sharp_bounds(model, observed, "cu", cap=2**28)))
+    peak = _traced_peak(lambda: results.append(direct_sharp_bounds(model, observed, "cu")))
     assert peak < 2**20
     oracle = results[0]
-    if oracle.diagnostics["class_count"] > DEFAULT_CAP:
-        with pytest.raises(EnumerationCapError):
-            direct_sharp_bounds(model, observed, "cu")
     cond = conditioning_bounds(StrategyRequest(model, observed, "cu"))
     assert abs(oracle.lower - cond.lower) <= AGREE_TOL
     assert abs(oracle.upper - cond.upper) <= AGREE_TOL
@@ -1295,7 +1302,70 @@ def test_direct_oracle_rejects_extras_and_big_domains(rng):
         ),
         rule=TreatmentRule.from_table({(x,): min(x // 2, 2) for x in range(6)}),
     )
-    big = JointTable(tuple(paper_shape_model.variables), random_probs(rng, (2, 6, 3, 2)))
-    with pytest.raises(EnumerationCapError) as exc:
-        direct_sharp_bounds(paper_shape_model, big)
-    assert exc.value.count == 835_884_417_024
+    # the paper shape's 835,884,417,024 classes are no reason to refuse: its program is 73 × 180
+    observed = feasible_table(rng, paper_shape_model, zero_stratum=False)
+    oracle = direct_sharp_bounds(paper_shape_model, observed)
+    assert oracle.diagnostics["class_count"] == 835_884_417_024
+    assert (oracle.diagnostics["constraint_rows"], oracle.diagnostics["merged_columns"]) == (73, 180)
+    cond = conditioning_bounds(StrategyRequest(paper_shape_model, observed))
+    assert abs(oracle.lower - cond.lower) <= AGREE_TOL and abs(oracle.upper - cond.upper) <= AGREE_TOL
+
+
+def _iv_model(x_cards, treat_card, z_card):
+    """An instrumented model over ``x_cards`` rule covariates whose rule sends each cell to its first value."""
+    xs = tuple(VariableSpec(f"x{i}", card, "rule_covariate") for i, card in enumerate(x_cards))
+    rule = TreatmentRule.from_table(
+        {x: x[0] % treat_card for x in product(*(range(c) for c in x_cards))}, name="f"
+    )
+    variables = (VariableSpec("z", z_card, "instrument"),) + xs + (
+        VariableSpec("a", treat_card, "treatment"),
+        VariableSpec("y", 2, "outcome"),
+    )
+    return CausalModel(variables, rule)
+
+
+@pytest.mark.parametrize(
+    "bound,model,what",
+    [
+        # the study's full shape at covariates (10, 10, 10): 72,000 profiles fit, its 3.8 GiB tableau does not
+        (direct_sharp_bounds, _iv_model((10, 10, 10), 3, 2), "the simplex tableau of its 12,001 rows × "),
+        # a reduction with treatment 4 and an 8-arm instrument: 4,194,304 profiles need 512 MiB to merge
+        (
+            lambda model, observed: reduction_bounds(StrategyRequest(model, observed)),
+            _iv_model((4,), 4, 8),
+            "merging its 4,194,304 response profiles",
+        ),
+    ],
+    ids=["full_10_10_10", "reduced_treatment4_8arms"],
+)
+def test_oversized_programs_are_refused_before_their_arrays(bound, model, what):
+    _space.cache_clear()
+    cards = [v.cardinality for v in model.variables]
+    observed = JointTable(model.variables, np.full(cards, 1.0 / prod(cards)))
+    errors = []
+
+    def refuse():
+        try:
+            bound(model, observed)
+        except ProgramTooLargeError as err:
+            errors.append(err)
+
+    # refused before any profile array, A or tableau of that size exists
+    assert _traced_peak(refuse) < 16 * 2**20
+    (err,) = errors
+    assert err.needed > err.budget == MAX_TABLEAU_BYTES
+    assert what in str(err) and f"{err.needed:,} bytes" in str(err)
+    assert f"over the budget of {MAX_TABLEAU_BYTES:,} bytes (256 MiB)" in str(err)
+
+
+def test_eight_arm_cell_tuples_merge_without_overflow():
+    # 400 cells per arm: one integer per 8-arm cell tuple would pass 400**8 > 2**63, but ranked
+    # arm by arm the 102,400 profiles merge, and the tableau check refuses the program by its size
+    _space.cache_clear()
+    space = enumerate_response_types(SpaceShape("full", 2, 8, x_cards=(10, 10)))
+    assert space.n_cells**space.n_arms > np.iinfo(np.int64).max
+    with pytest.raises(ProgramTooLargeError) as exc:
+        space.merged
+    assert str(exc.value).startswith(
+        "the direct_oracle program is too large: the simplex tableau of its 3,201 rows × 102,000 columns needs "
+    )

@@ -8,6 +8,7 @@ relationships between the intervals are testable as hard assertions.
 import numpy as np
 import pytest
 
+from rulebounds import lp_bounds
 from rulebounds import model as model_module
 from rulebounds.errors import DataError, InfeasibleModelError
 from rulebounds.lp_bounds import direct_sharp_bounds
@@ -103,7 +104,7 @@ def test_request_validates_its_model_once(rng, monkeypatch):
     assert len(calls) == 1
 
     calls.clear()
-    compare_strategies(StrategyRequest(model, observed), oracle_cap=10**6)
+    compare_strategies(StrategyRequest(model, observed))
     assert len(calls) == 2  # the request, then the oracle's own check
 
     calls.clear()
@@ -382,7 +383,7 @@ def test_infeasible_stratum_is_named():
 def test_compare_strategies_with_oracle():
     model, observed = scm_observed(11, x_card=2, treat_card=2)
     request = StrategyRequest(model, observed)
-    cmp = compare_strategies(request, oracle_cap=100_000)
+    cmp = compare_strategies(request)
     assert cmp.containment_ok
     assert cmp.oracle is not None and cmp.oracle_note is None
     assert cmp.oracle_matches_conditioning is True
@@ -395,15 +396,23 @@ def test_compare_strategies_with_oracle():
     assert d["oracle"]["strategy"] == "direct_oracle"
 
 
-def test_compare_strategies_oracle_refusals():
-    model, observed = scm_observed(12, x_card=2, treat_card=2)
+def test_compare_strategies_oracle_refusals(monkeypatch):
+    model, observed = scm_observed(12, x_card=6, treat_card=2)
     request = StrategyRequest(model, observed)
-    no_oracle = compare_strategies(request)
-    assert no_oracle.oracle is None and no_oracle.oracle_note is None
-    capped = compare_strategies(request, oracle_cap=10)
-    assert capped.oracle is None
-    assert "cap" in capped.oracle_note
-    assert capped.oracle_matches_conditioning is None
+    ran = compare_strategies(request)
+    assert ran.oracle is not None and ran.oracle_note is None
+    # the strategies' programs need at most 7,200 bytes (17 rows, 32 profiles);
+    # the oracle's 49-row tableau needs more than 8 * 50 * 50 = 20,000
+    lp_bounds._space.cache_clear()
+    monkeypatch.setattr(lp_bounds, "MAX_TABLEAU_BYTES", 10_000)
+    refused = compare_strategies(request)
+    assert refused.oracle is None and refused.oracle_matches_conditioning is None
+    assert refused.oracle_note.startswith(
+        "direct oracle skipped: the direct_oracle program is too large: the simplex tableau of its 49 rows × "
+    )
+    assert "over the budget of 10,000 bytes" in refused.oracle_note
+    for name in ("reduction", "conditioning"):
+        assert getattr(refused, name).to_dict() == getattr(ran, name).to_dict()
 
 
 def test_compare_strategies_skips_oracle_with_extras(rng):
@@ -417,6 +426,6 @@ def test_compare_strategies_skips_oracle_with_extras(rng):
         rule=TreatmentRule.from_table({(0,): 0, (1,): 1}),
     )
     table = JointTable(model.variables, random_probs(rng, (2, 2, 2, 2)))
-    cmp = compare_strategies(StrategyRequest(model, table), oracle_cap=100_000)
+    cmp = compare_strategies(StrategyRequest(model, table))
     assert cmp.oracle is None
     assert "extra covariates" in cmp.oracle_note
