@@ -117,7 +117,7 @@ def main(argv=None):
     directory = os.path.dirname(os.path.abspath(args.output))
     os.makedirs(directory, exist_ok=True)
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")  # LF lines, so rulebounds reads them with its tokenizer
         writer.writerow(["arm", "spt", "a2", "a3", "y"])
         writer.writerows(kept)
 

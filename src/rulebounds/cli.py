@@ -27,7 +27,6 @@ from .io import (
     write_stratum_csv,
 )
 from .lp_bounds import QUERIES
-from .simulation import SimConfig, run_study
 from .strategies import (
     StrategyRequest,
     compare_strategies,
@@ -150,7 +149,9 @@ def cmd_bounds(args) -> int:
     return _analyse(args, config, "bounds", solve)
 
 
-def _sim_config(args) -> SimConfig:
+def _sim_config(args):
+    from .simulation import SimConfig  # here, not at the top: bounds and compare never load the simulator
+
     config = SimConfig()
     if args.config:
         raw = read_config_json(args.config)
@@ -181,6 +182,8 @@ def _sim_config(args) -> SimConfig:
 
 
 def cmd_simulate(args) -> int:
+    from .simulation import run_study
+
     config = _sim_config(args)
     report = run_study(config)
     doc = build_report("simulate", report.to_dict())

@@ -408,7 +408,7 @@ def _plain_counts(data: bytes, start: int, n_fields: int, positions: list, varia
 def _plain_blocks(data: bytes, start: int, n_fields: int, positions: list):
     """Decode ``data[start:]`` a block of whole lines at a time; the plain grammar's one decoder.
 
-    Yields, per block, the int64 codes of each non-blank row in the columns
+    Yields, per block, the integer codes of each non-blank row in the columns
     at ``positions``, one array per position; yields None for a block outside
     the grammar. The grammar: only ASCII digits, commas and LF, no field
     longer than ``csv.field_size_limit()``, and every row that holds a digit
@@ -416,15 +416,31 @@ def _plain_blocks(data: bytes, start: int, n_fields: int, positions: list):
     in each field at ``positions``; other rows are blank. Such rows split and
     convert exactly as ``csv.reader`` and ``int`` do. Blocks bound the index
     arrays' memory.
+
+    A block of whole LF lines with one digit in every field is read as a
+    rows × ``2 * n_fields`` byte matrix instead, its codes straight from the
+    digit columns; the same records, chosen from the block's bytes alone.
     """
+    # A one-digit row less ``layout`` is below ``limit`` bytewise: a digit in even places, its separator in
+    # odd ones. Both are tiled over the longest one-digit block: _BLOCK_BYTES and the rest of its last row.
+    width = 2 * n_fields
+    layout = np.tile(np.array([ord("0"), ord(",")], dtype=np.uint8), n_fields)
+    layout[-1] = ord("\n")
+    rows = _BLOCK_BYTES // width + 2
+    layout, limit = np.tile(layout, rows), np.tile(np.array([10, 1], dtype=np.uint8), n_fields * rows)
     while start < len(data):
         stop = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
-        chunk = data[start:stop]
+        b = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
         start = stop
-        if chunk.translate(None, _PLAIN_BYTES):
+        if b.size % width == 0 and b.size <= layout.size:
+            codes = b - layout[:b.size]  # uint8, so any other byte wraps to at least its limit
+            if (codes < limit[:b.size]).all():
+                yield [codes[2 * p::width] for p in positions]
+                continue
+        if b.tobytes().translate(None, _PLAIN_BYTES):
             yield None
         else:
-            yield _plain_block(np.frombuffer(chunk, dtype=np.uint8), n_fields, positions)
+            yield _plain_block(b, n_fields, positions)
 
 
 def _plain_block(b: np.ndarray, n_fields: int, positions: list) -> Optional[list]:

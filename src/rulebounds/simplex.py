@@ -249,7 +249,7 @@ class WarmStart:
                 return None, pivots
             results.append(tableau._vertex(c, solve="warm"))
         lo, hi_neg = results
-        return (lo, replace(hi_neg, value=-hi_neg.value)), pivots
+        return (lo, replace(hi_neg, value=0.0 - hi_neg.value)), pivots
 
 
 def warm_start(c_lo, c_hi, A) -> WarmStart:
@@ -298,7 +298,7 @@ def minimize_pair(c_lo, c_hi, A, b, start: Optional[WarmStart] = None):
     hi_neg = tableau.solve(-np.asarray(c_hi, dtype=float))
     hi = SimplexResult(
         status="optimal",
-        value=-hi_neg.value,
+        value=0.0 - hi_neg.value,  # not -value: a zero maximum is 0.0, never -0.0
         x=hi_neg.x,
         iterations=hi_neg.iterations - before,
     )

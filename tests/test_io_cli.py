@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import re
 import shlex
@@ -632,6 +633,98 @@ def test_utf8_check_names_the_line_across_a_block_boundary(tmp_path):
         assert table.probs[1, 2, 1, 0] == 1 / info["n_records"]
 
 
+CARDS = {"z": 2, "x": 3, "a": 2, "y": 2}
+DEVIANT_ROWS = ["two digits", "zero-padded", "blank", "commas", "CR", "out of range", "text"]
+
+
+@st.composite
+def one_digit_files(draw):
+    """Bytes of CSV files of one-digit rows over ``CARDS``, with now and then a deviant row."""
+    names = draw(st.permutations(list(CARDS) + draw(st.sampled_from([[], ["note"]]))))
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(1, 30))):
+        cells = [str(draw(st.integers(0, CARDS.get(n, 10) - 1))) for n in names]
+        deviant = draw(st.sampled_from([None] * 15 + DEVIANT_ROWS))
+        i = draw(st.integers(0, len(CARDS) - 1))
+        column = names.index(list(CARDS)[i])
+        if deviant == "two digits":
+            cells[column] = "1" + cells[column]
+        elif deviant == "zero-padded":
+            cells[column] = "0" + cells[column]
+        elif deviant == "out of range":
+            cells[column] = str(draw(st.integers(CARDS[names[column]], 9)))
+        elif deviant == "text":
+            if "note" in names:
+                cells[names.index("note")] = "n"
+            else:
+                cells.append("n")
+        line = ",".join(cells)
+        if deviant in ("blank", "commas"):
+            line = "" if deviant == "blank" else "," * (len(names) - 1)
+        lines.append(line + "\r" * (deviant == "CR"))
+    text = "\n".join(lines) + "\n" * draw(st.sampled_from([1, 1, 1, 0]))
+    return text.encode()
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(raw=one_digit_files())
+def test_one_digit_tokenizer_agrees_with_csv_reader(tmp_path, raw):
+    config = load_config(write_config(tmp_path))
+    path = tmp_path / "d.csv"
+    path.write_bytes(raw)
+    assert_same_load(str(path), config)
+
+
+def test_one_digit_blocks_skip_the_general_decoder(tmp_path):
+    """Fixed-layout rows are read as a byte matrix; a single ``01`` row sends only its own block to _plain_block."""
+    config = load_config(write_config(tmp_path))
+    gen = load_gen()
+    counts = gen.counts_for_model(config.model, 4, 40_000)
+    path = tmp_path / "bench.csv"
+    gen.write_csv(str(path), counts, ["z", "x", "a", "y"], 4)
+    plain = path.read_bytes()
+    assert len(plain) > 4 * rulebounds.io._BLOCK_BYTES
+    cut = plain.index(b"\n", len(plain) // 2) + 1
+    padded = tmp_path / "padded.csv"
+    padded.write_bytes(plain[:cut] + b"0,01,0,1\n" + plain[cut:])
+    with_row = counts.copy()
+    with_row[0, 1, 0, 1] += 1
+    for path, expected, calls in ((path, counts, 0), (padded, with_row, 1)):
+        for load in (load_table, load_records):
+            with mock.patch.object(rulebounds.io, "_plain_block", wraps=rulebounds.io._plain_block) as general, \
+                    mock.patch.object(rulebounds.io, "_csv_records", side_effect=AssertionError("csv.reader ran")):
+                loaded, info = load(str(path), config)
+            assert general.call_count == calls
+            if calls:
+                assert b"\n0,01,0,1\n" in general.call_args.args[0].tobytes()
+            if load is load_records:
+                loaded = empirical_joint(loaded, config.model.variables)
+            assert info["n_records"] == expected.sum()
+            assert np.array_equal(loaded.probs, expected / expected.sum())
+
+
+def test_leap_prep_script_writes_lines_the_tokenizer_reads(tmp_path, capsys):
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("prepare_leap_csv", root / "scripts" / "prepare_leap_csv.py")
+    prepare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(prepare)
+    export = tmp_path / "export.csv"
+    export.write_text(
+        "arm,spt,peanut_grams_weekly,allergic\n"
+        "consumption,positive,7.5,no\navoidance,0,0,yes\nconsumption,1,1.0,0\n,1,2,0\n"
+    )
+    out = tmp_path / "leap" / "leap_observed.csv"
+    assert prepare.main(["--input", str(export), "--output", str(out)]) == 0
+    assert out.read_bytes() == b"arm,spt,a2,a3,y\n1,1,1,2,0\n0,0,0,0,1\n1,1,1,1,0\n"
+    for name in ("leap_f1.json", "leap_f2.json"):
+        config = load_config(str(root / "configs" / name))
+        with mock.patch.object(rulebounds.io, "_csv_records", side_effect=AssertionError("csv.reader ran")):
+            table, info = load_table(str(out), config)
+        assert info["n_records"] == 3
+
+
 # ---------------------------------------------------------------------------
 # report assembly and writing
 
@@ -780,6 +873,32 @@ def test_bounds_command_stratum_csv(tmp_path, capsys):
     assert code == 2
     assert "config error: --stratum-csv needs the conditioning strategy" in capsys.readouterr().err
     assert not unwritten.exists()
+
+
+def test_zero_stratum_endpoints_are_not_negative_zero(tmp_path, capsys):
+    """Stratum x=0 of the example has rule level = guideline level, so its cu program's objective is zero."""
+    root = Path(__file__).resolve().parent.parent
+    out, strata = tmp_path / "report.json", tmp_path / "strata.csv"
+    code = main(
+        ["bounds", "--config", str(root / "configs" / "example.json"),
+         "--data", str(root / "data" / "example_observed.csv"),
+         "--output", str(out), "--stratum-csv", str(strata)]
+    )
+    assert code == 0
+
+    def numbers(node):
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            return [x for child in node for x in numbers(child)]
+        return [node] if isinstance(node, float) else []
+
+    zeros = [x for x in numbers(json.loads(out.read_text())) if x == 0]
+    with open(strata, newline="") as fh:
+        cells = [row[key] for row in csv.DictReader(fh) for key in ("lower", "upper")]
+    zeros += [float(cell) for cell in cells if cell and float(cell) == 0]
+    assert len(zeros) >= 4
+    assert all(math.copysign(1.0, x) == 1.0 for x in zeros)
 
 
 def test_cli_exit_codes_for_config_problems(tmp_path, capsys):

@@ -240,6 +240,15 @@ def test_importing_the_cli_leaves_out_the_process_pool():
     assert out.stdout.strip() == "False"
 
 
+def test_importing_the_cli_leaves_out_the_simulator():
+    # bounds and compare never simulate, so their processes need not compile and run this module
+    src = str(Path(simulation.__file__).parents[1])
+    code = "import sys, rulebounds.cli; print('rulebounds.simulation' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_anomalies_are_recorded_not_fatal(monkeypatch):
     def explode(request):
         raise InfeasibleModelError("synthetic failure", worst_constraint="?", violation=1.0)
