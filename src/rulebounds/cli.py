@@ -20,6 +20,7 @@ from .io import (
     file_sha256,
     load_config,
     load_table,
+    make_output_dir,
     model_summary,
     parse_rule,
     read_config_json,
@@ -185,6 +186,8 @@ def cmd_simulate(args) -> int:
     from .simulation import run_study
 
     config = _sim_config(args)
+    if args.output:
+        make_output_dir(args.output)  # an unwritable report path fails before the study runs, not after
     report = run_study(config)
     doc = build_report("simulate", report.to_dict())
     lines = [

@@ -524,18 +524,40 @@ def build_report(command: str, body: dict, timestamp: Optional[str] = None) -> d
     return doc
 
 
-def _replace_atomically(path: str, write, newline=None) -> None:
-    """Run ``write(fh)`` on a temp file beside ``path``, then rename it over ``path``; no partial files."""
+def _unwritable(path: str, err: OSError) -> ConfigError:
+    """The ConfigError for an ``OSError`` met writing ``path``: the path, the reason and the file it names."""
+    where = f" ({err.filename})" if err.filename else ""
+    return ConfigError(f"cannot write {path}: {err.strerror or err}{where}")
+
+
+def make_output_dir(path: str) -> str:
+    """Create the directory ``path`` will be written in; one that cannot be made (say, below a file) is a ConfigError."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rulebounds-", suffix=".tmp")
     try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as err:
+        raise _unwritable(path, err) from err
+    return directory
+
+
+def _replace_atomically(path: str, write, newline=None) -> None:
+    """Run ``write(fh)`` on a temp file beside ``path``, then rename it over ``path``; no partial files.
+
+    An ``OSError`` on the way (a directory below a file, ``path`` itself a
+    directory, no permission) is raised as a ``ConfigError`` naming ``path``.
+    """
+    directory = make_output_dir(path)
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rulebounds-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as fh:
             write(fh)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as err:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(err, OSError):
+            raise _unwritable(path, err) from err
         raise
 
 

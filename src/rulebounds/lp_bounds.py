@@ -52,6 +52,8 @@ from .tables import JointTable, reorder, with_variables
 MAX_TABLEAU_BYTES = 256 * 2**20
 # response-type spaces (and digit tables) kept per process; an evicted space frees whatever it cached
 SPACE_CACHE_SIZE = 32
+# (c_min, c_max) pairs kept per process, keyed by (shape, query, levels); see ``_costs``
+COST_CACHE_SIZE = 64
 BOUND_TOL = 1e-9
 
 # each query is a signed sum of rule values: "f" reads the evaluated rule, "g" the guideline
@@ -466,19 +468,44 @@ class BoundsResult:
         }
 
 
-def _columns(lp: LpProblem) -> tuple:
-    """``(A, c_min, c_max)``: the space's merged columns, each keeping its profiles' extreme coefficients."""
-    A, inverse = lp.space.merged
-    roots, outcomes = _digits(lp.space.root_cards), _digits((2,) * lp.space.shape.treat_card)
+def _level_key(level):
+    """A checked level as a hashable memo key: a full program's int64 array by its bytes."""
+    return level.tobytes() if isinstance(level, np.ndarray) else level
+
+
+def _level_from_key(shape: SpaceShape, key):
+    """The level ``_level_key`` made ``key`` from, as a read-only array for a full program."""
+    return np.frombuffer(key, dtype=np.int64).reshape(shape.x_cards) if isinstance(key, bytes) else key
+
+
+@lru_cache(maxsize=COST_CACHE_SIZE)
+def _costs(shape: SpaceShape, query: str, level_key, guideline_key) -> tuple:
+    """Read-only ``(c_min, c_max)``: each merged column's extreme coefficient over its profiles.
+
+    Keyed by what they depend on, never by a space: the space's arrays are
+    looked up on a miss, so the memo keeps only these two column-length arrays.
+    """
+    space = enumerate_response_types(shape)
+    A, inverse = space.merged
+    level, guideline_level = _level_from_key(shape, level_key), _level_from_key(shape, guideline_key)
+    roots, outcomes = _digits(space.root_cards), _digits((2,) * shape.treat_card)
     # signed outcomes at the assigned levels, whatever the arm profile; float keeps ufunc.at off its cast path
     obj = sum(
-        sign * outcomes[_assigned_levels(lp.space, roots, side, lp.level, lp.guideline_level)]
-        for side, sign in QUERIES[lp.query].items()
+        sign * outcomes[_assigned_levels(space, roots, side, level, guideline_level)]
+        for side, sign in QUERIES[query].items()
     )[:, np.newaxis, :].astype(float)
     c_min, c_max = np.full(A.shape[1], np.inf), np.full(A.shape[1], -np.inf)
     np.minimum.at(c_min, inverse, obj)
     np.maximum.at(c_max, inverse, obj)
-    return A, c_min, c_max
+    for array in (c_min, c_max):
+        array.setflags(write=False)
+    return c_min, c_max
+
+
+def _columns(lp: LpProblem) -> tuple:
+    """``(A, c_min, c_max)``: the space's merged columns, each keeping its profiles' extreme coefficients."""
+    c_min, c_max = _costs(lp.space.shape, lp.query, _level_key(lp.level), _level_key(lp.guideline_level))
+    return lp.space.merged[0], c_min, c_max
 
 
 def solve_bounds(lp: LpProblem) -> BoundsResult:

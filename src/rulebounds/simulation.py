@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -34,6 +35,8 @@ from .tables import Cpt, Scm, joint_from_scm, marginalize
 
 VALIDITY_TOL = 1e-9
 ROLE_LATENT = "latent_confounder"
+# study configs whose observed model (and resolved rule) is kept per process
+MODEL_CACHE_SIZE = 8
 
 _STRATEGY_FUNCS = {"reduction": reduction_bounds, "conditioning": conditioning_bounds}
 # smallest admissible value of each integer SimConfig field
@@ -152,13 +155,13 @@ def intervene_with_rule(scm: Scm, rule: TreatmentRule) -> Scm:
     """Replace the treatment CPT with the deterministic rule over its covariate parents."""
     treatment = scm.by_role(ROLE_TREATMENT)[0]
     cpt = scm.cpt_for(treatment.name)
-    x_positions = [i for i, p in enumerate(cpt.parents) if p.role == ROLE_RULE_COVARIATE]
-    cards = [p.cardinality for p in cpt.parents]
+    cards = tuple(p.cardinality for p in cpt.parents)
+    is_x = [p.role == ROLE_RULE_COVARIATE for p in cpt.parents]
+    levels = rule.levels(tuple(c for c, x in zip(cards, is_x) if x))
+    # each parent row's level: the rule's grid, constant along the other parents
+    per_row = np.broadcast_to(levels.reshape([c if x else 1 for c, x in zip(cards, is_x)]), cards).ravel()
     rows = np.zeros_like(cpt.rows)
-    for r in range(rows.shape[0]):
-        values = list(np.unravel_index(r, cards)) if cards else []
-        x = tuple(values[i] for i in x_positions)
-        rows[r, rule.level_for(x)] = 1.0
+    rows[np.arange(rows.shape[0]), per_row] = 1.0
     forced = Cpt(treatment, cpt.parents, rows)
     return Scm(tuple(forced if c is cpt else c for c in scm.cpts))
 
@@ -171,8 +174,9 @@ def true_policy_value(scm: Scm, rule: TreatmentRule) -> float:
     return float(marginal.probs[1])
 
 
+@lru_cache(maxsize=MODEL_CACHE_SIZE)
 def observed_model(config: SimConfig) -> CausalModel:
-    """The analyst's view of the study shape: everything but the confounder."""
+    """The analyst's view of the study shape: everything but the confounder; built once per config."""
     return CausalModel(
         variables=(
             VariableSpec("instrument", config.card_instrument, ROLE_INSTRUMENT),
@@ -211,7 +215,7 @@ def run_replication(config: SimConfig, index: int) -> SimRecord:
     model = observed_model(config)
     observed = marginalize(joint_from_scm(scm), [v.name for v in model.variables])
     request = StrategyRequest(model, observed, config.query)
-    rules = {"f": config.resolved_rule(), "g": config.guideline}
+    rules = {"f": model.rule, "g": model.guideline}
     truth = sum(sign * true_policy_value(scm, rules[side]) for side, sign in QUERIES[config.query].items())
     results = {}
     for name in config.strategies:
@@ -296,7 +300,8 @@ def run_study(config: SimConfig) -> SimReport:
         # imported here so a serial study, and every other command, never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # the fork context starts every worker at the first submit, so no wider than the work
+        with ProcessPoolExecutor(max_workers=min(config.jobs, config.replications)) as pool:
             records = list(
                 pool.map(_worker, [(config, i) for i in indices], chunksize=16)
             )

@@ -8,6 +8,7 @@ return new tables; arrays are marked read-only on construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -17,6 +18,8 @@ from .model import VariableSpec
 
 SUM_TOL = 1e-12
 NEG_TOL = 1e-12
+# SCM structures whose joint_from_scm index arrays are kept per process
+SCM_INDEX_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,18 +185,36 @@ class Scm:
         return tuple(v for v in self.variables if v.role == role)
 
 
-def joint_from_scm(scm: Scm) -> JointTable:
-    """Multiply the CPTs into the exact joint over all model variables."""
-    variables = scm.variables
-    shape = tuple(v.cardinality for v in variables)
-    order = {v.name: i for i, v in enumerate(variables)}
+def _structure(scm: Scm) -> tuple:
+    """What ``joint_from_scm``'s gathers depend on: each CPT's child and its ordered parents, by name and cardinality."""
+    return tuple(
+        ((c.child.name, c.child.cardinality), tuple((p.name, p.cardinality) for p in c.parents)) for c in scm.cpts
+    )
+
+
+@lru_cache(maxsize=SCM_INDEX_CACHE_SIZE)
+def _joint_gathers(structure: tuple) -> tuple:
+    """Per CPT, read-only flat indices into its rows of every joint cell's (parent row, child value)."""
+    shape = tuple(card for (_, card), _ in structure)
+    order = {name: i for i, ((name, _), _) in enumerate(structure)}
     grids = np.indices(shape)
-    joint = np.ones(shape)
-    for cpt in scm.cpts:
+    gathers = []
+    for (child, card), parents in structure:
         row_idx = np.zeros(shape, dtype=np.int64)
-        for p in cpt.parents:
-            row_idx = row_idx * p.cardinality + grids[order[p.name]]
-        joint = joint * cpt.rows[row_idx, grids[order[cpt.child.name]]]
+        for name, parent_card in parents:
+            row_idx = row_idx * parent_card + grids[order[name]]
+        flat = row_idx * card + grids[order[child]]
+        flat.setflags(write=False)
+        gathers.append(flat)
+    return tuple(gathers)
+
+
+def joint_from_scm(scm: Scm) -> JointTable:
+    """Multiply the CPTs into the exact joint over all model variables, in CPT order."""
+    variables = scm.variables
+    joint = np.ones(tuple(v.cardinality for v in variables))
+    for cpt, flat in zip(scm.cpts, _joint_gathers(_structure(scm))):
+        joint *= cpt.rows.ravel()[flat]
     return JointTable(variables, joint)
 
 

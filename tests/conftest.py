@@ -275,6 +275,17 @@ def manski_stratum_bounds(
     )
 
 
+def intervene_per_row(scm, rule):
+    """Per-row reference of ``simulation.intervene_with_rule``: the forced treatment rows, one parent row at a time."""
+    cpt = scm.cpt_for(scm.by_role(ROLE_TREATMENT)[0].name)
+    x_positions = [i for i, p in enumerate(cpt.parents) if p.role == ROLE_RULE_COVARIATE]
+    rows = np.zeros_like(cpt.rows)
+    for r in range(rows.shape[0]):
+        values = _mixed_radix(r, [p.cardinality for p in cpt.parents])
+        rows[r, rule.level_for(tuple(values[i] for i in x_positions))] = 1.0
+    return rows
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)

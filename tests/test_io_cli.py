@@ -1035,6 +1035,31 @@ def test_simulate_command_config_validation(tmp_path, capsys):
     assert "at least one strategy is required" in capsys.readouterr().err
 
 
+def test_unwritable_report_paths_are_config_errors(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path)
+    data = write_data(tmp_path)
+    (tmp_path / "file").write_text("a regular file")
+    below_file = str(tmp_path / "file" / "r.json")
+    for args in (
+        ["bounds", "--config", cfg, "--data", data, "--output", below_file],
+        ["bounds", "--config", cfg, "--data", data, "--stratum-csv", below_file],
+        ["compare", "--config", cfg, "--data", data, "--output", below_file],
+    ):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {below_file}: ")
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "data.csv", "file"]
+    # simulate refuses the path before its first replication
+    import rulebounds.simulation
+
+    def never(config, index):
+        raise AssertionError("a replication ran before the output path was checked")
+
+    monkeypatch.setattr(rulebounds.simulation, "run_replication", never)
+    assert main(["simulate", "--replications", "2", "--output", below_file]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {below_file}: ")
+
+
 def test_compare_command_runs_oracle(tmp_path, capsys):
     cfg = write_config(tmp_path)
     data = write_data(tmp_path)

@@ -1083,6 +1083,52 @@ def test_merged_columns_match_the_row_sort(shape):
             np.testing.assert_array_equal(got, want, strict=True)
 
 
+def test_cost_memo_keys_on_query_and_levels():
+    shape = SpaceShape("full", 2, instrument_card=2, x_cards=(3,))
+    space = enumerate_response_types(shape)
+    table = uniform_table(space)
+    programs = [
+        build_lp(space, table, "theta_f", level=np.array([0, 1, 1])),
+        build_lp(space, table, "theta_f", level=np.array([1, 1, 0])),
+        build_lp(space, table, "theta_g", guideline_level=np.array([1, 0, 0])),
+        build_lp(space, table, "cu", level=np.array([0, 1, 1]), guideline_level=np.array([1, 1, 0])),
+    ]
+    costs = [lp_bounds._columns(lp)[1:] for lp in programs]
+    for i in range(len(costs)):
+        for j in range(i):
+            assert not all(np.array_equal(a, b) for a, b in zip(costs[i], costs[j]))
+    for lp, (c_min, c_max) in zip(programs, costs):
+        # each pair is the reference's, read-only, and A is the space's own
+        A, lo, hi = reference_columns(lp)
+        np.testing.assert_array_equal(c_min, lo, strict=True)
+        np.testing.assert_array_equal(c_max, hi, strict=True)
+        assert lp_bounds._columns(lp)[0] is space.merged[0]
+        for array in (c_min, c_max):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+    # a stratum's int level keys the memo as well
+    stratum = enumerate_response_types(SpaceShape("stratum", 3))
+    per_level = [lp_bounds._columns(build_lp(stratum, uniform_table(stratum), "theta_f", level=f))[1] for f in range(3)]
+    assert not np.array_equal(per_level[0], per_level[1]) and not np.array_equal(per_level[1], per_level[2])
+
+
+def test_cost_memo_stays_bounded():
+    # the 128 level arrays of seven binary cells are distinct keys of one space
+    shape = SpaceShape("full", 2, x_cards=(7,))
+    space = enumerate_response_types(shape)
+    table = uniform_table(space)
+    levels = list(product(range(2), repeat=7))[: lp_bounds.COST_CACHE_SIZE + 5]
+    first = [lp_bounds._columns(build_lp(space, table, "theta_f", level=np.array(level)))[1] for level in levels]
+    assert lp_bounds._costs.cache_info().currsize == lp_bounds.COST_CACHE_SIZE
+    # the oldest key was evicted and comes back equal, as a new array
+    misses = lp_bounds._costs.cache_info().misses
+    c_min = lp_bounds._columns(build_lp(space, table, "theta_f", level=np.array(levels[0])))[1]
+    assert lp_bounds._costs.cache_info().misses == misses + 1
+    assert c_min is not first[0]
+    np.testing.assert_array_equal(c_min, first[0], strict=True)
+
+
 # ---------------------------------------------------------------------------
 # instrumented programs against scipy on the raw columns
 

@@ -5,9 +5,11 @@ own CPT indexing helpers so that the draw order and row layout stay pinned
 by an independent computation.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +28,11 @@ from rulebounds.simulation import (
     run_study,
     true_policy_value,
 )
-from rulebounds.tables import joint_from_scm, marginalize
+from rulebounds.tables import Scm, joint_from_scm, marginalize
 import rulebounds.simulation as simulation
 from rulebounds.model import VariableSpec
+
+from conftest import intervene_per_row
 
 
 def test_default_study_rule_steps_through_levels():
@@ -108,6 +112,28 @@ def test_intervention_forces_one_hot_treatment():
         np.testing.assert_array_equal(
             forced.cpt_for(name).rows, scm.cpt_for(name).rows
         )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_intervention_matches_the_per_row_reference(seed):
+    # 1-3 rule covariates among extra, instrument and latent parents, in a random order
+    rng = np.random.default_rng(seed)
+    xs = [VariableSpec(f"x{i}", int(rng.integers(1, 4)), "rule_covariate") for i in range(rng.integers(1, 4))]
+    others = [VariableSpec("u", 2, "latent_confounder"), VariableSpec("z", 2, "instrument")]
+    others += [VariableSpec("w", int(rng.integers(1, 4)), "extra_covariate")] if seed % 2 else []
+    a = VariableSpec("a", int(rng.integers(2, 4)), "treatment")
+    parents = tuple(rng.permutation(np.array(xs + others, dtype=object)))
+    roots = [random_cpt(v, (), rng) for v in xs + others]
+    scm = Scm((*roots, random_cpt(a, parents, rng), random_cpt(VariableSpec("y", 2, "outcome"), (a,), rng)))
+    x_cards = tuple(p.cardinality for p in parents if p.role == "rule_covariate")
+    cells = list(product(*(range(c) for c in x_cards)))
+    for rule in (
+        TreatmentRule.from_table({x: int(rng.integers(a.cardinality)) for x in cells}),
+        TreatmentRule.constant(a.cardinality - 1, x_cards),
+    ):
+        forced = intervene_with_rule(scm, rule)
+        assert np.array_equal(forced.cpt_for("a").rows, intervene_per_row(scm, rule))
+        assert all(f is c for f, c in zip(forced.cpts, scm.cpts) if c.child.name != "a")
 
 
 @pytest.mark.parametrize("index", [0, 3, 9])
@@ -229,6 +255,43 @@ def test_parallel_matches_serial():
     )
     assert [r.to_dict() for r in serial.records] == [r.to_dict() for r in parallel.records]
     assert serial.validity_rate == parallel.validity_rate
+
+
+def test_pool_is_never_wider_than_the_replications(monkeypatch):
+    # a stub pool records its width and maps serially: no worker process starts
+    widths = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items, chunksize=1):
+            return map(func, items)
+
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    base = SimConfig(replications=3, card_covariate=3, card_treatment=2, master_seed=77)
+    serial = run_study(base)
+    for jobs, width in ((8, 3), (2, 2)):
+        report = run_study(dataclasses.replace(base, jobs=jobs))
+        assert widths[-1] == width
+        assert [r.to_dict() for r in report.records] == [r.to_dict() for r in serial.records]
+
+
+def test_observed_model_is_built_once_per_config():
+    config = SimConfig(card_covariate=4, card_treatment=2)
+    model = observed_model(config)
+    assert observed_model(SimConfig(card_covariate=4, card_treatment=2)) is model
+    assert model.rule == config.resolved_rule()
+    assert observed_model(dataclasses.replace(config, card_instrument=3)) is not model
+    assert observed_model.cache_info().maxsize == simulation.MODEL_CACHE_SIZE
 
 
 def test_importing_the_cli_leaves_out_the_process_pool():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rulebounds import tables
 from rulebounds.errors import DataError
 from rulebounds.model import VariableSpec
 from rulebounds.tables import (
@@ -271,6 +272,34 @@ def test_joint_from_scm_invariant_under_topological_reordering(rng):
     assert second.names == ("z", "u", "a", "y")
     realigned = reorder(second, first.names)
     assert np.allclose(realigned.probs, first.probs, atol=1e-15)
+
+
+def test_joint_from_scm_never_shares_index_arrays_across_structures(rng):
+    # same names throughout; a cardinality or the parent order differs
+    def scm(card_u, a_parents):
+        u = VariableSpec("u", card_u, "latent")
+        z = VariableSpec("z", 2, "instrument")
+        a = VariableSpec("a", 3, "treatment")
+        specs_by_name = {"u": u, "z": z}
+        parents = tuple(specs_by_name[n] for n in a_parents)
+
+        def rand_rows(n_rows, card):
+            raw = rng.uniform(0.1, 1.0, size=(n_rows, card))
+            return raw / raw.sum(axis=1, keepdims=True)
+
+        return Scm((Cpt(u, (), rand_rows(1, card_u)), Cpt(z, (), rand_rows(1, 2)), Cpt(a, parents, rand_rows(2 * card_u, 3))))
+
+    models = [scm(2, ("z", "u")), scm(3, ("z", "u")), scm(2, ("u", "z")), scm(2, ("z", "u"))]
+    gathers = [tables._joint_gathers(tables._structure(m)) for m in models]
+    assert gathers[3] is gathers[0]  # one structure, one set of arrays
+    for i in range(3):
+        for j in range(i):
+            assert gathers[i] is not gathers[j]
+    for m, arrays in zip(models, gathers):
+        assert all(not flat.flags.writeable for flat in arrays)
+        # the same products in the same order as the chain rule, so the same bits
+        np.testing.assert_array_equal(joint_from_scm(m).probs, chain_rule_joint(m))
+    assert tables._joint_gathers.cache_info().maxsize == tables.SCM_INDEX_CACHE_SIZE
 
 
 @settings(max_examples=40, deadline=None)
