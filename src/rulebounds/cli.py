@@ -109,6 +109,9 @@ def _analyse(args, config: AnalysisConfig, command: str, solve) -> int:
     data_path = args.data or config.data_path
     if not data_path:
         raise ConfigError("no data file: pass --data or set 'data' in the config")
+    output_path = args.output or config.output_path
+    if output_path:
+        make_output_dir(output_path)  # an unwritable report path fails before the data are read
     table, data_info = load_table(data_path, config)
     own, intervals, tail = solve(StrategyRequest(config.model, table, config.query))
     report = build_report(
@@ -127,15 +130,17 @@ def _analyse(args, config: AnalysisConfig, command: str, solve) -> int:
         for name, res in intervals.items()
         if res is not None
     ]
-    _emit(report, args.output or config.output_path, lines + tail)
+    _emit(report, output_path, lines + tail)
     return 0
 
 
 def cmd_bounds(args) -> int:
     config = _override(load_config(args.config), query=args.query, strategy=args.strategy)
     stratum_csv = args.stratum_csv or config.stratum_csv_path
-    if stratum_csv and config.strategy == "reduction":
-        raise ConfigError("--stratum-csv needs the conditioning strategy")
+    if stratum_csv:
+        if config.strategy == "reduction":
+            raise ConfigError("--stratum-csv needs the conditioning strategy")
+        make_output_dir(stratum_csv)  # like the report path, refused before the data are read
 
     def solve(request):
         results = {

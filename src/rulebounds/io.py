@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -531,10 +532,16 @@ def _unwritable(path: str, err: OSError) -> ConfigError:
 
 
 def make_output_dir(path: str) -> str:
-    """Create the directory ``path`` will be written in; one that cannot be made (say, below a file) is a ConfigError."""
+    """Create the directory ``path`` will be written in.
+
+    A directory that cannot be made (say, below a file), or a ``path`` that
+    is itself a directory, is a ConfigError.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(directory, exist_ok=True)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
     except OSError as err:
         raise _unwritable(path, err) from err
     return directory

@@ -37,6 +37,7 @@ from .errors import DataError, InfeasibleModelError, ProgramTooLargeError, Solve
 from .model import (
     CANON_INSTRUMENT,
     CANON_OUTCOME,
+    CANON_RECS,
     CANON_RULE_REC,
     CANON_TREATMENT,
     ROLE_EXTRA_COVARIATE,
@@ -291,8 +292,9 @@ def class_cells(space: ResponseTypeSpace) -> np.ndarray:
 def _assigned_levels(space, roots, query_side, level, guideline_level):
     """Treatment level the evaluated (or comparator) rule assigns in each root configuration."""
     if space.shape.kind == "reduced":
-        # an aliased comparator reads the rule's recommendation
-        return roots[1 if query_side == "g" and space.shape.guideline_mode == "separate" else 0]
+        # a recommendation root holds the position of its level; an aliased comparator reads the rule's
+        rec = 1 if query_side == "g" and space.shape.guideline_mode == "separate" else 0
+        return np.array(space.shape.rec_levels[rec])[roots[rec]]
     # a stratum space has one root configuration; a full space's roots are the covariates, first slowest
     return np.ravel(level if query_side == "f" else guideline_level)
 
@@ -353,7 +355,8 @@ class LpProblem:
             return "total probability mass"
         arm, cell = divmod(row, self.n_cells)
         values = np.unravel_index(cell, self.space.cell_cards)
-        inner = ", ".join(f"{n}={v}" for n, v in zip(self.space.cell_names, values))
+        levels = dict(zip(CANON_RECS, self.space.shape.rec_levels))  # a recommendation's value is its level's position
+        inner = ", ".join(f"{n}={levels[n][v] if n in levels else v}" for n, v in zip(self.space.cell_names, values))
         if self.space.shape.instrument_card:
             return f"P({inner} | {CANON_INSTRUMENT}={arm})"
         return f"P({inner})"

@@ -42,6 +42,8 @@ CANON_OUTCOME = "outcome"
 CANON_INSTRUMENT = "instrument"
 CANON_RULE_REC = "rule_rec"
 CANON_GUIDELINE_REC = "guideline_rec"
+# a reduced shape's recommendation variables, in axis order
+CANON_RECS = (CANON_RULE_REC, CANON_GUIDELINE_REC)
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,17 @@ class SpaceShape:
     guideline_mode: str = "none"    # reduced shapes only: "none" | "separate" | "aliased" (comparator equals rule)
     extra_cards: tuple = ()         # reduced shapes only
     x_cards: tuple = ()             # full shapes only
+    rec_levels: tuple = ()          # reduced shapes only: each recommendation's assigned levels; () means every level
+
+    def __post_init__(self):
+        """Spell ``rec_levels`` out: one sorted tuple of levels per recommendation, every level by default.
+
+        A recommendation's value ``i`` in the program's table stands for its
+        ``i``-th assigned level.
+        """
+        n_recs = (2 if self.guideline_mode == "separate" else 1) if self.kind == "reduced" else 0
+        every = (tuple(range(self.treat_card)),) * n_recs
+        object.__setattr__(self, "rec_levels", self.rec_levels or every)
 
     @property
     def variables(self) -> tuple[VariableSpec, ...]:
@@ -83,14 +96,15 @@ class SpaceShape:
 
         The cells are ``treatment, outcome, rule_rec, [guideline_rec], extra{i}``
         for reduced shapes, ``treatment, outcome`` for stratum shapes and
-        ``x{i}, treatment, outcome`` for full shapes.
+        ``x{i}, treatment, outcome`` for full shapes. A recommendation takes
+        one value per assigned level.
         """
         k = self.treat_card
         arm = [(CANON_INSTRUMENT, self.instrument_card, ROLE_INSTRUMENT)] if self.instrument_card else []
         act = [(CANON_TREATMENT, k, ROLE_TREATMENT), (CANON_OUTCOME, 2, ROLE_OUTCOME)]
         if self.kind == "reduced":
-            recs = [CANON_RULE_REC] + ([CANON_GUIDELINE_REC] if self.guideline_mode == "separate" else [])
-            cells = act + [(n, k, ROLE_RECOMMENDATION) for n in recs] + [
+            recs = zip(CANON_RECS, self.rec_levels)
+            cells = act + [(n, len(lv), ROLE_RECOMMENDATION) for n, lv in recs] + [
                 (f"extra{i}", c, ROLE_EXTRA_COVARIATE) for i, c in enumerate(self.extra_cards)
             ]
         elif self.kind == "stratum":
@@ -282,17 +296,22 @@ def build_reduced_model(model: CausalModel) -> SpaceShape:
 
     Recommendations stay observed. When the comparator equals the rule, its
     recommendation node is dropped and the guideline mode is "aliased",
-    because the two recommendations would coincide everywhere.
+    because the two recommendations would coincide everywhere. Each
+    recommendation spans only the levels its rule assigns: a level no
+    covariate cell gets has no mass in any reduced table, so the response
+    types rooted there are zero and dropping them leaves the bounds as they are.
     """
     mode = "none"
     if model.guideline is not None:
         mode = "aliased" if model.guideline.table == model.rule.table else "separate"
+    rules = (model.rule, model.guideline) if mode == "separate" else (model.rule,)
     return SpaceShape(
         "reduced",
         model.treatment.cardinality,
         model.instrument_card,
         mode,
         extra_cards=model.extra_covariate_cards,
+        rec_levels=tuple(tuple(sorted({level for _, level in rule.items})) for rule in rules),
     )
 
 

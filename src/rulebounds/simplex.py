@@ -8,7 +8,8 @@ thousands for the direct oracle over a wide covariate domain;
 total it prices by Bland's rule instead, which guarantees termination; the
 switch counts pivots, it does not detect stalling. Infeasibility is
 reported with the most-violated row taken from the phase-1 basis, which
-minimizes the total constraint violation.
+minimizes the total constraint violation; of rows tied to within
+``VIOLATION_TIE_TOL``, the first is reported.
 
 A pivot updates only the rows whose entry in the pivot column is non-zero
 (a handful in the package's partition-structured programs), and its
@@ -51,6 +52,9 @@ PIV_TOL = 1e-10   # smallest pivot magnitude accepted
 RATIO_TIE_TOL = 1e-12
 FEAS_TOL = 1e-9   # phase-1 total violation above which the program is infeasible
 PRIMAL_TOL = 1e-12  # a warm re-solve's basic values must be at least -PRIMAL_TOL
+# phase-1 violations within this of the largest tie for most violated, so rounding noise
+# does not decide which row an infeasible program reports
+VIOLATION_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -150,7 +154,8 @@ class _Tableau:
         art_rows = np.flatnonzero(self.basis >= self.n)
         total = float(self.T[art_rows, -1].sum()) if art_rows.size else 0.0
         if total > FEAS_TOL:
-            worst = art_rows[np.argmax(self.T[art_rows, -1])]
+            violations = self.T[art_rows, -1]
+            worst = art_rows[np.flatnonzero(violations >= violations.max() - VIOLATION_TIE_TOL)[0]]
             self.infeasible = (int(self.basis[worst] - self.n), total)
             return
         # pivot lingering artificials out of the basis; rows with no usable

@@ -52,13 +52,17 @@ def reduce_table(model: CausalModel, reduced: SpaceShape, observed: JointTable) 
 
     Covariate mass moves onto the recommendation values the rules assign,
     so P(..., rule_rec=b, ...) accumulates P(..., x, ...) over all x with
-    f(x) = b. Extra covariates stay observed.
+    f(x) = b. A recommendation's value is the position of its level among
+    ``reduced.rec_levels``. Extra covariates stay observed.
     """
     arm = (model.instrument,) if model.instrument is not None else ()
     order = arm + (model.treatment, model.outcome) + model.rule_covariates + model.extra_covariates
     probs = reorder(observed, [v.name for v in order]).probs
-    rules = (model.rule, model.guideline) if reduced.guideline_mode == "separate" else (model.rule,)
-    recs = tuple(rule.levels(model.rule_covariate_cards) for rule in rules)
+    rules = (model.rule, model.guideline)[: len(reduced.rec_levels)]
+    recs = tuple(
+        np.searchsorted(levels, rule.levels(model.rule_covariate_cards))
+        for rule, levels in zip(rules, reduced.rec_levels)
+    )
     out = np.zeros(tuple(v.cardinality for v in reduced.variables))
     # the level arrays span the covariate axes; np.add.at adds one cell at a time, in rule_domain() order
     np.add.at(out, (slice(None),) * (len(arm) + 2) + recs, probs)

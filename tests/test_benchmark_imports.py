@@ -104,7 +104,7 @@ def test_reference_programs_keep_their_per_class_arrays():
     model = small_iv_model(x_card=3, treat_card=3, guideline_map={(0,): 1, (1,): 2, (2,): 0})
     observed = feasible_table(np.random.default_rng(9), model, zero_stratum=False)
     reduced = checks.reduced_lp(model, observed, "cu")
-    assert reduced.space.class_count == 52_488  # the study's reduction program
+    assert reduced.space.class_count == 52_488  # the study's shape with a guideline over all three levels
     _, stratum = checks.stratum_lp(model, observed, "cu", (1,))
     for lp in (reduced, stratum):
         assert lp.cells.shape == (lp.n_arms, lp.space.class_count)

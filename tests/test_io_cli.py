@@ -991,6 +991,19 @@ def test_cli_exit_code_for_infeasible_data(tmp_path, capsys):
     assert "infeasible" in err and "constraint" in err
 
 
+def test_infeasible_reduction_names_the_guideline_level(tmp_path, capsys):
+    # a guideline constant at 1 gives guideline_rec one value, which stands for level 1
+    cfg = write_config(
+        tmp_path, guideline={"name": "always", "table": {"0": 1, "1": 1, "2": 1}}, query="cu", strategy="reduction"
+    )
+    data = tmp_path / "contradiction.csv"
+    # as in test_cli_exit_code_for_infeasible_data: stratum x=1 takes treatment 0, yet its outcome follows z
+    data.write_text("z,x,a,y\n" + "0,0,0,0\n1,0,0,0\n0,1,0,0\n1,1,0,1\n" * 25)
+    assert main(["bounds", "--config", cfg, "--data", str(data)]) == 4
+    err = capsys.readouterr().err
+    assert "guideline_rec=1" in err and "guideline_rec=0" not in err
+
+
 def test_simulate_command_reports_and_repeats(tmp_path, capsys):
     sim_cfg = tmp_path / "sim.json"
     sim_cfg.write_text(json.dumps({"card_covariate": 3, "card_treatment": 2}))
@@ -1058,6 +1071,31 @@ def test_unwritable_report_paths_are_config_errors(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(rulebounds.simulation, "run_replication", never)
     assert main(["simulate", "--replications", "2", "--output", below_file]) == 2
     assert capsys.readouterr().err.startswith(f"config error: cannot write {below_file}: ")
+
+
+def test_unwritable_paths_are_refused_before_the_data_are_read(tmp_path, capsys, monkeypatch):
+    # nothing is loaded, solved or printed before an unwritable report or stratum CSV path is refused
+    import rulebounds.cli
+
+    def never(path, config):
+        raise AssertionError("the data were read before the output paths were checked")
+
+    monkeypatch.setattr(rulebounds.cli, "load_table", never)
+    cfg = write_config(tmp_path)
+    data = write_data(tmp_path)
+    (tmp_path / "file").write_text("a regular file")
+    below_file = str(tmp_path / "file" / "out")
+    for path in (below_file, str(tmp_path)):  # below a regular file, or a directory itself
+        for args in (
+            ["bounds", "--config", cfg, "--data", data, "--output", path],
+            ["bounds", "--config", cfg, "--data", data, "--stratum-csv", path],
+            ["bounds", "--config", cfg, "--data", data, "--output", str(tmp_path / "r.json"), "--stratum-csv", path],
+            ["compare", "--config", cfg, "--data", data, "--output", path],
+        ):
+            assert main(args) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"config error: cannot write {path}: ")
 
 
 def test_compare_command_runs_oracle(tmp_path, capsys):

@@ -246,9 +246,13 @@ def test_built_models_carry_their_shape():
     model = small_iv_model(x_card=3, treat_card=2, z_card=2)
     assert build_reduced_model(model) == SpaceShape("reduced", 2, instrument_card=2)
     guided = small_iv_model(guideline_map={(0,): 0, (1,): 0})
-    assert build_reduced_model(guided).guideline_mode == "separate"
+    # each recommendation spans the levels its rule assigns: guideline_rec has one value
+    assert build_reduced_model(guided) == SpaceShape("reduced", 2, 2, "separate", rec_levels=((0, 1), (0,)))
+    assert [v.cardinality for v in build_reduced_model(guided).variables] == [2, 2, 2, 2, 1]
     aliased = small_noiv_model(guideline_map={(0,): 0, (1,): 1})
-    assert build_reduced_model(aliased).guideline_mode == "aliased"
+    assert build_reduced_model(aliased) == SpaceShape("reduced", 2, guideline_mode="aliased")
+    constant = small_noiv_model(rule_map={(0,): 1, (1,): 1}, guideline_map={(0,): 1, (1,): 1})
+    assert build_reduced_model(constant) == SpaceShape("reduced", 2, guideline_mode="aliased", rec_levels=((1,),))
     stratum = build_stratum_model(model, (1,)).shape
     assert stratum == SpaceShape("stratum", 2, instrument_card=2)
     assert enumerate_response_types(build_stratum_model(model, (1,))).shape == stratum
@@ -489,8 +493,9 @@ def test_objective_matches_explicit_enumeration(shape, rng):
             assert lp.objective[j] == want, (query, j, cls)
 
 
-# the 52,488-class study shape and the 1,572,864-class oracle shape are too large to
-# enumerate explicitly, so a seeded sample of their classes is checked instead
+# the 52,488-class study shape with every recommendation level and the 1,572,864-class
+# oracle shape are too large to enumerate explicitly, so a seeded sample of their classes
+# is checked instead
 SAMPLED_SHAPES = [
     SpaceShape("reduced", 3, 2, "separate"),
     SpaceShape("full", 2, x_cards=(6,)),
@@ -562,7 +567,7 @@ def test_direct_oracle_streams_its_classes_in_bounded_memory(model):
 
 
 def test_reduced_program_streams_its_classes_in_bounded_memory():
-    # the study's 52,488-class reduction program, merged over its 648 response profiles
+    # the study's shape with every recommendation level: 52,488 classes merged over 648 response profiles
     _space.cache_clear()
     space = enumerate_response_types(SpaceShape("reduced", 3, instrument_card=2, guideline_mode="separate"))
     lp = build_lp(space, uniform_table(space), "cu")
@@ -1073,7 +1078,7 @@ def test_streamed_columns_match_the_row_sort(shape, block):
             np.testing.assert_array_equal(got, want, strict=True)
 
 
-# the study's 52,488-class and the oracle's 1,572,864-class shapes as well
+# the 52,488-class study shape with every recommendation level and the oracle's 1,572,864-class shape as well
 @pytest.mark.parametrize("shape", DIFFERENTIAL_SHAPES + SAMPLED_SHAPES)
 def test_merged_columns_match_the_row_sort(shape):
     space = enumerate_response_types(shape)

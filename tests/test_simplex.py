@@ -186,7 +186,11 @@ def test_shape_validation():
 # ---------------------------------------------------------------------------
 # the row-sparse pivot against the dense reference (conftest.DenseTableau)
 
-STUDY = simulation.SimConfig(query="cu", guideline=TreatmentRule.constant(0, (6,), name="never_treat"))
+# the study's shape against a comparator that assigns all three levels, so the reduced
+# program keeps every recommendation value: 109 rows × 270 merged columns, 52,488 classes
+STUDY = simulation.SimConfig(
+    query="cu", guideline=TreatmentRule.from_table({(x,): 2 - x // 2 for x in range(6)}, name="reverse_step")
+)
 
 
 def _program(lp):
@@ -196,7 +200,7 @@ def _program(lp):
 
 
 def study_program(index, query):
-    """The study's 52,488-class reduced program on replication ``index``'s observed table."""
+    """The 52,488-class reduced program of ``STUDY`` on replication ``index``'s observed table."""
     model = simulation.observed_model(STUDY)
     reduced = build_reduced_model(model)
     observed = marginalize(joint_from_scm(simulation.random_scm(STUDY, index)), [v.name for v in model.variables])
