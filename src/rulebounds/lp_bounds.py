@@ -21,6 +21,11 @@ that once (``ResponseTypeSpace.merged``), refusing a program over
 (``class_cells``, ``LpProblem.cells`` and ``.objective``), broadcast from
 three small factor tables, state the unmerged program for reference checks
 only.
+
+The stratum programs of one stratum key (a stratum shape, a query and the
+levels the two rules assign) differ only in their right-hand side, so
+``solve_strata`` checks the key and looks up its columns once, then solves
+the key's strata row by row.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import prod
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -172,6 +178,18 @@ class ResponseTypeSpace:
     def warm_starts(self) -> dict:
         """Per query, a reduced program's ``simplex.WarmStart``, built on its first solve."""
         return {}
+
+    def row_label(self, row: int) -> str:
+        """Human-readable name of an equality constraint row of the space's programs (arm-major order)."""
+        if row == self.n_arms * self.n_cells:
+            return "total probability mass"
+        arm, cell = divmod(row, self.n_cells)
+        values = np.unravel_index(cell, self.cell_cards)
+        levels = dict(zip(CANON_RECS, self.shape.rec_levels))  # a recommendation's value is its level's position
+        inner = ", ".join(f"{n}={levels[n][v] if n in levels else v}" for n, v in zip(self.cell_names, values))
+        if self.shape.instrument_card:
+            return f"P({inner} | {CANON_INSTRUMENT}={arm})"
+        return f"P({inner})"
 
 
 @lru_cache(maxsize=SPACE_CACHE_SIZE)
@@ -350,16 +368,8 @@ class LpProblem:
         return self.rhs.shape[1]
 
     def row_label(self, row: int) -> str:
-        """Human-readable name of an equality constraint row (arm-major order)."""
-        if row == self.n_arms * self.n_cells:
-            return "total probability mass"
-        arm, cell = divmod(row, self.n_cells)
-        values = np.unravel_index(cell, self.space.cell_cards)
-        levels = dict(zip(CANON_RECS, self.space.shape.rec_levels))  # a recommendation's value is its level's position
-        inner = ", ".join(f"{n}={levels[n][v] if n in levels else v}" for n, v in zip(self.space.cell_names, values))
-        if self.space.shape.instrument_card:
-            return f"P({inner} | {CANON_INSTRUMENT}={arm})"
-        return f"P({inner})"
+        """Human-readable name of an equality constraint row: ``ResponseTypeSpace.row_label``."""
+        return self.space.row_label(row)
 
 
 def _checked_level(space, query, name, value):
@@ -425,13 +435,39 @@ def build_lp(
         arm_mass = rhs.sum(axis=1)
         empty = np.flatnonzero(arm_mass <= 0.0)
         if empty.size:
-            raise DataError(
-                f"instrument arm {CANON_INSTRUMENT}={empty[0]} has zero probability; "
-                "cannot condition on it"
-            )
+            raise zero_arm_error(empty[0])
         rhs = rhs / arm_mass[:, np.newaxis]
 
     return LpProblem(space=space, query=query, rhs=rhs, level=level, guideline_level=guideline_level)
+
+
+def zero_arm_error(arm: int) -> DataError:
+    """The error of a table whose instrument arm ``arm`` has no mass to condition on."""
+    return DataError(f"instrument arm {CANON_INSTRUMENT}={arm} has zero probability; cannot condition on it")
+
+
+def infeasible_error(space: ResponseTypeSpace, row: int, total: float) -> InfeasibleModelError:
+    """The error of a table no mixture of ``space``'s classes gives: phase 1's most violated ``row`` and ``total``."""
+    label = space.row_label(row)
+    return InfeasibleModelError(
+        f"observed distribution is incompatible with the assumed structure; "
+        f"most violated constraint: {label} "
+        f"(minimal total violation {total:.3g})",
+        worst_constraint=label,
+        violation=total,
+    )
+
+
+def check_interval(query: str, lower: float, upper: float) -> None:
+    """Refuse an inverted interval, or one outside the admissible range of ``query``, beyond ``BOUND_TOL``."""
+    if lower > upper + BOUND_TOL:
+        raise SolverError(f"bounds inverted: lower={lower!r} > upper={upper!r}")
+    lo_lim, hi_lim = (-1.0 if -1 in QUERIES[query].values() else 0.0), 1.0
+    if lower < lo_lim - BOUND_TOL or upper > hi_lim + BOUND_TOL:
+        raise SolverError(
+            f"bounds [{lower!r}, {upper!r}] escape the admissible "
+            f"range [{lo_lim}, {hi_lim}] for query {query!r}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,16 +481,7 @@ class BoundsResult:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.lower > self.upper + BOUND_TOL:
-            raise SolverError(
-                f"bounds inverted: lower={self.lower!r} > upper={self.upper!r}"
-            )
-        lo_lim, hi_lim = (-1.0 if -1 in QUERIES[self.query].values() else 0.0), 1.0
-        if self.lower < lo_lim - BOUND_TOL or self.upper > hi_lim + BOUND_TOL:
-            raise SolverError(
-                f"bounds [{self.lower!r}, {self.upper!r}] escape the admissible "
-                f"range [{lo_lim}, {hi_lim}] for query {self.query!r}"
-            )
+        check_interval(self.query, self.lower, self.upper)
 
     @property
     def width(self) -> float:
@@ -511,38 +538,74 @@ def _columns(lp: LpProblem) -> tuple:
     return lp.space.merged[0], c_min, c_max
 
 
+class StrataBounds(NamedTuple):
+    """What ``solve_strata`` found for a block of right-hand sides, one program per row."""
+
+    lower: np.ndarray                  # per row, up to the first infeasible one
+    upper: np.ndarray
+    pivots: int                        # both sides of every row solved
+    solve: str                         # "warm" when every row was re-solved from a warm start
+    infeasible: Optional[tuple] = None  # (row index, violation_row, violation_total) of the first infeasible row
+
+
+def _solve_rows(space: ResponseTypeSpace, query: str, columns: tuple, b: np.ndarray) -> StrataBounds:
+    """Each row of ``b`` solved for the merged ``columns``, in order, up to the first infeasible row."""
+    A, c_min, c_max = columns
+    start = None
+    if space.shape.kind == "reduced":
+        # a reduced program's costs depend on its space and query alone; only b changes
+        starts = space.warm_starts
+        if query not in starts:
+            starts[query] = simplex.warm_start(c_min, c_max, A)
+        start = starts[query]
+    lower, upper = np.empty(len(b)), np.empty(len(b))
+    pivots, warm = 0, True
+    for i, row in enumerate(b):
+        lo, hi = simplex.minimize_pair(c_min, c_max, A, row, start=start)
+        if lo.status == "infeasible":
+            infeasible = (i, lo.violation_row, lo.violation_total)
+            return StrataBounds(lower[:i], upper[:i], pivots + lo.iterations, "cold", infeasible)
+        lower[i], upper[i] = lo.value, hi.value
+        pivots += lo.iterations + hi.iterations
+        warm = warm and lo.solve == "warm"
+    return StrataBounds(lower, upper, pivots, "warm" if warm else "cold")
+
+
+def solve_strata(shape: SpaceShape, query: str, level, guideline_level, b: np.ndarray) -> StrataBounds:
+    """Bounds of every stratum that shares one key: a stratum shape, a query and the two assigned levels.
+
+    Row ``i`` of ``b``, shaped ``(n_strata, n_arms * n_cells + 1)``, is the
+    right-hand side ``build_lp`` would give stratum ``i``: its arm rows,
+    then the total mass 1. The levels are checked and the program's columns
+    looked up once for the block; each row is solved cold. The result stops
+    at the first infeasible row, naming it.
+    """
+    if shape.kind != "stratum":
+        raise ValueError(f"solve_strata solves stratum programs, not {shape.kind} ones")
+    space = enumerate_response_types(shape)
+    level = _checked_level(space, query, "level", level)
+    guideline_level = _checked_level(space, query, "guideline_level", guideline_level)
+    return _solve_rows(space, query, (space.merged[0], *_costs(shape, query, level, guideline_level)), b)
+
+
 def solve_bounds(lp: LpProblem) -> BoundsResult:
     """Sharp lower and upper bounds for the program, or an infeasibility error."""
-    A, c_min, c_max = _columns(lp)
+    columns = _columns(lp)
     b = np.concatenate([lp.rhs.ravel(), [1.0]])
-    start = None
-    if lp.space.shape.kind == "reduced":
-        # a reduced program's costs depend on its space and query alone; only b changes
-        starts = lp.space.warm_starts
-        if lp.query not in starts:
-            starts[lp.query] = simplex.warm_start(c_min, c_max, A)
-        start = starts[lp.query]
-    res_lo, res_hi = simplex.minimize_pair(c_min, c_max, A, b, start=start)
-    if res_lo.status == "infeasible":
-        label = lp.row_label(res_lo.violation_row)
-        raise InfeasibleModelError(
-            f"observed distribution is incompatible with the assumed structure; "
-            f"most violated constraint: {label} "
-            f"(minimal total violation {res_lo.violation_total:.3g})",
-            worst_constraint=label,
-            violation=res_lo.violation_total,
-        )
+    solved = _solve_rows(lp.space, lp.query, columns, b[np.newaxis])
+    if solved.infeasible is not None:
+        raise infeasible_error(lp.space, *solved.infeasible[1:])
     return BoundsResult(
         query=lp.query,
-        lower=res_lo.value,
-        upper=res_hi.value,
+        lower=float(solved.lower[0]),
+        upper=float(solved.upper[0]),
         strategy=_STRATEGY_BY_KIND[lp.space.shape.kind],
         diagnostics={
             "class_count": lp.space.class_count,
-            "merged_columns": int(A.shape[1]),
-            "constraint_rows": int(A.shape[0]),
-            "simplex_iterations": int(res_lo.iterations + res_hi.iterations),
-            "solve": res_lo.solve,
+            "merged_columns": int(columns[0].shape[1]),
+            "constraint_rows": int(columns[0].shape[0]),
+            "simplex_iterations": int(solved.pivots),
+            "solve": solved.solve,
         },
     )
 

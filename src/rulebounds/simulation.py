@@ -31,7 +31,7 @@ from .model import (
     rule_table,
 )
 from .strategies import StrategyRequest, conditioning_bounds, reduction_bounds
-from .tables import Cpt, Scm, joint_from_scm, marginalize
+from .tables import Cpt, Scm, _joint_gathers, _structure, joint_from_scm, marginalize
 
 VALIDITY_TOL = 1e-9
 ROLE_LATENT = "latent_confounder"
@@ -151,27 +151,36 @@ def random_scm(config: SimConfig, index: int) -> Scm:
     )
 
 
-def intervene_with_rule(scm: Scm, rule: TreatmentRule) -> Scm:
-    """Replace the treatment CPT with the deterministic rule over its covariate parents."""
-    treatment = scm.by_role(ROLE_TREATMENT)[0]
-    cpt = scm.cpt_for(treatment.name)
-    cards = tuple(p.cardinality for p in cpt.parents)
-    is_x = [p.role == ROLE_RULE_COVARIATE for p in cpt.parents]
+@lru_cache(maxsize=2 * MODEL_CACHE_SIZE)  # a rule and a guideline for each kept study config
+def _forced_rows(parents: tuple, card: int, rule: TreatmentRule) -> np.ndarray:
+    """Read-only one-hot treatment CPT rows: each parent row's level under ``rule``, whatever the other parents."""
+    cards = tuple(p.cardinality for p in parents)
+    is_x = [p.role == ROLE_RULE_COVARIATE for p in parents]
     levels = rule.levels(tuple(c for c, x in zip(cards, is_x) if x))
     # each parent row's level: the rule's grid, constant along the other parents
     per_row = np.broadcast_to(levels.reshape([c if x else 1 for c, x in zip(cards, is_x)]), cards).ravel()
-    rows = np.zeros_like(cpt.rows)
-    rows[np.arange(rows.shape[0]), per_row] = 1.0
-    forced = Cpt(treatment, cpt.parents, rows)
-    return Scm(tuple(forced if c is cpt else c for c in scm.cpts))
+    rows = np.zeros((per_row.size, card))
+    rows[np.arange(per_row.size), per_row] = 1.0
+    rows.setflags(write=False)
+    return rows
 
 
 def true_policy_value(scm: Scm, rule: TreatmentRule) -> float:
-    """Exact outcome probability if everyone were treated per the rule."""
+    """Exact outcome probability if everyone were treated per the rule.
+
+    The intervened joint is multiplied from the SCM's cached gathers in CPT
+    order, as ``joint_from_scm`` multiplies it, with the treatment's rows
+    replaced by the rule's; every axis but the outcome is then summed out, as
+    ``marginalize`` sums it.
+    """
+    treatment_cpt = scm.cpt_for(scm.by_role(ROLE_TREATMENT)[0].name)
     outcome = scm.by_role(ROLE_OUTCOME)[0]
-    forced = intervene_with_rule(scm, rule)
-    marginal = marginalize(joint_from_scm(forced), [outcome.name])
-    return float(marginal.probs[1])
+    joint = np.ones(tuple(v.cardinality for v in scm.variables))
+    for cpt, flat in zip(scm.cpts, _joint_gathers(_structure(scm))):
+        rows = _forced_rows(cpt.parents, cpt.child.cardinality, rule) if cpt is treatment_cpt else cpt.rows
+        joint *= rows.ravel()[flat]
+    others = tuple(i for i, v in enumerate(scm.variables) if v.name != outcome.name)
+    return float(joint.sum(axis=others)[1])
 
 
 @lru_cache(maxsize=MODEL_CACHE_SIZE)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Optional
 
 import numpy as np
@@ -20,10 +21,14 @@ from .errors import DataError, InfeasibleModelError, ProgramTooLargeError
 from .lp_bounds import (
     BoundsResult,
     build_lp,
+    check_interval,
     check_request,
     direct_sharp_bounds,
     enumerate_response_types,
+    infeasible_error,
     solve_bounds,
+    solve_strata,
+    zero_arm_error,
 )
 from .model import CausalModel, SpaceShape, build_reduced_model, stratum_shape
 from .tables import JointTable, reorder
@@ -88,35 +93,77 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
     Strata run x-major, w-minor over the rule and extra covariates; each
     solves the no-assumption program on P([instrument,] treatment, outcome
     | stratum) and contributes its bounds times its mass. Zero-mass strata
-    are listed as skipped.
+    are listed as skipped. Strata given the same levels solve the same
+    program for another right-hand side, so all of them are normalised at
+    once and each such key's strata are solved as one block
+    (``solve_strata``). An error names the first stratum, in stratum order,
+    whose program would raise it.
     """
-    model = request.model
+    model, query = request.model, request.query
     covariates = model.rule_covariates + model.extra_covariates
     shape = stratum_shape(model)
-    cell_specs = shape.variables
+    space = enumerate_response_types(shape)
     arm = (model.instrument,) if model.instrument is not None else ()
     order = covariates + arm + (model.treatment, model.outcome)
-    cell_shape = tuple(v.cardinality for v in cell_specs)
+    cell_shape = tuple(v.cardinality for v in shape.variables)
     probs = reorder(request.observed, [v.name for v in order]).probs.reshape((-1,) + cell_shape)
-    masses = probs.reshape(probs.shape[0], -1).sum(axis=1)
-    space = enumerate_response_types(shape)
+    n = probs.shape[0]
+    masses = probs.reshape(n, -1).sum(axis=1)
+    live = masses > 0.0
+    # each stratum's arm rows, divided by its mass and then by each arm's mass, as build_lp divides them
+    rhs = np.divide(
+        probs.reshape(n, space.n_arms, space.n_cells),
+        masses[:, np.newaxis, np.newaxis],
+        out=np.zeros((n, space.n_arms, space.n_cells)),
+        where=live[:, np.newaxis, np.newaxis],
+    )
+    # entries none of them negative, divided by their sum, make a table JointTable accepts; a table with a
+    # negative entry has each stratum's table built below, so it is refused where it always was, and a
+    # stratum divided into non-finite entries is never solved
+    negative = bool(probs.min() < 0.0)
+    solvable = live & np.isfinite(rhs).all(axis=(1, 2))
+    errors = {}  # stratum index -> the error its program raises, for the first empty-arm and infeasible ones
+    if arm:
+        arm_mass = rhs.sum(axis=2)
+        empty = live & (arm_mass <= 0.0).any(axis=1)
+        zero_arm = np.flatnonzero(empty)
+        if zero_arm.size:
+            errors[zero_arm[0]] = zero_arm_error(np.flatnonzero(arm_mass[zero_arm[0]] <= 0.0)[0])
+        solvable &= ~empty
+        np.divide(rhs, arm_mass[:, :, np.newaxis], out=rhs, where=solvable[:, np.newaxis, np.newaxis])
+    b = np.concatenate([rhs.reshape(n, -1), np.ones((n, 1))], axis=1)
+
+    per_w = prod(model.extra_covariate_cards)
+    levels = np.repeat(model.rule.levels(model.rule_covariate_cards).ravel(), per_w).tolist()
+    g_levels = [None] * n
+    if model.guideline is not None:
+        g_levels = np.repeat(model.guideline.levels(model.rule_covariate_cards).ravel(), per_w).tolist()
+    keys: dict = {}  # (level, guideline_level) -> its solvable strata, in order
+    for i in np.flatnonzero(solvable).tolist():
+        keys.setdefault((levels[i], g_levels[i]), []).append(i)
+    bounds = {}
+    for (level, g_level), rows in keys.items():
+        solved = solve_strata(shape, query, level, g_level, b[rows])
+        bounds.update(zip(rows, zip(solved.lower.tolist(), solved.upper.tolist())))
+        if solved.infeasible is not None:
+            index, row, total = solved.infeasible
+            errors[rows[index]] = infeasible_error(space, row, total)
+    first_error = min(errors, default=n)
+
     nx = len(model.rule_covariates)
     strata: list[dict] = []
-    lower = 0.0
-    upper = 0.0
+    lower = upper = 0.0
     for i, values in enumerate(product(*(range(v.cardinality) for v in covariates))):
         x, w = values[:nx], (values[nx:] if model.extra_covariates else None)
         label = ", ".join(f"{v.name}={val}" for v, val in zip(covariates, values))
-        level = model.rule.level_for(x)
-        g_level = model.guideline.level_for(x) if model.guideline is not None else None
         mass = float(masses[i])
         stratum = {
             "x": list(x),
             "w": list(w) if w is not None else None,
             "label": label,
             "weight": 0.0,
-            "level": level,
-            "guideline_level": g_level,
+            "level": levels[i],
+            "guideline_level": g_levels[i],
             "lower": None,
             "upper": None,
             "skipped": mass <= 0.0,
@@ -124,28 +171,24 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
         strata.append(stratum)
         if mass <= 0.0:
             continue
-        try:
-            lp = build_lp(
-                space,
-                JointTable(cell_specs, probs[i] / mass),
-                request.query,
-                level=level,
-                guideline_level=g_level,
-            )
-            result = solve_bounds(lp)
-        except InfeasibleModelError as err:
-            raise InfeasibleModelError(
-                f"stratum ({label}): {err}",
-                worst_constraint=err.worst_constraint,
-                violation=err.violation,
-            ) from err
-        except DataError as err:
+        if negative:
+            JointTable(shape.variables, probs[i] / mass)  # raises what the stratum's table always raised
+        if i == first_error:
+            err = errors[i]
+            if isinstance(err, InfeasibleModelError):
+                raise InfeasibleModelError(
+                    f"stratum ({label}): {err}",
+                    worst_constraint=err.worst_constraint,
+                    violation=err.violation,
+                ) from err
             raise DataError(f"stratum ({label}): {err}") from err
-        stratum.update(weight=mass, lower=result.lower, upper=result.upper)
-        lower += mass * result.lower
-        upper += mass * result.upper
+        lo, hi = bounds[i]
+        check_interval(query, lo, hi)
+        stratum.update(weight=mass, lower=lo, upper=hi)
+        lower += mass * lo
+        upper += mass * hi
     return BoundsResult(
-        query=request.query,
+        query=query,
         lower=lower,
         upper=upper,
         strategy="conditioning",

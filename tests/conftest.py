@@ -28,7 +28,7 @@ from rulebounds.model import (
 from rulebounds import simplex
 from rulebounds.errors import SolverError
 from rulebounds.lp_bounds import BoundsResult, SpaceShape, class_cells, enumerate_response_types
-from rulebounds.tables import JointTable, reorder
+from rulebounds.tables import Cpt, JointTable, Scm, reorder
 
 
 class ResponseClass(NamedTuple):
@@ -275,8 +275,27 @@ def manski_stratum_bounds(
     )
 
 
+def intervene_with_rule(scm, rule):
+    """Replace the treatment CPT with the deterministic rule over its covariate parents.
+
+    The intervened model that ``simulation.true_policy_value`` multiplies out
+    without building it: its treatment rows come from one indexed assignment.
+    """
+    treatment = scm.by_role(ROLE_TREATMENT)[0]
+    cpt = scm.cpt_for(treatment.name)
+    cards = tuple(p.cardinality for p in cpt.parents)
+    is_x = [p.role == ROLE_RULE_COVARIATE for p in cpt.parents]
+    levels = rule.levels(tuple(c for c, x in zip(cards, is_x) if x))
+    # each parent row's level: the rule's grid, constant along the other parents
+    per_row = np.broadcast_to(levels.reshape([c if x else 1 for c, x in zip(cards, is_x)]), cards).ravel()
+    rows = np.zeros_like(cpt.rows)
+    rows[np.arange(rows.shape[0]), per_row] = 1.0
+    forced = Cpt(treatment, cpt.parents, rows)
+    return Scm(tuple(forced if c is cpt else c for c in scm.cpts))
+
+
 def intervene_per_row(scm, rule):
-    """Per-row reference of ``simulation.intervene_with_rule``: the forced treatment rows, one parent row at a time."""
+    """Per-row reference of ``intervene_with_rule``: the forced treatment rows, one parent row at a time."""
     cpt = scm.cpt_for(scm.by_role(ROLE_TREATMENT)[0].name)
     x_positions = [i for i, p in enumerate(cpt.parents) if p.role == ROLE_RULE_COVARIATE]
     rows = np.zeros_like(cpt.rows)

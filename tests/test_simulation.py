@@ -20,7 +20,6 @@ from rulebounds.model import TreatmentRule, validate_model
 from rulebounds.simulation import (
     SimConfig,
     default_study_rule,
-    intervene_with_rule,
     observed_model,
     random_cpt,
     random_scm,
@@ -32,7 +31,7 @@ from rulebounds.tables import Scm, joint_from_scm, marginalize
 import rulebounds.simulation as simulation
 from rulebounds.model import VariableSpec
 
-from conftest import intervene_per_row
+from conftest import intervene_per_row, intervene_with_rule
 
 
 def test_default_study_rule_steps_through_levels():
