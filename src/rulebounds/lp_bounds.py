@@ -24,8 +24,8 @@ only.
 
 The stratum programs of one stratum key (a stratum shape, a query and the
 levels the two rules assign) differ only in their right-hand side, so
-``solve_strata`` checks the key and looks up its columns once, then solves
-the key's strata row by row.
+``solve_strata`` checks the key and reads its record
+(``ResponseTypeSpace.program``) once, then solves the key's strata row by row.
 """
 
 from __future__ import annotations
@@ -57,10 +57,8 @@ from .tables import JointTable, reorder, with_variables
 # the most any one array of a program may take: its profile arrays, or its dense simplex tableau
 # (a solve holds A, pivot temporaries and, for a reduction, its warm starts too: 2.7 to 5 tableaus)
 MAX_TABLEAU_BYTES = 256 * 2**20
-# response-type spaces (and digit tables) kept per process; an evicted space frees whatever it cached
+# response-type spaces kept per process; an evicted space frees whatever it cached: its merge and program records
 SPACE_CACHE_SIZE = 32
-# (c_min, c_max) pairs kept per process, keyed by (shape, query, levels); see ``_costs``
-COST_CACHE_SIZE = 64
 BOUND_TOL = 1e-9
 
 # each query is a signed sum of rule values: "f" reads the evaluated rule, "g" the guideline
@@ -96,7 +94,7 @@ class ResponseTypeSpace:
     non-instrument / non-treatment parent value, and ``cell_sources`` say
     where each observed-cell coordinate comes from ("treatment", "outcome",
     or a root position). ``merged`` is built on first use and lives (and is
-    freed) with the space; no per-class array is kept.
+    freed) with the space, as do ``records``; no per-class array is kept.
     """
 
     shape: SpaceShape
@@ -112,6 +110,7 @@ class ResponseTypeSpace:
     y_rest_root_positions: tuple
     cell_sources: tuple
     class_count: int
+    records: dict = field(default_factory=dict, init=False, repr=False)  # kept by ``program``, per (query, levels)
 
     @property
     def n_arms(self) -> int:
@@ -174,10 +173,37 @@ class ResponseTypeSpace:
                 budget=MAX_TABLEAU_BYTES,
             )
 
-    @cached_property
-    def warm_starts(self) -> dict:
-        """Per query, a reduced program's ``simplex.WarmStart``, built on its first solve."""
-        return {}
+    def program(self, query: str, level=None, guideline_level=None) -> tuple:
+        """``(A, c_min, c_max, start)``: the program of ``query`` at the levels ``build_lp`` checked.
+
+        ``A`` is the merged columns, ``c_min`` and ``c_max`` (read-only) each
+        column's extreme coefficient over its profiles, and ``start`` a
+        reduced program's ``simplex.WarmStart`` (None for other kinds). The
+        records of reduced and stratum programs are few (queries × levels)
+        and kept in ``records``; a full program's levels span its covariate
+        domain and it is solved once per request, so its record is never kept.
+        """
+        kept = self.shape.kind != "full"
+        key = (query, level, guideline_level)
+        if kept and key in self.records:
+            return self.records[key]
+        A, inverse = self.merged
+        roots, outcomes = _digits(self.root_cards), _digits((2,) * self.shape.treat_card)
+        # signed outcomes at the assigned levels, whatever the arm profile; float keeps ufunc.at off its cast path
+        obj = sum(
+            sign * outcomes[_assigned_levels(self, roots, side, level, guideline_level)]
+            for side, sign in QUERIES[query].items()
+        )[:, np.newaxis, :].astype(float)
+        c_min, c_max = np.full(A.shape[1], np.inf), np.full(A.shape[1], -np.inf)
+        np.minimum.at(c_min, inverse, obj)
+        np.maximum.at(c_max, inverse, obj)
+        for array in (c_min, c_max):
+            array.setflags(write=False)
+        # a reduced program's costs depend on its space and query alone; only b changes
+        start = simplex.warm_start(c_min, c_max, A) if self.shape.kind == "reduced" else None
+        if kept:
+            self.records[key] = A, c_min, c_max, start
+        return A, c_min, c_max, start
 
     def row_label(self, row: int) -> str:
         """Human-readable name of an equality constraint row of the space's programs (arm-major order)."""
@@ -249,14 +275,11 @@ def _strides(cards) -> list:
     return [prod(cards[i + 1 :]) for i in range(len(cards))]
 
 
-@lru_cache(maxsize=SPACE_CACHE_SIZE)
 def _digits(cards) -> np.ndarray:
-    """Read-only (len(cards), prod(cards)) digits of every mixed-radix code over ``cards``, kept for reuse."""
+    """(len(cards), prod(cards)) digits of every mixed-radix code over ``cards``, first digit slowest."""
     codes = np.arange(prod(cards), dtype=np.int64)
     strides = np.array(_strides(cards), dtype=np.int64)[:, np.newaxis]
-    digits = codes // strides % np.array(cards, dtype=np.int64)[:, np.newaxis]
-    digits.setflags(write=False)
-    return digits
+    return codes // strides % np.array(cards, dtype=np.int64)[:, np.newaxis]
 
 
 def _factors(space: ResponseTypeSpace):
@@ -498,46 +521,6 @@ class BoundsResult:
         }
 
 
-def _level_key(level):
-    """A checked level as a hashable memo key: a full program's int64 array by its bytes."""
-    return level.tobytes() if isinstance(level, np.ndarray) else level
-
-
-def _level_from_key(shape: SpaceShape, key):
-    """The level ``_level_key`` made ``key`` from, as a read-only array for a full program."""
-    return np.frombuffer(key, dtype=np.int64).reshape(shape.x_cards) if isinstance(key, bytes) else key
-
-
-@lru_cache(maxsize=COST_CACHE_SIZE)
-def _costs(shape: SpaceShape, query: str, level_key, guideline_key) -> tuple:
-    """Read-only ``(c_min, c_max)``: each merged column's extreme coefficient over its profiles.
-
-    Keyed by what they depend on, never by a space: the space's arrays are
-    looked up on a miss, so the memo keeps only these two column-length arrays.
-    """
-    space = enumerate_response_types(shape)
-    A, inverse = space.merged
-    level, guideline_level = _level_from_key(shape, level_key), _level_from_key(shape, guideline_key)
-    roots, outcomes = _digits(space.root_cards), _digits((2,) * shape.treat_card)
-    # signed outcomes at the assigned levels, whatever the arm profile; float keeps ufunc.at off its cast path
-    obj = sum(
-        sign * outcomes[_assigned_levels(space, roots, side, level, guideline_level)]
-        for side, sign in QUERIES[query].items()
-    )[:, np.newaxis, :].astype(float)
-    c_min, c_max = np.full(A.shape[1], np.inf), np.full(A.shape[1], -np.inf)
-    np.minimum.at(c_min, inverse, obj)
-    np.maximum.at(c_max, inverse, obj)
-    for array in (c_min, c_max):
-        array.setflags(write=False)
-    return c_min, c_max
-
-
-def _columns(lp: LpProblem) -> tuple:
-    """``(A, c_min, c_max)``: the space's merged columns, each keeping its profiles' extreme coefficients."""
-    c_min, c_max = _costs(lp.space.shape, lp.query, _level_key(lp.level), _level_key(lp.guideline_level))
-    return lp.space.merged[0], c_min, c_max
-
-
 class StrataBounds(NamedTuple):
     """What ``solve_strata`` found for a block of right-hand sides, one program per row."""
 
@@ -548,16 +531,9 @@ class StrataBounds(NamedTuple):
     infeasible: Optional[tuple] = None  # (row index, violation_row, violation_total) of the first infeasible row
 
 
-def _solve_rows(space: ResponseTypeSpace, query: str, columns: tuple, b: np.ndarray) -> StrataBounds:
-    """Each row of ``b`` solved for the merged ``columns``, in order, up to the first infeasible row."""
-    A, c_min, c_max = columns
-    start = None
-    if space.shape.kind == "reduced":
-        # a reduced program's costs depend on its space and query alone; only b changes
-        starts = space.warm_starts
-        if query not in starts:
-            starts[query] = simplex.warm_start(c_min, c_max, A)
-        start = starts[query]
+def _solve_rows(program: tuple, b: np.ndarray) -> StrataBounds:
+    """Each row of ``b`` solved for a ``ResponseTypeSpace.program`` record, in order, to the first infeasible row."""
+    A, c_min, c_max, start = program
     lower, upper = np.empty(len(b)), np.empty(len(b))
     pivots, warm = 0, True
     for i, row in enumerate(b):
@@ -576,8 +552,8 @@ def solve_strata(shape: SpaceShape, query: str, level, guideline_level, b: np.nd
 
     Row ``i`` of ``b``, shaped ``(n_strata, n_arms * n_cells + 1)``, is the
     right-hand side ``build_lp`` would give stratum ``i``: its arm rows,
-    then the total mass 1. The levels are checked and the program's columns
-    looked up once for the block; each row is solved cold. The result stops
+    then the total mass 1. The levels are checked and the program's record
+    read once for the block; each row is solved cold. The result stops
     at the first infeasible row, naming it.
     """
     if shape.kind != "stratum":
@@ -585,14 +561,14 @@ def solve_strata(shape: SpaceShape, query: str, level, guideline_level, b: np.nd
     space = enumerate_response_types(shape)
     level = _checked_level(space, query, "level", level)
     guideline_level = _checked_level(space, query, "guideline_level", guideline_level)
-    return _solve_rows(space, query, (space.merged[0], *_costs(shape, query, level, guideline_level)), b)
+    return _solve_rows(space.program(query, level, guideline_level), b)
 
 
 def solve_bounds(lp: LpProblem) -> BoundsResult:
     """Sharp lower and upper bounds for the program, or an infeasibility error."""
-    columns = _columns(lp)
+    program = lp.space.program(lp.query, lp.level, lp.guideline_level)
     b = np.concatenate([lp.rhs.ravel(), [1.0]])
-    solved = _solve_rows(lp.space, lp.query, columns, b[np.newaxis])
+    solved = _solve_rows(program, b[np.newaxis])
     if solved.infeasible is not None:
         raise infeasible_error(lp.space, *solved.infeasible[1:])
     return BoundsResult(
@@ -602,8 +578,8 @@ def solve_bounds(lp: LpProblem) -> BoundsResult:
         strategy=_STRATEGY_BY_KIND[lp.space.shape.kind],
         diagnostics={
             "class_count": lp.space.class_count,
-            "merged_columns": int(columns[0].shape[1]),
-            "constraint_rows": int(columns[0].shape[0]),
+            "merged_columns": int(program[0].shape[1]),
+            "constraint_rows": int(program[0].shape[0]),
             "simplex_iterations": int(solved.pivots),
             "solve": solved.solve,
         },

@@ -209,21 +209,20 @@ class CausalModel:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-
-    def _by_role(self, role: str) -> tuple[VariableSpec, ...]:
-        return tuple(v for v in self.variables if v.role == role)
+        # each role's variables, resolved once; not a field, so eq and hash ignore it and ``replace`` re-derives it
+        object.__setattr__(self, "_roles", {r: tuple(v for v in self.variables if v.role == r) for r in ROLES})
 
     @property
     def treatment(self) -> VariableSpec:
-        return self._by_role(ROLE_TREATMENT)[0]
+        return self._roles[ROLE_TREATMENT][0]
 
     @property
     def outcome(self) -> VariableSpec:
-        return self._by_role(ROLE_OUTCOME)[0]
+        return self._roles[ROLE_OUTCOME][0]
 
     @property
     def instrument(self) -> Optional[VariableSpec]:
-        found = self._by_role(ROLE_INSTRUMENT)
+        found = self._roles[ROLE_INSTRUMENT]
         return found[0] if found else None
 
     @property
@@ -233,11 +232,11 @@ class CausalModel:
 
     @property
     def rule_covariates(self) -> tuple[VariableSpec, ...]:
-        return self._by_role(ROLE_RULE_COVARIATE)
+        return self._roles[ROLE_RULE_COVARIATE]
 
     @property
     def extra_covariates(self) -> tuple[VariableSpec, ...]:
-        return self._by_role(ROLE_EXTRA_COVARIATE)
+        return self._roles[ROLE_EXTRA_COVARIATE]
 
     @property
     def rule_covariate_cards(self) -> tuple[int, ...]:
@@ -261,9 +260,9 @@ def validate_model(model: CausalModel) -> list[str]:
     for v in model.variables:
         if v.role not in ROLES:
             out.append(f"variable {v.name!r}: unknown role {v.role!r} (expected one of {sorted(ROLES)})")
-    n_treat = len(model._by_role(ROLE_TREATMENT))
-    n_out = len(model._by_role(ROLE_OUTCOME))
-    n_inst = len(model._by_role(ROLE_INSTRUMENT))
+    n_treat = len(model._roles[ROLE_TREATMENT])
+    n_out = len(model._roles[ROLE_OUTCOME])
+    n_inst = len(model._roles[ROLE_INSTRUMENT])
     if n_treat != 1:
         out.append(f"model must declare exactly one treatment variable, found {n_treat}")
     if n_out != 1:

@@ -27,7 +27,15 @@ from rulebounds.model import (
 )
 from rulebounds import simplex
 from rulebounds.errors import SolverError
-from rulebounds.lp_bounds import BoundsResult, SpaceShape, class_cells, enumerate_response_types
+from rulebounds.lp_bounds import (
+    QUERIES,
+    BoundsResult,
+    SpaceShape,
+    _assigned_levels,
+    _digits,
+    class_cells,
+    enumerate_response_types,
+)
 from rulebounds.tables import Cpt, JointTable, Scm, reorder
 
 
@@ -157,6 +165,27 @@ def small_noiv_model(x_card=2, treat_card=2, rule_map=None, guideline_map=None):
         rule=rule,
         guideline=guideline,
     )
+
+
+def reference_costs(space, query, level=None, guideline_level=None) -> tuple:
+    """``(c_min, c_max)``: each merged column's extreme coefficient over its profiles, the reference of
+    ``ResponseTypeSpace.program``'s costs. Levels are as ``build_lp`` checks them."""
+    A, inverse = space.merged
+    roots, outcomes = _digits(space.root_cards), _digits((2,) * space.shape.treat_card)
+    # signed outcomes at the assigned levels, whatever the arm profile
+    obj = sum(
+        sign * outcomes[_assigned_levels(space, roots, side, level, guideline_level)]
+        for side, sign in QUERIES[query].items()
+    )[:, np.newaxis, :].astype(float)
+    c_min, c_max = np.full(A.shape[1], np.inf), np.full(A.shape[1], -np.inf)
+    np.minimum.at(c_min, inverse, obj)
+    np.maximum.at(c_max, inverse, obj)
+    return c_min, c_max
+
+
+def program_columns(lp) -> tuple:
+    """``(A, c_min, c_max)`` as ``solve_bounds`` hands them to the simplex, from ``lp``'s program record."""
+    return lp.space.program(lp.query, lp.level, lp.guideline_level)[:3]
 
 
 def scipy_lp_bounds(lp):

@@ -137,8 +137,9 @@ def test_2_stratum_lp_matches_no_assumption_form(capsys):
 @pytest.fixture(scope="session")
 def study_report():
     # Default shape: binary confounder/instrument/outcome, ternary treatment,
-    # six covariate levels, the fixed study rule, master seed 20260824.
-    return run_study(SimConfig(replications=10_000))
+    # six covariate levels, the fixed study rule, master seed 20260824. Two
+    # worker processes give the serial run's records (criterion 9 checks that).
+    return run_study(SimConfig(replications=10_000, jobs=2))
 
 
 def test_3_simulation_validity_rate_is_one(capsys, study_report):

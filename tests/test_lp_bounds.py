@@ -8,7 +8,9 @@ run scipy's solver on the raw un-merged program to confirm the column
 aggregation loses nothing.
 """
 
+import gc
 import tracemalloc
+import weakref
 from dataclasses import fields
 from itertools import product
 from math import prod
@@ -50,7 +52,9 @@ from conftest import (
     feasible_table,
     iter_classes,
     manski_stratum_bounds,
+    program_columns,
     random_probs,
+    reference_costs,
     scipy_lp_bounds,
     small_iv_model,
     small_noiv_model,
@@ -228,12 +232,14 @@ def test_full_space_stores_no_objectives(rng):
         space = enumerate_response_types(shape)
         for query, kwargs in queries_with_levels(shape):
             solve_bounds(build_lp(space, uniform_table(space), query, **kwargs))
-        # a reduced space also keeps each query's warm-start tableaus, sized by the program
-        warm = {"warm_starts"} if shape.kind == "reduced" else set()
-        assert set(vars(space)) == {f.name for f in fields(space)} | {"merged"} | warm
+        assert set(vars(space)) == {f.name for f in fields(space)} | {"merged"}
         A, inverse = space.merged
-        for start in vars(space).get("warm_starts", {}).values():
-            for side in start.sides:
+        # a full space keeps no record; a reduced record also keeps its query's warm-start tableaus,
+        # sized by the program
+        assert (not space.records) == (shape.kind == "full")
+        for *_, start in space.records.values():
+            assert (start is not None) == (shape.kind == "reduced")
+            for side in start.sides if start is not None else ():
                 assert side.T.shape == (A.shape[0] + 1, A.shape[1] + A.shape[0] + 1)
         k = shape.treat_card
         assert inverse.shape == (prod(space.root_cards), k**space.n_arms, 2**k)
@@ -574,16 +580,17 @@ def test_reduced_program_streams_its_classes_in_bounded_memory():
     slack = 64 * 2**10  # a few words per profile, the columns' coefficients and the RHS
     # the first solve builds the merge and keeps A; one float per class alone is 410 KiB
     first = _traced_peak(lambda: solve_bounds(lp))
-    A, c_min, c_max = lp_bounds._columns(lp)
+    A, c_min, c_max = program_columns(lp)
     b = np.concatenate([lp.rhs.ravel(), [1.0]])
     simplex_peak = _traced_peak(lambda: simplex.minimize_pair(c_min, c_max, A, b))
-    # it also keeps the query's warm start: one tableau per side, sized by the program
-    kept = sum(side.T.nbytes for side in space.warm_starts["cu"].sides)
+    # its record also keeps the query's warm start: one tableau per side, sized by the program
+    kept = sum(side.T.nbytes for side in space.records["cu", None, None][3].sides)
     assert kept == 2 * 8 * (A.shape[0] + 1) * (A.shape[1] + A.shape[0] + 1)
     assert first < A.nbytes + kept + simplex_peak + slack
     assert _traced_peak(lambda: solve_bounds(lp)) < simplex_peak + slack
-    # afterwards the space keeps only its merge and warm starts, and the program built no per-class array
-    assert set(vars(space)) == {f.name for f in fields(space)} | {"merged", "warm_starts"}
+    # afterwards the space keeps only its merge and the query's record, and the program built no per-class array
+    assert set(vars(space)) == {f.name for f in fields(space)} | {"merged"}
+    assert list(space.records) == [("cu", None, None)]
     assert space.merged[1].size == 648 and space.merged[0] is A
     assert not {"cells", "objective"} & set(vars(lp))
 
@@ -707,11 +714,11 @@ def test_build_lp_accepts_integer_level_forms(rng):
     # numpy and 0-d integers are checked to the plain int, and give the same merged program
     space = enumerate_response_types(SpaceShape("stratum", 3))
     table = uniform_table(space)
-    plain = lp_bounds._columns(build_lp(space, table, "theta_f", level=1))
+    plain = program_columns(build_lp(space, table, "theta_f", level=1))
     for level in (np.int64(1), np.uint8(1), np.array(1)):
         lp = build_lp(space, table, "theta_f", level=level)
         assert type(lp.level) is int
-        for got, want in zip(lp_bounds._columns(lp), plain):
+        for got, want in zip(program_columns(lp), plain):
             np.testing.assert_array_equal(got, want, strict=True)
     full = enumerate_response_types(SpaceShape("full", 3, x_cards=(2,)))
     table = uniform_table(full)
@@ -719,7 +726,7 @@ def test_build_lp_accepts_integer_level_forms(rng):
     for level in ([0, 2], np.array([0, 2], dtype=np.uint8)):
         lp = build_lp(full, table, "theta_f", level=level)
         np.testing.assert_array_equal(lp.objective, want.objective)
-        for got, expected in zip(lp_bounds._columns(lp), lp_bounds._columns(want)):
+        for got, expected in zip(program_columns(lp), program_columns(want)):
             np.testing.assert_array_equal(got, expected, strict=True)
 
 
@@ -1074,7 +1081,7 @@ def test_streamed_columns_match_the_row_sort(shape, block):
     lps = [build_lp(space, table, query, **kwargs) for query, kwargs in queries_with_levels(shape)]
     A, c_min, c_max = streamed_columns(space, np.stack([lp.objective for lp in lps]), block)
     for lp, lo, hi in zip(lps, c_min, c_max):
-        for got, want in zip(lp_bounds._columns(lp), (A, lo, hi)):
+        for got, want in zip(program_columns(lp), (A, lo, hi)):
             np.testing.assert_array_equal(got, want, strict=True)
 
 
@@ -1084,7 +1091,7 @@ def test_merged_columns_match_the_row_sort(shape):
     space = enumerate_response_types(shape)
     for query, kwargs in queries_with_levels(shape):
         lp = build_lp(space, uniform_table(space), query, **kwargs)
-        for got, want in zip(lp_bounds._columns(lp), reference_columns(lp)):
+        for got, want in zip(program_columns(lp), reference_columns(lp)):
             np.testing.assert_array_equal(got, want, strict=True)
 
 
@@ -1098,7 +1105,7 @@ def test_cost_memo_keys_on_query_and_levels():
         build_lp(space, table, "theta_g", guideline_level=np.array([1, 0, 0])),
         build_lp(space, table, "cu", level=np.array([0, 1, 1]), guideline_level=np.array([1, 1, 0])),
     ]
-    costs = [lp_bounds._columns(lp)[1:] for lp in programs]
+    costs = [program_columns(lp)[1:] for lp in programs]
     for i in range(len(costs)):
         for j in range(i):
             assert not all(np.array_equal(a, b) for a, b in zip(costs[i], costs[j]))
@@ -1107,31 +1114,84 @@ def test_cost_memo_keys_on_query_and_levels():
         A, lo, hi = reference_columns(lp)
         np.testing.assert_array_equal(c_min, lo, strict=True)
         np.testing.assert_array_equal(c_max, hi, strict=True)
-        assert lp_bounds._columns(lp)[0] is space.merged[0]
+        assert program_columns(lp)[0] is space.merged[0]
         for array in (c_min, c_max):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
     # a stratum's int level keys the memo as well
     stratum = enumerate_response_types(SpaceShape("stratum", 3))
-    per_level = [lp_bounds._columns(build_lp(stratum, uniform_table(stratum), "theta_f", level=f))[1] for f in range(3)]
+    per_level = [program_columns(build_lp(stratum, uniform_table(stratum), "theta_f", level=f))[1] for f in range(3)]
     assert not np.array_equal(per_level[0], per_level[1]) and not np.array_equal(per_level[1], per_level[2])
 
 
 def test_cost_memo_stays_bounded():
-    # the 128 level arrays of seven binary cells are distinct keys of one space
+    # a full program keeps nothing: the 128 level arrays of seven binary cells, each solved, leave no record
     shape = SpaceShape("full", 2, x_cards=(7,))
     space = enumerate_response_types(shape)
     table = uniform_table(space)
-    levels = list(product(range(2), repeat=7))[: lp_bounds.COST_CACHE_SIZE + 5]
-    first = [lp_bounds._columns(build_lp(space, table, "theta_f", level=np.array(level)))[1] for level in levels]
-    assert lp_bounds._costs.cache_info().currsize == lp_bounds.COST_CACHE_SIZE
-    # the oldest key was evicted and comes back equal, as a new array
-    misses = lp_bounds._costs.cache_info().misses
-    c_min = lp_bounds._columns(build_lp(space, table, "theta_f", level=np.array(levels[0])))[1]
-    assert lp_bounds._costs.cache_info().misses == misses + 1
+    levels = list(product(range(2), repeat=7))
+    first = [program_columns(build_lp(space, table, "theta_f", level=np.array(level)))[1] for level in levels]
+    for level in levels[:8]:
+        solve_bounds(build_lp(space, table, "theta_f", level=np.array(level)))
+    assert space.records == {}
+    # a key read again is built again, equal, as a new array
+    c_min = program_columns(build_lp(space, table, "theta_f", level=np.array(levels[0])))[1]
     assert c_min is not first[0]
     np.testing.assert_array_equal(c_min, first[0], strict=True)
+
+
+def every_level_pair(shape):
+    """Every (query, level, guideline_level) the shape answers, levels as ``build_lp`` checks them.
+
+    A stratum program takes every int level, a full program every int64 level
+    array over its covariate domain; a reduced program takes none.
+    """
+    if shape.kind == "reduced":
+        return [(query, None, None) for query, _ in queries_with_levels(shape)]
+    if shape.kind == "stratum":
+        levels = list(range(shape.treat_card))
+    else:
+        cells = product(range(shape.treat_card), repeat=prod(shape.x_cards))
+        levels = [np.array(c, dtype=np.int64).reshape(shape.x_cards) for c in cells]
+    return (
+        [("theta_f", f, None) for f in levels]
+        + [("theta_g", None, g) for g in levels]
+        + [("cu", f, g) for f, g in product(levels, levels)]
+    )
+
+
+def _read_every_record(shape):
+    """Check each of ``shape``'s records against the reference; weak references to its space and kept costs."""
+    space = enumerate_response_types(shape)
+    table = uniform_table(space)
+    kept = []
+    for query, level, guideline_level in every_level_pair(shape):
+        A, c_min, c_max, start = space.program(query, level, guideline_level)
+        assert A is space.merged[0]
+        for got, want in zip((c_min, c_max), reference_costs(space, query, level, guideline_level)):
+            np.testing.assert_array_equal(got, want, strict=True)
+            assert not got.flags.writeable
+        assert (start is not None) == (shape.kind == "reduced")
+        if shape.kind != "full":
+            kept.append((query, level, guideline_level))
+            assert space.program(query, level, guideline_level) is space.records[kept[-1]]
+    for query, kwargs in queries_with_levels(shape):
+        solve_bounds(build_lp(space, table, query, **kwargs))
+    # reduced and stratum records are kept, one per query and levels; a full program's reads and solves keep none
+    assert list(space.records) == kept
+    return weakref.ref(space), [weakref.ref(array) for record in space.records.values() for array in record[1:3]]
+
+
+@pytest.mark.parametrize("shape", CROSSCHECK_SHAPES + SAMPLED_SHAPES)
+def test_program_records_live_and_go_with_their_space(shape):
+    _space.cache_clear()
+    space, costs = _read_every_record(shape)
+    assert space() is not None and all(cost() is not None for cost in costs)
+    # evicting the space frees every record it kept
+    _space.cache_clear()
+    gc.collect()
+    assert space() is None and all(cost() is None for cost in costs)
 
 
 # ---------------------------------------------------------------------------

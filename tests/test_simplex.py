@@ -11,7 +11,7 @@ from rulebounds.simplex import SimplexResult, minimize, minimize_pair
 from rulebounds.strategies import reduce_table
 from rulebounds.tables import joint_from_scm, marginalize
 
-from conftest import DenseTableau
+from conftest import DenseTableau, program_columns
 
 
 def scipy_min(c, A, b):
@@ -195,7 +195,7 @@ STUDY = simulation.SimConfig(
 
 def _program(lp):
     """``(c_lo, c_hi, A, b)`` as ``solve_bounds`` hands them to the simplex."""
-    A, c_min, c_max = lp_bounds._columns(lp)
+    A, c_min, c_max = program_columns(lp)
     return c_min, c_max, A, np.concatenate([lp.rhs.ravel(), [1.0]])
 
 

@@ -20,14 +20,14 @@ from hypothesis import strategies as st
 
 import rulebounds.simulation as simulation
 from rulebounds.errors import DataError, InfeasibleModelError
-from rulebounds.lp_bounds import BoundsResult, _costs, build_lp, enumerate_response_types, solve_bounds, solve_strata
+from rulebounds.lp_bounds import BoundsResult, build_lp, enumerate_response_types, solve_bounds, solve_strata
 from rulebounds.model import CausalModel, SpaceShape, TreatmentRule, VariableSpec, stratum_shape
 from rulebounds.simplex import minimize_pair
 from rulebounds.simulation import random_cpt, true_policy_value
 from rulebounds.strategies import StrategyRequest, conditioning_bounds
 from rulebounds.tables import JointTable, Scm, joint_from_scm, marginalize, reorder
 
-from conftest import feasible_table, intervene_with_rule
+from conftest import feasible_table, intervene_with_rule, reference_costs
 
 
 def per_stratum_conditioning(request):
@@ -222,7 +222,7 @@ def test_solve_strata_stops_at_the_first_infeasible_row(rng):
     bad[[0, space.n_cells + 1, -1]] = 1.0  # a=0, y=0 in arm 0 and a=0, y=1 in arm 1
     b = np.vstack([mixtures[:2], bad, mixtures[2:]])
     got = solve_strata(shape, "cu", 1, 0, b)
-    c_min, c_max = _costs(shape, "cu", 1, 0)
+    c_min, c_max = reference_costs(space, "cu", 1, 0)
     assert got.lower.size == got.upper.size == 2
     for i in range(2):
         lo, hi = minimize_pair(c_min, c_max, A, b[i])

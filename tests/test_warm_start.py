@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from rulebounds import lp_bounds, simplex, simulation
+from rulebounds import simplex, simulation
 from rulebounds.errors import InfeasibleModelError
 from rulebounds.lp_bounds import SpaceShape, _space, build_lp, enumerate_response_types, solve_bounds
 from rulebounds.model import build_reduced_model
@@ -25,7 +25,7 @@ from rulebounds.simplex import minimize_pair, warm_start
 from rulebounds.strategies import reduce_table
 from rulebounds.tables import joint_from_scm, marginalize
 
-from conftest import DenseTableau
+from conftest import DenseTableau, program_columns
 from test_lp_bounds import CROSSCHECK_SHAPES, mixture_table, queries_with_levels, table_for_space
 from test_simplex import STUDY, study_program
 
@@ -62,7 +62,7 @@ def program(shape, query_index, seed, table):
         arm_mass = rng.dirichlet(np.ones(space.n_arms)).reshape((-1,) + (1,) * len(space.cell_cards))
         observed = table_for_space(space, probs / roots * shared * arm_mass)
     lp = build_lp(space, observed, query, **kwargs)
-    A, c_lo, c_hi = lp_bounds._columns(lp)
+    A, c_lo, c_hi = program_columns(lp)
     b = np.concatenate([lp.rhs.ravel(), [1.0]])
     if table == "zero_arm":
         b[: space.n_cells] = 0.0
@@ -327,4 +327,4 @@ def test_diagnostics_say_which_path_ran(rng):
         observed, _ = mixture_table(space, rng)
         res = solve_bounds(build_lp(space, observed, query, **kwargs))
         assert res.diagnostics["solve"] == "cold"
-        assert "warm_starts" not in vars(space)
+        assert all(start is None for *_, start in space.records.values())
