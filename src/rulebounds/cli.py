@@ -8,6 +8,7 @@ assumed structure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import fields, replace
@@ -256,5 +257,21 @@ def main(argv=None) -> int:
         return 4
 
 
+def run() -> None:
+    """The process entry (``python -m rulebounds.cli`` and the ``rulebounds`` script): ``main``, then exit.
+
+    Before exiting, ``gc.freeze()`` moves every live object into the
+    permanent generation, which the collections of interpreter shutdown
+    never examine. ``atexit`` handlers, the stream flushes and module
+    teardown still run, and whatever reference counting frees is freed;
+    only the cycles still alive at exit are left for the OS to reclaim with
+    the rest of the process. ``main`` itself never freezes, so it can be
+    called any number of times in one process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -283,7 +283,7 @@ def _records(
     """``load_records`` on a file ``_open_data`` has read."""
     records = lines = None
     if body is not None:
-        records = _plain_records(data, body, n_fields, positions)
+        records = _plain_records(data, body, n_fields, positions, config.model.variables)
     if records is None:
         records, lines = _csv_records(path, reader, positions, config)
 
@@ -373,11 +373,11 @@ def _csv_records(path: str, reader, positions: list, config: AnalysisConfig) -> 
     return records, lines
 
 
-def _plain_records(data: bytes, start: int, n_fields: int, positions: list) -> Optional[np.ndarray]:
+def _plain_records(data: bytes, start: int, n_fields: int, positions: list, variables) -> Optional[np.ndarray]:
     """Records of the rows in ``data[start:]``, or None when they fall outside the plain grammar."""
     out = np.empty((data.count(b"\n", start) + 1, len(positions)), dtype=np.int64, order="F")
     n = 0
-    for columns in _plain_blocks(data, start, n_fields, positions):
+    for columns, _ in _plain_blocks(data, start, n_fields, positions, variables):
         if columns is None:
             return None
         rows = len(columns[0])
@@ -395,40 +395,52 @@ def _plain_counts(data: bytes, start: int, n_fields: int, positions: list, varia
     """
     shape = tuple(v.cardinality for v in variables)
     counts = np.zeros(int(np.prod(shape)), dtype=np.int64)
-    for columns in _plain_blocks(data, start, n_fields, positions):
+    for columns, in_range in _plain_blocks(data, start, n_fields, positions, variables):
         if columns is None:
             return None
-        try:
-            cells = np.ravel_multi_index(columns, shape)
-        except ValueError:  # a code outside its variable's range
-            return None
+        if in_range:  # C-order cell index by Horner's rule, no range check left to make
+            cells = columns[0].astype(np.intp)
+            for column, card in zip(columns[1:], shape[1:]):
+                cells *= card
+                cells += column
+        else:
+            try:
+                cells = np.ravel_multi_index(columns, shape)
+            except ValueError:  # a code outside its variable's range
+                return None
         counts += np.bincount(cells, minlength=counts.size)
     return counts.reshape(shape) if counts.any() else None
 
 
-def _plain_blocks(data: bytes, start: int, n_fields: int, positions: list):
+def _plain_blocks(data: bytes, start: int, n_fields: int, positions: list, variables):
     """Decode ``data[start:]`` a block of whole lines at a time; the plain grammar's one decoder.
 
     Yields, per block, the integer codes of each non-blank row in the columns
-    at ``positions``, one array per position; yields None for a block outside
-    the grammar. The grammar: only ASCII digits, commas and LF, no field
-    longer than ``csv.field_size_limit()``, and every row that holds a digit
-    holding exactly ``n_fields - 1`` commas, with 1 to ``_MAX_DIGITS`` digits
-    in each field at ``positions``; other rows are blank. Such rows split and
-    convert exactly as ``csv.reader`` and ``int`` do. Blocks bound the index
-    arrays' memory.
+    at ``positions``, one array per position, and whether every one of them
+    is known to lie inside its variable's range; the codes are None for a
+    block outside the grammar. The grammar: only ASCII digits, commas and LF,
+    no field longer than ``csv.field_size_limit()``, and every row that holds
+    a digit holding exactly ``n_fields - 1`` commas, with 1 to ``_MAX_DIGITS``
+    digits in each field at ``positions``; other rows are blank. Such rows
+    split and convert exactly as ``csv.reader`` and ``int`` do. Blocks bound
+    the index arrays' memory.
 
-    A block of whole LF lines with one digit in every field is read as a
-    rows × ``2 * n_fields`` byte matrix instead, its codes straight from the
-    digit columns; the same records, chosen from the block's bytes alone.
+    A block of whole LF lines with one digit in every field, each code at a
+    position inside its variable's range, is read as a rows × ``2 * n_fields``
+    byte matrix instead, its codes straight from the digit columns; the same
+    records, chosen from the block's bytes alone.
     """
-    # A one-digit row less ``layout`` is below ``limit`` bytewise: a digit in even places, its separator in
-    # odd ones. Both are tiled over the longest one-digit block: _BLOCK_BYTES and the rest of its last row.
+    # A fitting row less ``layout`` is below ``limit`` bytewise: a digit in even places (below the
+    # variable's cardinality at a model position), its separator in odd ones. Both are tiled over the
+    # longest one-digit block: _BLOCK_BYTES and the rest of its last row.
     width = 2 * n_fields
     layout = np.tile(np.array([ord("0"), ord(",")], dtype=np.uint8), n_fields)
     layout[-1] = ord("\n")
+    limit = np.tile(np.array([10, 1], dtype=np.uint8), n_fields)
+    for p, v in zip(positions, variables):
+        limit[2 * p] = min(limit[2 * p], v.cardinality)
     rows = _BLOCK_BYTES // width + 2
-    layout, limit = np.tile(layout, rows), np.tile(np.array([10, 1], dtype=np.uint8), n_fields * rows)
+    layout, limit = np.tile(layout, rows), np.tile(limit, rows)
     while start < len(data):
         stop = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
         b = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
@@ -436,12 +448,12 @@ def _plain_blocks(data: bytes, start: int, n_fields: int, positions: list):
         if b.size % width == 0 and b.size <= layout.size:
             codes = b - layout[:b.size]  # uint8, so any other byte wraps to at least its limit
             if (codes < limit[:b.size]).all():
-                yield [codes[2 * p::width] for p in positions]
+                yield [codes[2 * p::width] for p in positions], True
                 continue
         if b.tobytes().translate(None, _PLAIN_BYTES):
-            yield None
+            yield None, False
         else:
-            yield _plain_block(b, n_fields, positions)
+            yield _plain_block(b, n_fields, positions), False
 
 
 def _plain_block(b: np.ndarray, n_fields: int, positions: list) -> Optional[list]:

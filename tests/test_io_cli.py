@@ -13,6 +13,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -705,6 +707,49 @@ def test_one_digit_blocks_skip_the_general_decoder(tmp_path):
             assert np.array_equal(loaded.probs, expected / expected.sum())
 
 
+@pytest.mark.parametrize("card", range(1, 13))
+def test_one_digit_blocks_check_each_code_against_its_cardinality(tmp_path, card):
+    """A byte-matrix block holds only codes below ``min(card, 10)``; one code outside sends its block elsewhere.
+
+    Over an extra covariate ``w`` of each cardinality, every load tabulates
+    as ``empirical_joint`` over ``load_records``. A one-digit code outside
+    its range in the first, a middle or the last block is the record path's
+    error, with the same text from both loaders.
+    """
+    config = load_config(write_config(
+        tmp_path, variables=BASE_CONFIG["variables"] + [{"name": "w", "cardinality": card, "role": "extra_covariate"}]
+    ))
+    rng = np.random.default_rng(card)
+    rows = 4 * rulebounds.io._BLOCK_BYTES // 10  # 10-byte rows: four full blocks and a short fifth
+    cards = [v.cardinality for v in config.model.variables]
+    codes = np.stack([rng.integers(0, min(c, 10), rows) for c in cards], axis=1)
+    lines = [",".join(map(str, row)) for row in codes.tolist()]
+    if card > 10:  # a two-digit code in range sends only its own block to the general decoder
+        lines[rows // 2] = lines[rows // 2][:-1] + str(card - 1)
+    # the bad code: in w while a digit can lie outside its range, else in x (cardinality 3)
+    column, bad = (4, str(card)) if card < 10 else (1, "7")
+    for name, row in (("clean", None), ("first", 0), ("middle", rows // 2 + 1), ("last", rows - 1)):
+        body = list(lines)
+        if row is not None:
+            cells = body[row].split(",")
+            cells[column] = bad
+            body[row] = ",".join(cells)
+        path = tmp_path / f"{name}.csv"
+        path.write_text("z,x,a,y,w\n" + "\n".join(body) + "\n")
+        expected = tabulate_or_error(records_table, str(path), config)
+        with mock.patch.object(rulebounds.io, "_plain_block", wraps=rulebounds.io._plain_block) as general:
+            loaded = tabulate_or_error(load_table, str(path), config)
+        if row is None:
+            assert general.call_count == (card > 10)
+            assert np.array_equal(loaded[0], expected[0]) and loaded[1] == expected[1]
+            assert loaded[1]["n_records"] == rows
+        else:
+            assert loaded == expected == (
+                f"row {row + 2} of {str(path)!r}: value {bad} for {'xw'[column == 4]!r} "
+                f"is outside range(0, {cards[column]})"
+            )
+
+
 def test_leap_prep_script_writes_lines_the_tokenizer_reads(tmp_path, capsys):
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location("prepare_leap_csv", root / "scripts" / "prepare_leap_csv.py")
@@ -1205,6 +1250,113 @@ def test_compare_refuses_a_config_stratum_csv(tmp_path, capsys):
     # bounds writes it from the same config
     assert main(["bounds", "--config", cfg, "--data", data]) == 0
     assert strata.exists()
+
+
+# ---------------------------------------------------------------------------
+# the process entry: a fresh interpreter through ``cli.run``
+
+PROCESS_ENTRIES = {
+    "python -m": ["-m", "rulebounds.cli"],
+    "script": ["-c", "import sys; from rulebounds.cli import run; sys.exit(run())"],  # as the installed script
+}
+
+
+def run_process(entry, argv):
+    """Exit code, stdout and stderr of ``argv`` run by a fresh interpreter through ``entry``."""
+    src = str(Path(rulebounds.io.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONUNBUFFERED", None)  # buffered streams, so an exit that skips their flush loses output
+    done = subprocess.run(
+        [sys.executable, *PROCESS_ENTRIES[entry], *argv], env=env, capture_output=True, text=True, timeout=300
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def run_in_process(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``, counting argparse's own exit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def written(directory):
+    """Each file in ``directory`` by name: a JSON report less its timestamp, any other file's bytes."""
+    files = {path.name: path.read_bytes() for path in directory.iterdir()}
+    for name in [name for name in files if name.endswith(".json")]:
+        files[name] = json.loads(files[name])
+        del files[name]["generated_at"]
+    return files
+
+
+@pytest.mark.parametrize("entry", PROCESS_ENTRIES)
+def test_process_entry_prints_and_writes_what_main_does(tmp_path, capsys, entry):
+    cfg = write_config(tmp_path)
+    data = write_data(tmp_path)
+    reports = tmp_path / "reports"
+    for argv in (
+        ["bounds", "--config", cfg, "--data", data, "--output", str(reports / "b.json"),
+         "--stratum-csv", str(reports / "strata.csv")],
+        ["compare", "--config", cfg, "--data", data, "--output", str(reports / "c.json")],
+        ["bounds", "--config", cfg, "--data", data, "--query", "cu"],  # the report on stdout
+    ):
+        expected = run_in_process(capsys, argv)
+        files = written(reports)
+        code, stdout, stderr = run_process(entry, argv)
+        assert (code, stderr) == (0, "") and expected[0::2] == (0, "")
+        assert written(reports) == files
+        if "--output" in argv:
+            assert stdout == expected[1]
+        else:
+            (lines, doc), (expected_lines, expected_doc) = (
+                (text[:text.index("{")], json.loads(text[text.index("{"):])) for text in (stdout, expected[1])
+            )
+            del doc["generated_at"], expected_doc["generated_at"]
+            assert lines == expected_lines and doc == expected_doc
+    assert not list(tmp_path.rglob(".rulebounds-*.tmp"))
+
+
+@pytest.mark.parametrize("entry", PROCESS_ENTRIES)
+def test_process_entry_keeps_exit_codes_and_error_texts(tmp_path, capsys, entry):
+    cfg = write_config(tmp_path)
+    data = write_data(tmp_path)
+    out_of_range = tmp_path / "range.csv"
+    out_of_range.write_text("z,x,a,y\n0,1,0,1\n0,9,0,1\n")
+    contradiction = tmp_path / "contradiction.csv"
+    contradiction.write_text("z,x,a,y\n" + "0,0,0,0\n1,0,0,0\n0,1,0,0\n1,1,0,1\n" * 25)
+    out = str(tmp_path / "r.json")
+    cases = [
+        (2, ["bounds", "--config", str(tmp_path / "no.json"), "--data", data]),
+        (2, ["compare", "--config", cfg, "--data", data, "--oracle-cap", "10"]),  # argparse's own exit
+        (3, ["bounds", "--config", cfg, "--data", str(out_of_range), "--output", out]),
+        (4, ["compare", "--config", cfg, "--data", str(contradiction), "--output", out]),
+    ]
+    for code, argv in cases:
+        expected = run_in_process(capsys, argv)
+        assert expected[0] == code and expected[2]
+        assert run_process(entry, argv) == expected
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "contradiction.csv", "data.csv", "range.csv"]
+
+
+def test_cli_phases_script_times_each_phase(tmp_path, capsys):
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("cli_phases", root / "scripts" / "cli_phases.py")
+    phases = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(phases)
+    argv = ["bounds", "--config", write_config(tmp_path), "--data", write_data(tmp_path), "--output", str(tmp_path / "r.json")]
+    assert phases.main(["-n", "2", "--"] + argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("(exit codes [0])")
+    assert [line.split()[0] for line in lines[1:]] == ["start", "import", "main", "exit", "total"]
+    assert json.loads((tmp_path / "r.json").read_text())["command"] == "bounds"
+
+
+def test_installed_script_runs_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"rulebounds": "rulebounds.cli:run"}
 
 
 def test_readme_commands_parse():
