@@ -67,6 +67,12 @@ QUERIES = {"theta_f": {"f": 1}, "theta_g": {"g": 1}, "cu": {"f": 1, "g": -1}}
 _STRATEGY_BY_KIND = {"reduced": "reduction", "stratum": "conditioning", "full": "direct_oracle"}
 
 
+def read_levels(query: str, level, guideline_level) -> tuple:
+    """``(level, guideline_level)`` with None for a side ``query`` does not read: what its program depends on."""
+    sides = QUERIES[query]
+    return (level if "f" in sides else None, guideline_level if "g" in sides else None)
+
+
 def require_guideline(query: str, declared: bool) -> None:
     """Refuse a query that reads the comparator when the model ``declared`` none."""
     if "g" in QUERIES.get(query, ()) and not declared:
@@ -177,13 +183,16 @@ class ResponseTypeSpace:
         """``(A, c_min, c_max, start)``: the program of ``query`` at the levels ``build_lp`` checked.
 
         ``A`` is the merged columns, ``c_min`` and ``c_max`` (read-only) each
-        column's extreme coefficient over its profiles, and ``start`` a
-        reduced program's ``simplex.WarmStart`` (None for other kinds). The
-        records of reduced and stratum programs are few (queries × levels)
-        and kept in ``records``; a full program's levels span its covariate
-        domain and it is solved once per request, so its record is never kept.
+        column's extreme coefficient over its profiles, and ``start`` the
+        ``simplex.WarmStart`` of a reduced program, or of a stratum program
+        whose costs are all zero (``cu`` where both rules assign one level),
+        else None. The records of reduced and stratum programs are few
+        (queries × the levels each query reads) and kept in ``records``; a
+        full program's levels span its covariate domain and it is solved once
+        per request, so its record is never kept and it never builds a start.
         """
         kept = self.shape.kind != "full"
+        level, guideline_level = read_levels(query, level, guideline_level)
         key = (query, level, guideline_level)
         if kept and key in self.records:
             return self.records[key]
@@ -199,8 +208,10 @@ class ResponseTypeSpace:
         np.maximum.at(c_max, inverse, obj)
         for array in (c_min, c_max):
             array.setflags(write=False)
-        # a reduced program's costs depend on its space and query alone; only b changes
-        start = simplex.warm_start(c_min, c_max, A) if self.shape.kind == "reduced" else None
+        # a kept record is solved for many b: a reduced program's costs depend on its space and query alone,
+        # and a zero-cost stratum pair only asks whether b is feasible. Other stratum costs are solved cold
+        warm = self.shape.kind == "reduced" or self.shape.kind == "stratum" and not (c_min.any() or c_max.any())
+        start = simplex.warm_start(c_min, c_max, A) if warm else None
         if kept:
             self.records[key] = A, c_min, c_max, start
         return A, c_min, c_max, start
@@ -527,7 +538,7 @@ class StrataBounds(NamedTuple):
     lower: np.ndarray                  # per row, up to the first infeasible one
     upper: np.ndarray
     pivots: int                        # both sides of every row solved
-    solve: str                         # "warm" when every row was re-solved from a warm start
+    solve: str                         # "warm": every row re-solved warm; for no rows, the record has a start
     infeasible: Optional[tuple] = None  # (row index, violation_row, violation_total) of the first infeasible row
 
 
@@ -535,7 +546,7 @@ def _solve_rows(program: tuple, b: np.ndarray) -> StrataBounds:
     """Each row of ``b`` solved for a ``ResponseTypeSpace.program`` record, in order, to the first infeasible row."""
     A, c_min, c_max, start = program
     lower, upper = np.empty(len(b)), np.empty(len(b))
-    pivots, warm = 0, True
+    pivots, warm = 0, start is not None
     for i, row in enumerate(b):
         lo, hi = simplex.minimize_pair(c_min, c_max, A, row, start=start)
         if lo.status == "infeasible":
@@ -552,13 +563,17 @@ def solve_strata(shape: SpaceShape, query: str, level, guideline_level, b: np.nd
 
     Row ``i`` of ``b``, shaped ``(n_strata, n_arms * n_cells + 1)``, is the
     right-hand side ``build_lp`` would give stratum ``i``: its arm rows,
-    then the total mass 1. The levels are checked and the program's record
-    read once for the block; each row is solved cold. The result stops
-    at the first infeasible row, naming it.
+    then the total mass 1. The levels and the block's width are checked and
+    the program's record read once for the block. Each row is re-solved
+    from the record's warm start when it has one (all-zero costs), else
+    solved cold. The result stops at the first infeasible row, naming it.
     """
     if shape.kind != "stratum":
         raise ValueError(f"solve_strata solves stratum programs, not {shape.kind} ones")
     space = enumerate_response_types(shape)
+    width = space.n_arms * space.n_cells + 1
+    if np.ndim(b) != 2 or np.shape(b)[1] != width:
+        raise ValueError(f"b has shape {np.shape(b)}, expected (n_strata, {width})")
     level = _checked_level(space, query, "level", level)
     guideline_level = _checked_level(space, query, "guideline_level", guideline_level)
     return _solve_rows(space.program(query, level, guideline_level), b)

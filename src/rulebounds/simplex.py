@@ -35,6 +35,13 @@ cold way instead when the dual finds no entering column (``b`` is
 infeasible, and phase 1 names the most violated row), when an artificial
 parked on a redundant row reads nonzero, or after ``max_pivots`` dual
 pivots.
+
+A pair whose costs are both zero is one feasibility session: every
+feasible basis is optimal for either side, so ``warm_start`` keeps the
+phase-1 tableau alone, and a re-solve restores primal feasibility once
+(every reduced cost is zero, so every basis stays dual feasible and the
+lowest index enters). Both endpoints are ``0.0`` and the pivots are
+counted once, on the lower result.
 """
 
 from __future__ import annotations
@@ -239,7 +246,7 @@ class WarmStart:
     c_lo: np.ndarray
     c_hi: np.ndarray
     sign: np.ndarray         # row signs the canonical tableau applied to A and b
-    sides: tuple             # tableaus after the lower and after the upper solve
+    sides: tuple             # tableaus after the lower and after the upper solve; one for zero costs
     max_pivots: int          # dual pivots per side before the cold path takes over
 
     def resolve(self, b: np.ndarray) -> tuple:
@@ -253,20 +260,26 @@ class WarmStart:
             if not done:
                 return None, pivots
             results.append(tableau._vertex(c, solve="warm"))
-        lo, hi_neg = results
+        # a zero-cost pair has one side: its vertex is both optima, its pivots counted once
+        lo, hi_neg = results if len(results) == 2 else (results[0], replace(results[0], iterations=0))
         return (lo, replace(hi_neg, value=0.0 - hi_neg.value)), pivots
 
 
 def warm_start(c_lo, c_hi, A) -> WarmStart:
-    """Solve the pair once, cold, at ``b = A·1/n`` and keep each side's optimal tableau."""
+    """Solve the pair once, cold, at ``b = A·1/n`` and keep each side's optimal tableau.
+
+    When both costs are zero every feasible basis is optimal for both
+    sides, so the phase-1 tableau is the one side kept.
+    """
     c_lo, c_hi = np.array(c_lo, dtype=float), np.array(c_hi, dtype=float)
     b = np.asarray(A, dtype=float).mean(axis=1)
     tableau = _Tableau(A, b)
+    costs = (c_lo, -c_hi) if c_lo.any() or c_hi.any() else (c_lo,)
     sides = []
-    for c in (c_lo, -c_hi):
+    for c in costs:
         if tableau.solve(c).status != "optimal":
             raise SolverError("canonical right-hand side A·1/n found infeasible; constraint setup is broken")
-        side = tableau._copy() if not sides else tableau  # the upper side keeps the session tableau itself
+        side = tableau._copy() if len(sides) < len(costs) - 1 else tableau  # the last side keeps the session tableau
         for array in (side.T, side.basis, side.allowed):
             array.setflags(write=False)
         sides.append(side)

@@ -26,6 +26,7 @@ from .lp_bounds import (
     direct_sharp_bounds,
     enumerate_response_types,
     infeasible_error,
+    read_levels,
     solve_bounds,
     solve_strata,
     zero_arm_error,
@@ -93,11 +94,11 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
     Strata run x-major, w-minor over the rule and extra covariates; each
     solves the no-assumption program on P([instrument,] treatment, outcome
     | stratum) and contributes its bounds times its mass. Zero-mass strata
-    are listed as skipped. Strata given the same levels solve the same
-    program for another right-hand side, so all of them are normalised at
-    once and each such key's strata are solved as one block
-    (``solve_strata``). An error names the first stratum, in stratum order,
-    whose program would raise it.
+    are listed as skipped. Strata given the same levels, of those the query
+    reads, solve the same program for another right-hand side, so all of
+    them are normalised at once and each such key's strata are solved as
+    one block (``solve_strata``). An error names the first stratum, in
+    stratum order, whose program would raise it.
     """
     model, query = request.model, request.query
     covariates = model.rule_covariates + model.extra_covariates
@@ -138,9 +139,9 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
     g_levels = [None] * n
     if model.guideline is not None:
         g_levels = np.repeat(model.guideline.levels(model.rule_covariate_cards).ravel(), per_w).tolist()
-    keys: dict = {}  # (level, guideline_level) -> its solvable strata, in order
+    keys: dict = {}  # the levels the query reads -> its solvable strata, in order
     for i in np.flatnonzero(solvable).tolist():
-        keys.setdefault((levels[i], g_levels[i]), []).append(i)
+        keys.setdefault(read_levels(query, levels[i], g_levels[i]), []).append(i)
     bounds = {}
     for (level, g_level), rows in keys.items():
         solved = solve_strata(shape, query, level, g_level, b[rows])

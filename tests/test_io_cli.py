@@ -1352,6 +1352,32 @@ def test_cli_phases_script_times_each_phase(tmp_path, capsys):
     assert json.loads((tmp_path / "r.json").read_text())["command"] == "bounds"
 
 
+def test_parity_script_compares_two_source_trees(capsys):
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("parity", root / "scripts" / "parity.py")
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    # this checkout against itself: every command agrees
+    assert parity.main(["--src", str(root / "src")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines] == [
+        [name, "exit", code]
+        for name, code in (("bounds", "0"), ("compare", "0"), ("simulate", "0"), ("simulate-cu", "0"),
+                           ("exit-3", "3"), ("exit-4", "4"))
+    ]
+    # endpoints 1e-9 apart are a difference that names its field; a skipped timestamp is not
+    report = {"generated_at": "then", "results": {"conditioning": {"lower": -0.1, "upper": 0.25, "skipped": False}}}
+    moved = json.loads(json.dumps(report))
+    moved["generated_at"] = "now"
+    moved["results"]["conditioning"]["lower"] += 1e-9
+    largest, bad = parity.differences({"report.json": report}, {"report.json": moved})
+    assert largest == pytest.approx(1e-9, rel=1e-6)
+    assert len(bad) == 1 and bad[0].startswith("report.json.results.conditioning.lower: -0.1 against")
+    moved["results"]["conditioning"]["lower"] = -0.1 + 1e-13
+    assert parity.differences(report, moved)[1] == []
+    assert parity.differences({"stderr": "a"}, {"stderr": "b"})[1] == ["stderr: 'a' against 'b'"]
+
+
 def test_installed_script_runs_the_process_entry():
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:

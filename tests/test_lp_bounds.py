@@ -234,11 +234,11 @@ def test_full_space_stores_no_objectives(rng):
             solve_bounds(build_lp(space, uniform_table(space), query, **kwargs))
         assert set(vars(space)) == {f.name for f in fields(space)} | {"merged"}
         A, inverse = space.merged
-        # a full space keeps no record; a reduced record also keeps its query's warm-start tableaus,
-        # sized by the program
+        # a full space keeps no record; a reduced record, or a stratum record with all-zero costs, also
+        # keeps its warm-start tableaus, sized by the program
         assert (not space.records) == (shape.kind == "full")
-        for *_, start in space.records.values():
-            assert (start is not None) == (shape.kind == "reduced")
+        for _, c_min, c_max, start in space.records.values():
+            assert (start is not None) == (shape.kind == "reduced" or not (c_min.any() or c_max.any()))
             for side in start.sides if start is not None else ():
                 assert side.T.shape == (A.shape[0] + 1, A.shape[1] + A.shape[0] + 1)
         k = shape.treat_card
@@ -1172,7 +1172,8 @@ def _read_every_record(shape):
         for got, want in zip((c_min, c_max), reference_costs(space, query, level, guideline_level)):
             np.testing.assert_array_equal(got, want, strict=True)
             assert not got.flags.writeable
-        assert (start is not None) == (shape.kind == "reduced")
+        zero = not (c_min.any() or c_max.any())
+        assert (start is not None) == (shape.kind == "reduced" or shape.kind == "stratum" and zero)
         if shape.kind != "full":
             kept.append((query, level, guideline_level))
             assert space.program(query, level, guideline_level) is space.records[kept[-1]]

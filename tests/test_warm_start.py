@@ -320,11 +320,11 @@ def test_diagnostics_say_which_path_ran(rng):
     assert res.diagnostics["solve"] == "warm"
     # this call's pivots only: the one-time canonical solve is not counted
     assert 0 < res.diagnostics["simplex_iterations"] < cold_iterations
-    # stratum and full programs take the cold path
+    # stratum programs with costs that are not all zero, and full programs, take the cold path
     for shape in (SpaceShape("stratum", 3, instrument_card=2), SpaceShape("full", 2, instrument_card=2, x_cards=(2,))):
         space = enumerate_response_types(shape)
         query, kwargs = queries_with_levels(shape)[0]
         observed, _ = mixture_table(space, rng)
         res = solve_bounds(build_lp(space, observed, query, **kwargs))
         assert res.diagnostics["solve"] == "cold"
-        assert all(start is None for *_, start in space.records.values())
+        assert all(start is None for _, c_min, c_max, start in space.records.values() if c_min.any() or c_max.any())
