@@ -10,6 +10,8 @@ compares each pair of runs:
   simulate-cu   the same, query ``cu`` against a never-treat guideline
   exit-3        ``bounds`` on a CSV with an out-of-range code
   exit-4        conditioning alone on a CSV no instrumented model can give
+  zero-arm      ``bounds`` on the example data without its ``z=1`` rows
+  zero-arm-cond the same with ``--strategy conditioning``
 
 Exit codes, stderr and stdout must be equal; JSON reports and stratum CSVs
 are compared field by field, numbers within ``TOL`` and everything else
@@ -41,7 +43,7 @@ NEVER_TREAT = {"guideline": {"name": "never_treat", "table": {str(x): 0 for x in
 
 
 def write_inputs(inputs: Path) -> None:
-    """The never-treat study config, ``configs/example.json`` for conditioning alone, and two failing CSVs."""
+    """The never-treat study config, ``configs/example.json`` for conditioning alone, and three failing CSVs."""
     (inputs / "never_treat.json").write_text(json.dumps(NEVER_TREAT))
     example = json.loads((ROOT / "configs" / "example.json").read_text())
     (inputs / "conditioning.json").write_text(json.dumps({**example, "strategy": "conditioning"}))
@@ -50,6 +52,9 @@ def write_inputs(inputs: Path) -> None:
     # first stratum, x=0, where the rule and the guideline agree, is the one reported
     rows = [f"{z},{x},0,{z}\n" for x in range(3) for z in range(2) for _ in range(10)]
     (inputs / "infeasible.csv").write_text("z,x,a,y\n" + "".join(rows))
+    # instrument arm z=1 has no rows, so neither the reduced table nor any stratum can be conditioned on it
+    lines = (ROOT / "data" / "example_observed.csv").read_text().splitlines(keepends=True)
+    (inputs / "zero_arm.csv").write_text(lines[0] + "".join(line for line in lines[1:] if line.startswith("0,")))
 
 
 def commands(inputs: Path) -> dict:
@@ -65,6 +70,9 @@ def commands(inputs: Path) -> dict:
         "exit-3": ["bounds", "--config", example, "--data", str(inputs / "bad_code.csv")] + report,
         "exit-4": ["bounds", "--config", str(inputs / "conditioning.json"), "--data", str(inputs / "infeasible.csv")]
         + report,
+        "zero-arm": ["bounds", "--config", example, "--data", str(inputs / "zero_arm.csv")] + report,
+        "zero-arm-cond": ["bounds", "--config", example, "--data", str(inputs / "zero_arm.csv"),
+                          "--strategy", "conditioning"] + report,
     }
 
 

@@ -22,10 +22,10 @@ that once (``ResponseTypeSpace.merged``), refusing a program over
 three small factor tables, state the unmerged program for reference checks
 only.
 
-The stratum programs of one stratum key (a stratum shape, a query and the
-levels the two rules assign) differ only in their right-hand side, so
-``solve_strata`` checks the key and reads its record
-(``ResponseTypeSpace.program``) once, then solves the key's strata row by row.
+The programs of one key (a shape, a query and the levels it reads) differ
+only in their right-hand side. ``solve_block`` solves every program: it checks
+the key and reads its record (``ResponseTypeSpace.program``) once for a block
+of rows that ``arm_rows`` normalised, one row per table or stratum.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .model import (
     SpaceShape,
     _require_valid,
 )
-from .tables import JointTable, reorder, with_variables
+from .tables import JointTable, axes_in
 
 # the most any one array of a program may take: its profile arrays, or its dense simplex tableau
 # (a solve holds A, pivot temporaries and, for a reduction, its warm starts too: 2.7 to 5 tableaus)
@@ -74,8 +74,10 @@ def read_levels(query: str, level, guideline_level) -> tuple:
 
 
 def require_guideline(query: str, declared: bool) -> None:
-    """Refuse a query that reads the comparator when the model ``declared`` none."""
-    if "g" in QUERIES.get(query, ()) and not declared:
+    """Refuse an unknown query, or one that reads the comparator when the model ``declared`` none."""
+    if query not in QUERIES:
+        raise ValueError(f"unknown query {query!r}; expected one of {tuple(QUERIES)}")
+    if "g" in QUERIES[query] and not declared:
         raise ValueError(f"query {query!r} needs a guideline, but the model declares none")
 
 
@@ -401,40 +403,71 @@ class LpProblem:
     def n_cells(self) -> int:
         return self.rhs.shape[1]
 
-    def row_label(self, row: int) -> str:
-        """Human-readable name of an equality constraint row: ``ResponseTypeSpace.row_label``."""
-        return self.space.row_label(row)
+
+def _checked_levels(space: ResponseTypeSpace, query: str, level, guideline_level) -> tuple:
+    """``(level, guideline_level)`` checked for ``query``: none for a reduced program, else ``build_lp``'s."""
+    kind = space.shape.kind
+    # only a reduced program can lack a comparator; the others are given its level as guideline_level
+    require_guideline(query, kind != "reduced" or space.shape.guideline_mode != "none")
+    if kind == "reduced":
+        if level is not None or guideline_level is not None:
+            raise ValueError("a reduced program observes its recommendations; it takes no level or guideline_level")
+        return None, None
+    checked, k = [], space.shape.treat_card
+    sides = (("level", level, "f", "treatment rule"), ("guideline_level", guideline_level, "g", "guideline"))
+    for name, value, side, owner in sides:
+        if value is None:
+            if side in QUERIES[query]:
+                raise ValueError(f"{kind} query {query!r} needs the {owner}'s assigned level")
+        elif kind == "stratum":
+            try:  # an int, a numpy integer or a 0-d integer array; a bool is not a level
+                if isinstance(value, bool):
+                    raise TypeError
+                value = operator.index(value)
+            except TypeError:
+                if np.shape(value):
+                    raise ValueError(f"{name} has shape {np.shape(value)}, expected ()") from None
+                raise ValueError(f"{name} has the non-integer value {np.asarray(value).item()!r}") from None
+            if not 0 <= value < k:
+                raise ValueError(f"{name}={value} outside range(0, {k})")
+        else:
+            arr = np.asarray(value)
+            if arr.shape != space.shape.x_cards:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {space.shape.x_cards}")
+            if arr.dtype.kind not in "iu":
+                raise ValueError(f"{name} has the non-integer value {arr.ravel()[0].item()!r}")
+            bad = arr[(arr < 0) | (arr >= k)]
+            if bad.size:
+                raise ValueError(f"{name}={bad[0]} outside range(0, {k})")
+            value = arr.astype(np.int64)
+        checked.append(value)
+    return tuple(checked)
 
 
-def _checked_level(space, query, name, value):
-    """``value`` checked as a stratum program's int or a full program's int64 array."""
-    side, owner = ("f", "treatment rule") if name == "level" else ("g", "guideline")
-    if value is None:
-        if side in QUERIES[query]:
-            raise ValueError(f"{space.shape.kind} query {query!r} needs the {owner}'s assigned level")
-        return None
-    k = space.shape.treat_card
-    if space.shape.kind == "stratum":
-        try:  # an int, a numpy integer or a 0-d integer array; a bool is not a level
-            if isinstance(value, bool):
-                raise TypeError
-            level = operator.index(value)
-        except TypeError:
-            if np.shape(value):
-                raise ValueError(f"{name} has shape {np.shape(value)}, expected ()") from None
-            raise ValueError(f"{name} has the non-integer value {np.asarray(value).item()!r}") from None
-        if not 0 <= level < k:
-            raise ValueError(f"{name}={level} outside range(0, {k})")
-        return level
-    arr = np.asarray(value)
-    if arr.shape != space.shape.x_cards:
-        raise ValueError(f"{name} has shape {arr.shape}, expected {space.shape.x_cards}")
-    if arr.dtype.kind not in "iu":
-        raise ValueError(f"{name} has the non-integer value {arr.ravel()[0].item()!r}")
-    bad = arr[(arr < 0) | (arr >= k)]
-    if bad.size:
-        raise ValueError(f"{name}={bad[0]} outside range(0, {k})")
-    return arr.astype(np.int64)
+def arm_rows(space: ResponseTypeSpace, tables: np.ndarray, solvable: np.ndarray) -> tuple:
+    """``(b, empty_arms)``: row ``i`` of ``b`` is ``tables[i]``'s arm rows, then the total mass 1.
+
+    ``tables`` is ``(n, n_arms, n_cells)`` in ``space``'s layout; ``empty_arms`` flags each arm of a
+    ``solvable`` table with no mass. With an instrument, other solvable tables are divided by their arms' masses.
+    """
+    n = len(tables)
+    b = np.ones((n, space.n_arms * space.n_cells + 1))
+    rows = b[:, :-1].reshape(n, space.n_arms, space.n_cells)  # a view: b is filled through it
+    rows[...] = tables
+    arm_mass = rows.sum(axis=2)
+    empty_arms = solvable[:, np.newaxis] & (arm_mass <= 0.0)
+    if space.shape.instrument_card:
+        divide = solvable & ~empty_arms.any(axis=1)
+        np.divide(rows, arm_mass[:, :, np.newaxis], out=rows, where=divide[:, np.newaxis, np.newaxis])
+    return b, empty_arms
+
+
+def _arm_rhs(space: ResponseTypeSpace, probs: np.ndarray) -> np.ndarray:
+    """``LpProblem.rhs`` of one table, its axes in the layout of ``space``; an empty instrument arm is refused."""
+    b, empty_arms = arm_rows(space, probs.reshape(1, space.n_arms, space.n_cells), np.ones(1, dtype=bool))
+    if empty_arms.any():
+        raise zero_arm_error(int(np.argmax(empty_arms[0])))
+    return b[0, :-1].reshape(space.n_arms, space.n_cells)
 
 
 def build_lp(
@@ -450,28 +483,9 @@ def build_lp(
     included when the shape has one); axis order is normalized here. Each
     instrument arm must have positive probability.
     """
-    if query not in QUERIES:
-        raise ValueError(f"unknown query {query!r}; expected one of {tuple(QUERIES)}")
-    if space.shape.kind == "reduced":
-        require_guideline(query, space.shape.guideline_mode != "none")
-        if level is not None or guideline_level is not None:
-            raise ValueError(
-                "a reduced program observes its recommendations; "
-                "it takes no level or guideline_level"
-            )
-    else:
-        level = _checked_level(space, query, "level", level)
-        guideline_level = _checked_level(space, query, "guideline_level", guideline_level)
-
+    level, guideline_level = _checked_levels(space, query, level, guideline_level)
     expected = ((CANON_INSTRUMENT,) if space.shape.instrument_card else ()) + space.cell_names
-    rhs = reorder(observed, expected).probs.reshape(space.n_arms, space.n_cells)
-    if space.shape.instrument_card:
-        arm_mass = rhs.sum(axis=1)
-        empty = np.flatnonzero(arm_mass <= 0.0)
-        if empty.size:
-            raise zero_arm_error(empty[0])
-        rhs = rhs / arm_mass[:, np.newaxis]
-
+    rhs = _arm_rhs(space, axes_in(observed, expected))
     return LpProblem(space=space, query=query, rhs=rhs, level=level, guideline_level=guideline_level)
 
 
@@ -533,7 +547,7 @@ class BoundsResult:
 
 
 class StrataBounds(NamedTuple):
-    """What ``solve_strata`` found for a block of right-hand sides, one program per row."""
+    """What ``solve_block`` found for a block of right-hand sides, one program per row."""
 
     lower: np.ndarray                  # per row, up to the first infeasible one
     upper: np.ndarray
@@ -542,9 +556,21 @@ class StrataBounds(NamedTuple):
     infeasible: Optional[tuple] = None  # (row index, violation_row, violation_total) of the first infeasible row
 
 
-def _solve_rows(program: tuple, b: np.ndarray) -> StrataBounds:
-    """Each row of ``b`` solved for a ``ResponseTypeSpace.program`` record, in order, to the first infeasible row."""
-    A, c_min, c_max, start = program
+def solve_block(shape: SpaceShape, query: str, level, guideline_level, b: np.ndarray) -> StrataBounds:
+    """Bounds of every program that shares one key: a shape of any kind, a query and the levels it reads.
+
+    Row ``i`` of ``b``, shaped ``(n_rows, n_arms * n_cells + 1)``, is one
+    right-hand side as ``arm_rows`` builds it. The key (as ``build_lp``
+    checks it) and the block's width are checked and the record read once.
+    Each row is re-solved from the record's warm start when it has one, else
+    solved cold. The result stops at the first infeasible row, naming it.
+    """
+    space = enumerate_response_types(shape)
+    level, guideline_level = _checked_levels(space, query, level, guideline_level)
+    width = space.n_arms * space.n_cells + 1
+    if np.ndim(b) != 2 or np.shape(b)[1] != width:
+        raise ValueError(f"b has shape {np.shape(b)}, expected (n_strata, {width})")
+    A, c_min, c_max, start = space.program(query, level, guideline_level)
     lower, upper = np.empty(len(b)), np.empty(len(b))
     pivots, warm = 0, start is not None
     for i, row in enumerate(b):
@@ -558,34 +584,13 @@ def _solve_rows(program: tuple, b: np.ndarray) -> StrataBounds:
     return StrataBounds(lower, upper, pivots, "warm" if warm else "cold")
 
 
-def solve_strata(shape: SpaceShape, query: str, level, guideline_level, b: np.ndarray) -> StrataBounds:
-    """Bounds of every stratum that shares one key: a stratum shape, a query and the two assigned levels.
-
-    Row ``i`` of ``b``, shaped ``(n_strata, n_arms * n_cells + 1)``, is the
-    right-hand side ``build_lp`` would give stratum ``i``: its arm rows,
-    then the total mass 1. The levels and the block's width are checked and
-    the program's record read once for the block. Each row is re-solved
-    from the record's warm start when it has one (all-zero costs), else
-    solved cold. The result stops at the first infeasible row, naming it.
-    """
-    if shape.kind != "stratum":
-        raise ValueError(f"solve_strata solves stratum programs, not {shape.kind} ones")
-    space = enumerate_response_types(shape)
-    width = space.n_arms * space.n_cells + 1
-    if np.ndim(b) != 2 or np.shape(b)[1] != width:
-        raise ValueError(f"b has shape {np.shape(b)}, expected (n_strata, {width})")
-    level = _checked_level(space, query, "level", level)
-    guideline_level = _checked_level(space, query, "guideline_level", guideline_level)
-    return _solve_rows(space.program(query, level, guideline_level), b)
-
-
 def solve_bounds(lp: LpProblem) -> BoundsResult:
-    """Sharp lower and upper bounds for the program, or an infeasibility error."""
-    program = lp.space.program(lp.query, lp.level, lp.guideline_level)
+    """Sharp lower and upper bounds for the program, or an infeasibility error: ``solve_block`` on its one row."""
     b = np.concatenate([lp.rhs.ravel(), [1.0]])
-    solved = _solve_rows(program, b[np.newaxis])
+    solved = solve_block(lp.space.shape, lp.query, lp.level, lp.guideline_level, b[np.newaxis])
     if solved.infeasible is not None:
         raise infeasible_error(lp.space, *solved.infeasible[1:])
+    A = lp.space.merged[0]
     return BoundsResult(
         query=lp.query,
         lower=float(solved.lower[0]),
@@ -593,20 +598,16 @@ def solve_bounds(lp: LpProblem) -> BoundsResult:
         strategy=_STRATEGY_BY_KIND[lp.space.shape.kind],
         diagnostics={
             "class_count": lp.space.class_count,
-            "merged_columns": int(program[0].shape[1]),
-            "constraint_rows": int(program[0].shape[0]),
+            "merged_columns": int(A.shape[1]),
+            "constraint_rows": int(A.shape[0]),
             "simplex_iterations": int(solved.pivots),
             "solve": solved.solve,
         },
     )
 
 
-def direct_sharp_bounds(
-    model: CausalModel,
-    observed: JointTable,
-    query: str = "theta_f",
-) -> BoundsResult:
-    """Bounds from the unreduced space over (covariates, treatment, outcome[, instrument]).
+def direct_sharp_bounds(request) -> BoundsResult:
+    """Bounds of a checked ``StrategyRequest`` from the unreduced space over all of its model's variables.
 
     Exact, and intended as a cross-check of the strategies. The class count
     grows exponentially with the covariate domain, but the solve merges the
@@ -615,17 +616,15 @@ def direct_sharp_bounds(
     ``MAX_TABLEAU_BYTES`` raises ``ProgramTooLargeError`` before its arrays
     are built. Extra covariates are not supported.
     """
-    check_request(model, observed, query)
+    model, query = request.model, request.query
     if model.extra_covariates:
         raise ValueError("direct oracle does not support extra covariates")
     shape = SpaceShape(
         "full", model.treatment.cardinality, model.instrument_card, x_cards=model.rule_covariate_cards
     )
     space = enumerate_response_types(shape)
-
     arm = (model.instrument,) if model.instrument is not None else ()
     source = arm + model.rule_covariates + (model.treatment, model.outcome)
-    table = with_variables(reorder(observed, [v.name for v in source]), shape.variables)
+    rhs = _arm_rhs(space, axes_in(request.observed, [v.name for v in source]))
     guideline = model.guideline.levels(shape.x_cards) if model.guideline is not None else None
-    lp = build_lp(space, table, query, level=model.rule.levels(shape.x_cards), guideline_level=guideline)
-    return solve_bounds(lp)
+    return solve_bounds(LpProblem(space, query, rhs, model.rule.levels(shape.x_cards), guideline))

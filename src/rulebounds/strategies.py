@@ -3,9 +3,9 @@
 Reduction folds the rule covariates into the latent term and solves one
 program over the coarser observed table (recommendations replace
 covariates). Conditioning solves a small program inside every covariate
-stratum and averages the stratum bounds with the covariate weights. Both
-consume the same request: a model, a joint table over its declared
-variables, and a query.
+stratum and averages the stratum bounds with the covariate weights. Both,
+and the direct oracle that cross-checks them, take one checked request: a
+model, a joint table over its declared variables, and a query.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DataError, InfeasibleModelError, ProgramTooLargeError
 from .lp_bounds import (
     BoundsResult,
+    arm_rows,
     build_lp,
     check_interval,
     check_request,
@@ -27,12 +28,12 @@ from .lp_bounds import (
     enumerate_response_types,
     infeasible_error,
     read_levels,
+    solve_block,
     solve_bounds,
-    solve_strata,
     zero_arm_error,
 )
 from .model import CausalModel, SpaceShape, build_reduced_model, stratum_shape
-from .tables import JointTable, reorder
+from .tables import JointTable, axes_in
 
 CONTAINMENT_TOL = 1e-9
 AGREE_TOL = 1e-8
@@ -42,7 +43,7 @@ AGREE_TOL = 1e-8
 class StrategyRequest:
     """One bounding job: a model, observed data over its variables, and a query.
 
-    The triple is checked once, here; the strategies trust it.
+    The triple is checked once, here; the strategies and the direct oracle trust it.
     """
 
     model: CausalModel
@@ -63,7 +64,7 @@ def reduce_table(model: CausalModel, reduced: SpaceShape, observed: JointTable) 
     """
     arm = (model.instrument,) if model.instrument is not None else ()
     order = arm + (model.treatment, model.outcome) + model.rule_covariates + model.extra_covariates
-    probs = reorder(observed, [v.name for v in order]).probs
+    probs = axes_in(observed, [v.name for v in order])
     rules = (model.rule, model.guideline)[: len(reduced.rec_levels)]
     recs = tuple(
         np.searchsorted(levels, rule.levels(model.rule_covariate_cards))
@@ -97,7 +98,7 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
     are listed as skipped. Strata given the same levels, of those the query
     reads, solve the same program for another right-hand side, so all of
     them are normalised at once and each such key's strata are solved as
-    one block (``solve_strata``). An error names the first stratum, in
+    one block (``solve_block``). An error names the first stratum, in
     stratum order, whose program would raise it.
     """
     model, query = request.model, request.query
@@ -107,11 +108,11 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
     arm = (model.instrument,) if model.instrument is not None else ()
     order = covariates + arm + (model.treatment, model.outcome)
     cell_shape = tuple(v.cardinality for v in shape.variables)
-    probs = reorder(request.observed, [v.name for v in order]).probs.reshape((-1,) + cell_shape)
+    probs = axes_in(request.observed, [v.name for v in order]).reshape((-1,) + cell_shape)
     n = probs.shape[0]
     masses = probs.reshape(n, -1).sum(axis=1)
     live = masses > 0.0
-    # each stratum's arm rows, divided by its mass and then by each arm's mass, as build_lp divides them
+    # each stratum's table divided by its mass; arm_rows then divides it by its arms' masses, as any table
     rhs = np.divide(
         probs.reshape(n, space.n_arms, space.n_cells),
         masses[:, np.newaxis, np.newaxis],
@@ -123,16 +124,12 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
     # stratum divided into non-finite entries is never solved
     negative = bool(probs.min() < 0.0)
     solvable = live & np.isfinite(rhs).all(axis=(1, 2))
+    b, empty_arms = arm_rows(space, rhs, solvable)
     errors = {}  # stratum index -> the error its program raises, for the first empty-arm and infeasible ones
-    if arm:
-        arm_mass = rhs.sum(axis=2)
-        empty = live & (arm_mass <= 0.0).any(axis=1)
-        zero_arm = np.flatnonzero(empty)
-        if zero_arm.size:
-            errors[zero_arm[0]] = zero_arm_error(np.flatnonzero(arm_mass[zero_arm[0]] <= 0.0)[0])
-        solvable &= ~empty
-        np.divide(rhs, arm_mass[:, :, np.newaxis], out=rhs, where=solvable[:, np.newaxis, np.newaxis])
-    b = np.concatenate([rhs.reshape(n, -1), np.ones((n, 1))], axis=1)
+    zero_arm = np.flatnonzero(empty_arms.any(axis=1))
+    if zero_arm.size:
+        errors[zero_arm[0]] = zero_arm_error(int(np.argmax(empty_arms[zero_arm[0]])))
+        solvable[zero_arm] = False
 
     per_w = prod(model.extra_covariate_cards)
     levels = np.repeat(model.rule.levels(model.rule_covariate_cards).ravel(), per_w).tolist()
@@ -144,7 +141,7 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
         keys.setdefault(read_levels(query, levels[i], g_levels[i]), []).append(i)
     bounds = {}
     for (level, g_level), rows in keys.items():
-        solved = solve_strata(shape, query, level, g_level, b[rows])
+        solved = solve_block(shape, query, level, g_level, b[rows])
         bounds.update(zip(rows, zip(solved.lower.tolist(), solved.upper.tolist())))
         if solved.infeasible is not None:
             index, row, total = solved.infeasible
@@ -246,7 +243,7 @@ def compare_strategies(request: StrategyRequest) -> StrategyComparison:
         note = "direct oracle skipped: extra covariates not supported"
     else:
         try:
-            oracle = direct_sharp_bounds(request.model, request.observed, request.query)
+            oracle = direct_sharp_bounds(request)
         except ProgramTooLargeError as err:
             note = f"direct oracle skipped: {err}"
     matches = None if oracle is None else (

@@ -93,15 +93,18 @@ def condition(table: JointTable, assignments: Mapping[str, int]) -> tuple[Option
     return JointTable(kept, sliced / mass), mass
 
 
+def axes_in(table: JointTable, names: Sequence[str]) -> np.ndarray:
+    """``table.probs`` with its axes in the order ``names``, a permutation: a read-only view, not a table."""
+    if sorted(names) != sorted(table.names):
+        raise ValueError(f"{list(names)} is not a permutation of {table.names}")
+    return table.probs.transpose([table.axis(n) for n in names])
+
+
 def reorder(table: JointTable, names: Sequence[str]) -> JointTable:
     """Transpose axes into the order ``names``, a permutation; a table already in it is returned itself."""
     if tuple(names) == table.names:
         return table
-    if sorted(names) != sorted(table.names):
-        raise ValueError(f"{list(names)} is not a permutation of {table.names}")
-    perm = tuple(table.axis(n) for n in names)
-    new_vars = tuple(table.variables[i] for i in perm)
-    return JointTable(new_vars, table.probs.transpose(perm))
+    return JointTable(tuple(table.variables[table.axis(n)] for n in names), axes_in(table, names))
 
 
 def with_variables(table: JointTable, new_vars: Sequence[VariableSpec]) -> JointTable:

@@ -221,7 +221,7 @@ def test_6_direct_oracle_contained_and_truth_covered(capsys):
             i, x_card=2, treat_card=2, with_instrument=with_iv, seed=20260824_06
         )
         request = StrategyRequest(model, observed)
-        direct = direct_sharp_bounds(model, observed, "theta_f")
+        direct = direct_sharp_bounds(request)
         for bounds in (reduction_bounds(request), conditioning_bounds(request)):
             worst_containment = max(
                 worst_containment,

@@ -263,7 +263,7 @@ def test_built_models_carry_their_shape():
     assert stratum == SpaceShape("stratum", 2, instrument_card=2)
     assert enumerate_response_types(build_stratum_model(model, (1,))).shape == stratum
     observed = feasible_table(np.random.default_rng(3), model, zero_stratum=False)
-    oracle = direct_sharp_bounds(model, observed)
+    oracle = direct_sharp_bounds(StrategyRequest(model, observed))
     full = SpaceShape("full", 2, instrument_card=2, x_cards=(3,))
     assert oracle.diagnostics["class_count"] == _space(full).class_count == 3 * 2**6 * 2**6
 
@@ -565,7 +565,7 @@ def test_direct_oracle_streams_its_classes_in_bounded_memory(model):
     _space.cache_clear()
     observed = feasible_table(np.random.default_rng(11), model, zero_stratum=False)
     results = []
-    peak = _traced_peak(lambda: results.append(direct_sharp_bounds(model, observed, "cu")))
+    peak = _traced_peak(lambda: results.append(direct_sharp_bounds(StrategyRequest(model, observed, "cu"))))
     assert peak < 16 * 2**20
     shape = SpaceShape("full", 2, model.instrument_card, x_cards=model.rule_covariate_cards)
     assert results[0].diagnostics["class_count"] == _space(shape).class_count > 10**6
@@ -611,7 +611,7 @@ def test_direct_oracle_solves_in_under_a_mebibyte(model):
     _space.cache_clear()
     observed = feasible_table(np.random.default_rng(13), model, zero_stratum=False)
     results = []
-    peak = _traced_peak(lambda: results.append(direct_sharp_bounds(model, observed, "cu")))
+    peak = _traced_peak(lambda: results.append(direct_sharp_bounds(StrategyRequest(model, observed, "cu"))))
     assert peak < 2**20
     oracle = results[0]
     cond = conditioning_bounds(StrategyRequest(model, observed, "cu"))
@@ -650,14 +650,14 @@ def test_row_labels_name_cells_and_arms(rng):
     space = enumerate_response_types(SpaceShape("reduced", 2, instrument_card=2))
     table, _ = mixture_table(space, rng)
     lp = build_lp(space, table, "theta_f")
-    assert lp.row_label(0) == "P(treatment=0, outcome=0, rule_rec=0 | instrument=0)"
-    assert lp.row_label(lp.n_cells) == "P(treatment=0, outcome=0, rule_rec=0 | instrument=1)"
-    assert lp.row_label(2 * lp.n_cells) == "total probability mass"
+    assert lp.space.row_label(0) == "P(treatment=0, outcome=0, rule_rec=0 | instrument=0)"
+    assert lp.space.row_label(lp.n_cells) == "P(treatment=0, outcome=0, rule_rec=0 | instrument=1)"
+    assert lp.space.row_label(2 * lp.n_cells) == "total probability mass"
 
     noiv = enumerate_response_types(SpaceShape("stratum", 2))
     t2 = table_for_space(noiv, random_probs(rng, (2, 2)))
     lp2 = build_lp(noiv, t2, "theta_f", level=0)
-    assert lp2.row_label(1) == "P(treatment=0, outcome=1)"
+    assert lp2.space.row_label(1) == "P(treatment=0, outcome=1)"
 
 
 def test_build_lp_rejects_malformed_queries(rng):
@@ -1009,7 +1009,7 @@ def reference_bounds(lp):
     start = simplex.warm_start(c_min, c_max, A) if lp.space.shape.kind == "reduced" else None
     lo, hi = simplex.minimize_pair(c_min, c_max, A, b, start=start)
     if lo.status == "infeasible":
-        return lp.row_label(lo.violation_row)
+        return lp.space.row_label(lo.violation_row)
     return lo.value, hi.value
 
 
@@ -1358,7 +1358,7 @@ def test_direct_oracle_binary_no_instrument(rng):
     )
     for _ in range(20):
         table = JointTable(specs, random_probs(rng, (2, 2, 2)))
-        res = direct_sharp_bounds(model, table, "theta_f")
+        res = direct_sharp_bounds(StrategyRequest(model, table, "theta_f"))
         assert res.strategy == "direct_oracle"
         # cross-check on the identically assembled raw program
         space = enumerate_response_types(SpaceShape("full", 2, x_cards=(2,)))
@@ -1384,9 +1384,9 @@ def test_direct_oracle_cu_needs_guideline(rng):
     )
     table = JointTable(specs, random_probs(rng, (2, 2, 2)))
     with pytest.raises(ValueError, match="guideline"):
-        direct_sharp_bounds(model, table, "cu")
+        direct_sharp_bounds(StrategyRequest(model, table, "cu"))
     guided = small_noiv_model(guideline_map={(0,): 1, (1,): 1})
-    res = direct_sharp_bounds(guided, table, "cu")
+    res = direct_sharp_bounds(StrategyRequest(guided, table, "cu"))
     assert -1.0 - 1e-9 <= res.lower <= res.upper <= 1.0 + 1e-9
 
 
@@ -1403,7 +1403,7 @@ def test_direct_oracle_rejects_extras_and_big_domains(rng):
     specs = tuple(with_extra.variables)
     table = JointTable(specs, random_probs(rng, (2, 2, 2, 2)))
     with pytest.raises(ValueError, match="extra covariates"):
-        direct_sharp_bounds(with_extra, table, "theta_f")
+        direct_sharp_bounds(StrategyRequest(with_extra, table, "theta_f"))
 
     paper_shape_model = CausalModel(
         variables=(
@@ -1416,7 +1416,7 @@ def test_direct_oracle_rejects_extras_and_big_domains(rng):
     )
     # the paper shape's 835,884,417,024 classes are no reason to refuse: its program is 73 × 180
     observed = feasible_table(rng, paper_shape_model, zero_stratum=False)
-    oracle = direct_sharp_bounds(paper_shape_model, observed)
+    oracle = direct_sharp_bounds(StrategyRequest(paper_shape_model, observed))
     assert oracle.diagnostics["class_count"] == 835_884_417_024
     assert (oracle.diagnostics["constraint_rows"], oracle.diagnostics["merged_columns"]) == (73, 180)
     cond = conditioning_bounds(StrategyRequest(paper_shape_model, observed))
@@ -1440,7 +1440,11 @@ def _iv_model(x_cards, treat_card, z_card):
     "bound,model,what",
     [
         # the study's full shape at covariates (10, 10, 10): 72,000 profiles fit, its 3.8 GiB tableau does not
-        (direct_sharp_bounds, _iv_model((10, 10, 10), 3, 2), "the simplex tableau of its 12,001 rows × "),
+        (
+            lambda model, observed: direct_sharp_bounds(StrategyRequest(model, observed)),
+            _iv_model((10, 10, 10), 3, 2),
+            "the simplex tableau of its 12,001 rows × ",
+        ),
         # a reduction with treatment 4 and an 8-arm instrument: 4,194,304 profiles need 512 MiB to merge
         (
             lambda model, observed: reduction_bounds(StrategyRequest(model, observed)),

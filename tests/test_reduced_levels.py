@@ -152,6 +152,6 @@ def test_row_labels_read_levels_not_positions():
     assert shape.rec_levels == ((0, 2),)
     observed = random_joint(np.random.default_rng(1), model.variables)
     lp = build_lp(enumerate_response_types(shape), reduce_table(model, shape, observed), "theta_f")
-    labels = [lp.row_label(row) for row in range(lp.n_arms * lp.n_cells)]
+    labels = [lp.space.row_label(row) for row in range(lp.n_arms * lp.n_cells)]
     assert labels[1] == "P(treatment=0, outcome=0, rule_rec=2 | instrument=0)"
     assert {label.split("rule_rec=")[1][0] for label in labels} == {"0", "2"}

@@ -1,7 +1,7 @@
 """Key-batched conditioning and the cached-gather truth against their per-object paths, exactly.
 
 ``conditioning_bounds`` normalises every stratum at once and solves each
-stratum key's strata as one block (``lp_bounds.solve_strata``). The
+stratum key's strata as one block (``lp_bounds.solve_block``). The
 reference below is the per-stratum path it replaced: a ``JointTable``,
 ``build_lp`` and ``solve_bounds`` for every stratum, in stratum order. Both
 must give ``==`` endpoints, weights, levels and totals, and the same
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import rulebounds.simulation as simulation
 from rulebounds.errors import DataError, InfeasibleModelError
-from rulebounds.lp_bounds import BoundsResult, build_lp, enumerate_response_types, solve_bounds, solve_strata
+from rulebounds.lp_bounds import BoundsResult, build_lp, enumerate_response_types, solve_block, solve_bounds
 from rulebounds.model import CausalModel, SpaceShape, TreatmentRule, VariableSpec, stratum_shape
 from rulebounds.simplex import minimize_pair
 from rulebounds.simulation import random_cpt, true_policy_value
@@ -213,7 +213,7 @@ def test_zero_arm_and_infeasible_strata_raise_as_the_per_stratum_path(kinds, see
         assert (worst is None) == (kinds[0] == "zero_arm")
 
 
-def test_solve_strata_stops_at_the_first_infeasible_row(rng):
+def test_solve_block_stops_at_the_first_infeasible_row(rng):
     shape = SpaceShape("stratum", 2, instrument_card=2)
     space = enumerate_response_types(shape)
     A = space.merged[0]
@@ -221,7 +221,7 @@ def test_solve_strata_stops_at_the_first_infeasible_row(rng):
     bad = np.zeros(A.shape[0])
     bad[[0, space.n_cells + 1, -1]] = 1.0  # a=0, y=0 in arm 0 and a=0, y=1 in arm 1
     b = np.vstack([mixtures[:2], bad, mixtures[2:]])
-    got = solve_strata(shape, "cu", 1, 0, b)
+    got = solve_block(shape, "cu", 1, 0, b)
     c_min, c_max = reference_costs(space, "cu", 1, 0)
     assert got.lower.size == got.upper.size == 2
     for i in range(2):
@@ -229,19 +229,26 @@ def test_solve_strata_stops_at_the_first_infeasible_row(rng):
         assert (got.lower[i], got.upper[i]) == (lo.value, hi.value)
     lo, _ = minimize_pair(c_min, c_max, A, bad)
     assert got.infeasible == (2, lo.violation_row, lo.violation_total)
-    assert solve_strata(shape, "cu", 1, 0, b[3:]).infeasible is None
+    assert solve_block(shape, "cu", 1, 0, b[3:]).infeasible is None
 
 
-def test_solve_strata_checks_its_key():
+def test_solve_block_checks_its_key():
     shape = SpaceShape("stratum", 3, instrument_card=2)
     b = np.full((1, 2 * 6 + 1), 1.0 / 6)
     b[0, -1] = 1.0
     with pytest.raises(ValueError, match=r"level=3 outside range\(0, 3\)"):
-        solve_strata(shape, "theta_f", 3, None, b)
+        solve_block(shape, "theta_f", 3, None, b)
     with pytest.raises(ValueError, match="needs the guideline's assigned level"):
-        solve_strata(shape, "cu", 1, None, b)
-    with pytest.raises(ValueError, match="solves stratum programs, not reduced ones"):
-        solve_strata(SpaceShape("reduced", 3, instrument_card=2), "theta_f", None, None, b)
+        solve_block(shape, "cu", 1, None, b)
+    # a reduced key takes no levels, and its block solves like a stratum key's
+    reduced = SpaceShape("reduced", 3, instrument_card=2)
+    A = enumerate_response_types(reduced).merged[0]
+    b = (A @ np.full(A.shape[1], 1.0 / A.shape[1]))[np.newaxis]
+    with pytest.raises(ValueError, match="takes no level or guideline_level"):
+        solve_block(reduced, "theta_f", 1, None, b)
+    solved = solve_block(reduced, "theta_f", None, None, b)
+    assert solved.infeasible is None and solved.lower.size == 1
+    assert 0.0 <= solved.lower[0] <= solved.upper[0] <= 1.0
 
 
 @settings(max_examples=40, deadline=None)

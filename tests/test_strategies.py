@@ -105,7 +105,7 @@ def test_request_validates_its_model_once(rng, monkeypatch):
 
     calls.clear()
     compare_strategies(StrategyRequest(model, observed))
-    assert len(calls) == 2  # the request, then the oracle's own check
+    assert len(calls) == 1  # the request; the oracle trusts it, as the strategies do
 
     calls.clear()
     run_replication(SimConfig(master_seed=3, card_covariate=3, card_treatment=2), 0)
@@ -116,7 +116,7 @@ def test_oracle_rejects_a_table_over_other_variables(rng):
     model = small_noiv_model()
     three_level = [VariableSpec("a", 3, "treatment") if v.name == "a" else v for v in model.variables]
     with pytest.raises(ValueError, match="do not match the declared model"):
-        direct_sharp_bounds(model, random_joint(rng, three_level))
+        direct_sharp_bounds(StrategyRequest(model, random_joint(rng, three_level)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def test_oracle_agrees_with_conditioning_when_covariate_ignores_instrument():
     for i in range(10):
         model, observed = scm_observed(i, x_card=2, treat_card=2)
         cond = conditioning_bounds(StrategyRequest(model, observed))
-        oracle = direct_sharp_bounds(model, observed, "theta_f")
+        oracle = direct_sharp_bounds(StrategyRequest(model, observed, "theta_f"))
         assert abs(oracle.lower - cond.lower) < 1e-8, i
         assert abs(oracle.upper - cond.upper) < 1e-8, i
 

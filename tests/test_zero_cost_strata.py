@@ -11,7 +11,7 @@ report, or its exception's type, text, ``worst_constraint`` and
 must agree on feasibility, and the endpoints must be ``0.0``, never ``-0.0``.
 
 Also here: strata and records keyed only on the levels their query reads,
-``solve_strata``'s check of its block, and the determinism of studies that
+``solve_block``'s check of its block, and the determinism of studies that
 meet zero-cost strata.
 """
 
@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rulebounds.cli import main as cli_main
-from rulebounds.lp_bounds import ResponseTypeSpace, _space, enumerate_response_types, solve_strata
+from rulebounds.lp_bounds import ResponseTypeSpace, _space, enumerate_response_types, solve_block
 from rulebounds.model import CausalModel, SpaceShape, TreatmentRule, VariableSpec, stratum_shape
 from rulebounds.simplex import minimize_pair
 from rulebounds.simulation import SimConfig, run_study
@@ -73,7 +73,7 @@ def test_zero_cost_rows_equal_the_cold_pair_and_highs(shape, seed, level, kinds)
     A, c_min, c_max, start = enumerate_response_types(shape).program("cu", level, level)
     assert not (c_min.any() or c_max.any())
     assert len(start.sides) == 1
-    got = solve_strata(shape, "cu", level, level, b)
+    got = solve_block(shape, "cu", level, level, b)
     for i, row in enumerate(b):
         lo, hi = minimize_pair(c_min, c_max, A, row)
         feasible = highs_pair(c_min, c_max, A, row) is not None
@@ -186,15 +186,15 @@ def test_strata_are_keyed_on_the_levels_their_query_reads(rng, query, records):
     assert reported == [(x // 2, x % 3) for x in range(6)]
 
 
-def test_solve_strata_checks_its_block():
+def test_solve_block_checks_its_block():
     shape = SpaceShape("stratum", 3, 2)
     for bad in (np.empty((0, 5)), np.full((2, 5), 0.2), np.full(13, 1.0 / 6), np.full((1, 1, 13), 1.0 / 6)):
         with pytest.raises(ValueError, match=r"expected \(n_strata, 13\)"):
-            solve_strata(shape, "theta_f", 1, None, bad)
+            solve_block(shape, "theta_f", 1, None, bad)
     # an empty block reports the path its record has: cold for costs that are not all zero, warm for zero costs
-    assert solve_strata(shape, "theta_f", 1, None, np.empty((0, 13))).solve == "cold"
-    assert solve_strata(shape, "cu", 1, 1, np.empty((0, 13))).solve == "warm"
-    assert solve_strata(shape, "cu", 1, 0, np.empty((0, 13))).solve == "cold"
+    assert solve_block(shape, "theta_f", 1, None, np.empty((0, 13))).solve == "cold"
+    assert solve_block(shape, "cu", 1, 1, np.empty((0, 13))).solve == "warm"
+    assert solve_block(shape, "cu", 1, 0, np.empty((0, 13))).solve == "cold"
 
 
 def test_studies_meeting_zero_cost_strata_are_deterministic(tmp_path):
