@@ -8,6 +8,7 @@ compares each pair of runs:
   compare       ``compare`` on ``configs/example.json``
   simulate      ``simulate --replications 200``, the default study
   simulate-cu   the same, query ``cu`` against a never-treat guideline
+  exit-2        ``bounds`` on ``configs/example.json`` with its rule's key ``"2"`` removed
   exit-3        ``bounds`` on a CSV with an out-of-range code
   exit-4        conditioning alone on a CSV no instrumented model can give
   zero-arm      ``bounds`` on the example data without its ``z=1`` rows
@@ -43,10 +44,17 @@ NEVER_TREAT = {"guideline": {"name": "never_treat", "table": {str(x): 0 for x in
 
 
 def write_inputs(inputs: Path) -> None:
-    """The never-treat study config, ``configs/example.json`` for conditioning alone, and three failing CSVs."""
+    """Every input the commands read beyond the checkout.
+
+    The never-treat study config, ``configs/example.json`` for conditioning
+    alone and without its rule key ``"2"``, and three failing CSVs.
+    """
     (inputs / "never_treat.json").write_text(json.dumps(NEVER_TREAT))
     example = json.loads((ROOT / "configs" / "example.json").read_text())
     (inputs / "conditioning.json").write_text(json.dumps({**example, "strategy": "conditioning"}))
+    # covariate cell x=2 gets no level: an invalid model, refused as the config is read
+    table = {k: v for k, v in example["rule"]["table"].items() if k != "2"}
+    (inputs / "missing_key.json").write_text(json.dumps({**example, "rule": {**example["rule"], "table": table}}))
     (inputs / "bad_code.csv").write_text("z,x,a,y\n0,0,0,0\n1,7,0,1\n")
     # in every stratum arm 0 gives a=0, y=0 and arm 1 gives a=0, y=1: no response type does both, so the
     # first stratum, x=0, where the rule and the guideline agree, is the one reported
@@ -67,6 +75,7 @@ def commands(inputs: Path) -> dict:
         "simulate": ["simulate", "--replications", "200"] + report,
         "simulate-cu": ["simulate", "--replications", "200", "--config", str(inputs / "never_treat.json"),
                         "--query", "cu"] + report,
+        "exit-2": ["bounds", "--config", str(inputs / "missing_key.json")] + report,
         "exit-3": ["bounds", "--config", example, "--data", str(inputs / "bad_code.csv")] + report,
         "exit-4": ["bounds", "--config", str(inputs / "conditioning.json"), "--data", str(inputs / "infeasible.csv")]
         + report,

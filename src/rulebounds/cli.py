@@ -96,9 +96,9 @@ def _emit(report: dict, output_path, summary_lines) -> None:
         print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def _override(config, **overrides):
-    """``config`` with every override that is not None applied."""
-    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
+def _given(**flags) -> dict:
+    """The flags the command line set: every one that is not None."""
+    return {k: v for k, v in flags.items() if v is not None}
 
 
 def _analyse(args, config: AnalysisConfig, command: str, solve) -> int:
@@ -136,7 +136,7 @@ def _analyse(args, config: AnalysisConfig, command: str, solve) -> int:
 
 
 def cmd_bounds(args) -> int:
-    config = _override(load_config(args.config), query=args.query, strategy=args.strategy)
+    config = replace(load_config(args.config), **_given(query=args.query, strategy=args.strategy))
     stratum_csv = args.stratum_csv or config.stratum_csv_path
     if stratum_csv:
         if config.strategy == "reduction":
@@ -159,7 +159,7 @@ def cmd_bounds(args) -> int:
 def _sim_config(args):
     from .simulation import SimConfig  # here, not at the top: bounds and compare never load the simulator
 
-    config = SimConfig()
+    raw = {}
     if args.config:
         raw = read_config_json(args.config)
         if not isinstance(raw, dict):
@@ -173,19 +173,17 @@ def _sim_config(args):
                 raw[key] = parse_rule(raw[key], 1, key)
         if isinstance(raw.get("strategies"), list):
             raw["strategies"] = tuple(raw["strategies"])
-        config = replace(config, **raw)
     strategies = args.strategies
     if strategies is not None:
         strategies = tuple(s.strip() for s in strategies.split(",") if s.strip())
-    config = _override(
-        config, replications=args.replications, master_seed=args.seed, jobs=args.jobs,
-        query=args.query, strategies=strategies,
+    flags = _given(
+        replications=args.replications, master_seed=args.seed, jobs=args.jobs, query=args.query, strategies=strategies
     )
+    # built once, from the file's fields and the flags over them, so only the whole config is checked
     try:
-        config.validate()
+        return SimConfig(**{**raw, **flags})
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    return config
 
 
 def cmd_simulate(args) -> int:

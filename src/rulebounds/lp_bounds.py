@@ -50,7 +50,6 @@ from .model import (
     ROLE_RULE_COVARIATE,
     CausalModel,
     SpaceShape,
-    _require_valid,
 )
 from .tables import JointTable, axes_in
 
@@ -75,15 +74,14 @@ def read_levels(query: str, level, guideline_level) -> tuple:
 
 def require_guideline(query: str, declared: bool) -> None:
     """Refuse an unknown query, or one that reads the comparator when the model ``declared`` none."""
-    if query not in QUERIES:
+    if not isinstance(query, str) or query not in QUERIES:
         raise ValueError(f"unknown query {query!r}; expected one of {tuple(QUERIES)}")
     if "g" in QUERIES[query] and not declared:
         raise ValueError(f"query {query!r} needs a guideline, but the model declares none")
 
 
 def check_request(model: CausalModel, observed: JointTable, query: str) -> None:
-    """Refuse an invalid model, a query it cannot answer, or a table over other variables."""
-    _require_valid(model)
+    """Refuse a query the model cannot answer, or a table over other variables; the model checked itself when built."""
     require_guideline(query, model.guideline is not None)
     declared = {v.name: v.cardinality for v in model.variables}
     got = {v.name: v.cardinality for v in observed.variables}

@@ -201,7 +201,7 @@ def rule_table(rule: Optional[TreatmentRule]) -> Optional[dict]:
 
 @dataclass(frozen=True)
 class CausalModel:
-    """Declared variables plus the rule under evaluation and an optional comparator."""
+    """Declared variables plus the rule under evaluation and an optional comparator; valid by construction."""
 
     variables: tuple[VariableSpec, ...]
     rule: TreatmentRule
@@ -211,6 +211,9 @@ class CausalModel:
         object.__setattr__(self, "variables", tuple(self.variables))
         # each role's variables, resolved once; not a field, so eq and hash ignore it and ``replace`` re-derives it
         object.__setattr__(self, "_roles", {r: tuple(v for v in self.variables if v.role == r) for r in ROLES})
+        problems = validate_model(self)
+        if problems:
+            raise ValueError("invalid model: " + "; ".join(problems))
 
     @property
     def treatment(self) -> VariableSpec:
@@ -251,7 +254,7 @@ class CausalModel:
 
 
 def validate_model(model: CausalModel) -> list[str]:
-    """Return all structural defects of the model; an empty list means valid."""
+    """Return all structural defects of the model, which its constructor refuses; an empty list means valid."""
     out = []
     names = [v.name for v in model.variables]
     if len(set(names)) != len(names):
@@ -282,12 +285,6 @@ def validate_model(model: CausalModel) -> list[str]:
         if model.guideline is not None:
             out.extend(model.guideline.problems(cards, k))
     return out
-
-
-def _require_valid(model: CausalModel) -> None:
-    problems = validate_model(model)
-    if problems:
-        raise ValueError("invalid model: " + "; ".join(problems))
 
 
 def build_reduced_model(model: CausalModel) -> SpaceShape:
@@ -332,7 +329,6 @@ def stratum_shape(model: CausalModel) -> SpaceShape:
 
 def build_stratum_model(model: CausalModel, x, w=None) -> StratumModel:
     """Shape of the conditional problem at rule-covariate cell ``x`` (and ``w``)."""
-    _require_valid(model)
     x = _normalize_key(x, f"stratum {x!r}")
     cards = model.rule_covariate_cards
     if len(x) != len(cards) or not all(0 <= xi < c for xi, c in zip(x, cards)):

@@ -31,7 +31,7 @@ from .model import (
     rule_table,
 )
 from .strategies import StrategyRequest, conditioning_bounds, reduction_bounds
-from .tables import Cpt, Scm, _joint_gathers, _structure, joint_from_scm, marginalize
+from .tables import Cpt, JointTable, Scm, cpt_product
 
 VALIDITY_TOL = 1e-9
 ROLE_LATENT = "latent_confounder"
@@ -79,7 +79,8 @@ class SimConfig:
             return self.rule
         return default_study_rule(self.card_covariate, self.card_treatment)
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        """Refuse a defect before any replication runs: a bad field, an unanswerable query or an invalid rule."""
         for name, low in _INT_MINIMA.items():
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < low:
@@ -91,15 +92,8 @@ class SimConfig:
             raise ValueError(f"unknown strategies {sorted(unknown)}")
         if not self.strategies:
             raise ValueError("at least one strategy is required")
-        if not isinstance(self.query, str) or self.query not in QUERIES:
-            raise ValueError(f"unknown query {self.query!r}")
         require_guideline(self.query, self.guideline is not None)
-        # surface rule defects before burning replications
-        bad = self.resolved_rule().problems((self.card_covariate,), self.card_treatment)
-        if self.guideline is not None:
-            bad += self.guideline.problems((self.card_covariate,), self.card_treatment)
-        if bad:
-            raise ValueError("; ".join(bad))
+        observed_model(self)  # the model refuses the rules; built once per config, the study reuses it
 
     def to_dict(self) -> dict:
         return {
@@ -168,17 +162,14 @@ def _forced_rows(parents: tuple, card: int, rule: TreatmentRule) -> np.ndarray:
 def true_policy_value(scm: Scm, rule: TreatmentRule) -> float:
     """Exact outcome probability if everyone were treated per the rule.
 
-    The intervened joint is multiplied from the SCM's cached gathers in CPT
-    order, as ``joint_from_scm`` multiplies it, with the treatment's rows
-    replaced by the rule's; every axis but the outcome is then summed out, as
-    ``marginalize`` sums it.
+    The intervened joint is ``cpt_product`` with the treatment's rows
+    replaced by the rule's; every axis but the outcome is then summed out,
+    as ``marginalize`` sums it.
     """
     treatment_cpt = scm.cpt_for(scm.by_role(ROLE_TREATMENT)[0].name)
     outcome = scm.by_role(ROLE_OUTCOME)[0]
-    joint = np.ones(tuple(v.cardinality for v in scm.variables))
-    for cpt, flat in zip(scm.cpts, _joint_gathers(_structure(scm))):
-        rows = _forced_rows(cpt.parents, cpt.child.cardinality, rule) if cpt is treatment_cpt else cpt.rows
-        joint *= rows.ravel()[flat]
+    forced = _forced_rows(treatment_cpt.parents, treatment_cpt.child.cardinality, rule)
+    joint = cpt_product(scm, {treatment_cpt.child.name: forced})
     others = tuple(i for i, v in enumerate(scm.variables) if v.name != outcome.name)
     return float(joint.sum(axis=others)[1])
 
@@ -222,7 +213,9 @@ def run_replication(config: SimConfig, index: int) -> SimRecord:
     """Draw ground truth, bound from its exact observed joint, check validity."""
     scm = random_scm(config, index)
     model = observed_model(config)
-    observed = marginalize(joint_from_scm(scm), [v.name for v in model.variables])
+    # the confounder summed out as ``marginalize`` sums it, so the table is the same bit for bit
+    latent = tuple(i for i, v in enumerate(scm.variables) if v.role == ROLE_LATENT)
+    observed = JointTable(model.variables, cpt_product(scm).sum(axis=latent))
     request = StrategyRequest(model, observed, config.query)
     rules = {"f": model.rule, "g": model.guideline}
     truth = sum(sign * true_policy_value(scm, rules[side]) for side, sign in QUERIES[config.query].items())
@@ -302,7 +295,6 @@ def _worker(args) -> SimRecord:
 
 def run_study(config: SimConfig) -> SimReport:
     """All replications, serial or process-parallel; results are order-stable."""
-    config.validate()
     start = time.perf_counter()
     indices = range(config.replications)
     if config.jobs > 1:

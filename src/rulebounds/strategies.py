@@ -43,7 +43,8 @@ AGREE_TOL = 1e-8
 class StrategyRequest:
     """One bounding job: a model, observed data over its variables, and a query.
 
-    The triple is checked once, here; the strategies and the direct oracle trust it.
+    The model checked itself when it was built; the query and the table are
+    checked once, here. The strategies and the direct oracle trust all three.
     """
 
     model: CausalModel

@@ -212,13 +212,18 @@ def _joint_gathers(structure: tuple) -> tuple:
     return tuple(gathers)
 
 
-def joint_from_scm(scm: Scm) -> JointTable:
-    """Multiply the CPTs into the exact joint over all model variables, in CPT order."""
-    variables = scm.variables
-    joint = np.ones(tuple(v.cardinality for v in variables))
+def cpt_product(scm: Scm, rows: Optional[Mapping[str, np.ndarray]] = None) -> np.ndarray:
+    """The CPTs multiplied in CPT order into an array over ``scm.variables``; ``rows`` replaces CPTs' rows by child."""
+    rows = rows or {}
+    joint = np.ones(tuple(v.cardinality for v in scm.variables))
     for cpt, flat in zip(scm.cpts, _joint_gathers(_structure(scm))):
-        joint *= cpt.rows.ravel()[flat]
-    return JointTable(variables, joint)
+        joint *= rows.get(cpt.child.name, cpt.rows).ravel()[flat]
+    return joint
+
+
+def joint_from_scm(scm: Scm) -> JointTable:
+    """The exact joint over all model variables: ``cpt_product`` as a table."""
+    return JointTable(scm.variables, cpt_product(scm))
 
 
 def empirical_joint(records, variables: Sequence[VariableSpec]) -> JointTable:

@@ -166,7 +166,7 @@ def test_load_config_column_mapping(tmp_path):
         ({"rule": {"0": 0}}, "no level assigned"),
         ({"rule": {"0": 0, "1": 1, "2": 9}}, "outside"),
         ({"query": "theta_q"}, "unknown query"),
-        ({"query": "cu", "guideline": None}, "needs a 'guideline'"),
+        ({"query": "cu", "guideline": None}, "^query 'cu' needs a guideline"),
         ({"strategy": "oracle"}, "unknown strategy"),
         ({"enumeration_cap": 10**9}, "enumeration_cap"),
         (
@@ -1084,13 +1084,37 @@ def test_simulate_command_config_validation(tmp_path, capsys):
         ({"card_covariate": 0}, "card_covariate must be an integer"),
         ({"master_seed": True}, "master_seed must be an integer"),
         ({"strategies": 5}, "strategies must be a tuple"),
-        ({"query": ["cu"]}, "unknown query ['cu']"),
+        ({"query": ["cu"]}, "unknown query ['cu']; expected one of ('theta_f', 'theta_g', 'cu')"),
+        ({"query": "theta_x"}, "unknown query 'theta_x'; expected one of ('theta_f', 'theta_g', 'cu')"),
+        ({"rule": {"0": 0}}, "config error: invalid model: rule 'rule': no level assigned for covariate values"),
     ):
         sim_cfg.write_text(json.dumps(raw))
         assert main(["simulate", "--config", str(sim_cfg)]) == 2
         assert message in capsys.readouterr().err
     assert main(["simulate", "--strategies", ""]) == 2
     assert "at least one strategy is required" in capsys.readouterr().err
+
+
+def test_cli_validates_the_model_once(tmp_path, capsys, monkeypatch):
+    # the model checks itself when load_config builds it; nothing after re-runs validate_model
+    import rulebounds.model as model_module
+
+    calls = []
+    validate = model_module.validate_model
+
+    def counted(m):
+        calls.append(m)
+        return validate(m)
+
+    # counted in every module that could hold it by name
+    for module in (model_module, rulebounds.io):
+        monkeypatch.setattr(module, "validate_model", counted, raising=False)
+    cfg, data = write_config(tmp_path, query="cu"), write_data(tmp_path)
+    for command in ("bounds", "compare"):
+        calls.clear()
+        assert main([command, "--config", cfg, "--data", data]) == 0
+        assert len(calls) == 1, command
+    capsys.readouterr()
 
 
 def test_unwritable_report_paths_are_config_errors(tmp_path, capsys, monkeypatch):
@@ -1362,7 +1386,7 @@ def test_parity_script_compares_two_source_trees(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:3] for line in lines] == [
         [name, "exit", code]
-        for name, code in (("bounds", "0"), ("compare", "0"), ("simulate", "0"), ("simulate-cu", "0"),
+        for name, code in (("bounds", "0"), ("compare", "0"), ("simulate", "0"), ("simulate-cu", "0"), ("exit-2", "2"),
                            ("exit-3", "3"), ("exit-4", "4"), ("zero-arm", "3"), ("zero-arm-cond", "3"))
     ]
     # endpoints 1e-9 apart are a difference that names its field; a skipped timestamp is not

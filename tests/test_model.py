@@ -18,7 +18,7 @@ from rulebounds.model import (
 )
 from rulebounds.strategies import StrategyRequest, reduction_bounds
 
-from conftest import feasible_table, random_joint, small_iv_model, small_noiv_model
+from conftest import feasible_table, small_iv_model, small_noiv_model
 
 
 def test_variable_spec_rejects_bad_cardinality():
@@ -152,17 +152,20 @@ def test_validate_model_happy_path():
     ],
 )
 def test_validate_model_defects(mutate, fragment):
+    # a model refuses its defects when it is built, naming validate_model's findings
     base = small_iv_model()
-    model = CausalModel(tuple(mutate(list(base.variables))), base.rule, None)
-    problems = validate_model(model)
-    assert any(fragment in p for p in problems), problems
+    with pytest.raises(ValueError, match="^invalid model: ") as exc:
+        CausalModel(tuple(mutate(list(base.variables))), base.rule, None)
+    assert fragment in str(exc.value)
 
 
 def test_validate_model_checks_rule_tables():
-    model = small_noiv_model(x_card=3, rule_map={(0,): 0, (1,): 1})
-    assert any("no level assigned" in p for p in validate_model(model))
-    model = small_noiv_model(x_card=2, rule_map={(0,): 0, (1,): 7})
-    assert any("outside range" in p for p in validate_model(model))
+    with pytest.raises(ValueError, match="^invalid model: rule 'f': no level assigned"):
+        small_noiv_model(x_card=3, rule_map={(0,): 0, (1,): 1})
+    with pytest.raises(ValueError, match="^invalid model: rule 'f': levels outside range"):
+        small_noiv_model(x_card=2, rule_map={(0,): 0, (1,): 7})
+    with pytest.raises(ValueError, match="^invalid model: rule 'g': no level assigned"):
+        small_noiv_model(x_card=2, guideline_map={(0,): 0})
 
 
 def test_reduced_model_canonical_order_iv():
@@ -212,12 +215,10 @@ def test_reduced_model_collapses_equal_guideline():
     assert [v.name for v in rm.variables] == [CANON_TREATMENT, CANON_OUTCOME, CANON_RULE_REC]
 
 
-def test_reduced_model_rejects_invalid(rng):
-    # build_reduced_model trusts its model; the request is the gate that refuses it
-    bad = small_noiv_model(x_card=3, rule_map={(0,): 0})
-    table = random_joint(rng, bad.variables)
+def test_reduced_model_rejects_invalid():
+    # build_reduced_model trusts its model; the model's constructor is the gate that refuses it
     with pytest.raises(ValueError, match="invalid model"):
-        StrategyRequest(bad, table)
+        small_noiv_model(x_card=3, rule_map={(0,): 0})
 
 
 def test_stratum_model_levels_and_label():

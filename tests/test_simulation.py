@@ -27,7 +27,7 @@ from rulebounds.simulation import (
     run_study,
     true_policy_value,
 )
-from rulebounds.tables import Scm, joint_from_scm, marginalize
+from rulebounds.tables import JointTable, Scm, joint_from_scm, marginalize
 import rulebounds.simulation as simulation
 from rulebounds.model import VariableSpec
 
@@ -168,31 +168,41 @@ def test_observed_model_shape_and_roles():
 
 
 def test_sim_config_validation():
+    # a study config refuses a defect when it is built, before any replication runs
     with pytest.raises(ValueError, match="replications"):
-        SimConfig(replications=0).validate()
+        SimConfig(replications=0)
     with pytest.raises(ValueError, match="jobs"):
-        SimConfig(jobs=0).validate()
+        SimConfig(jobs=0)
     with pytest.raises(ValueError, match="replications must be an integer >= 1, got '10'"):
-        SimConfig(replications="10").validate()
+        SimConfig(replications="10")
     with pytest.raises(ValueError, match="card_covariate must be an integer >= 1, got 0"):
-        SimConfig(card_covariate=0).validate()
+        SimConfig(card_covariate=0)
     with pytest.raises(ValueError, match="card_treatment"):
-        SimConfig(card_treatment=2.0).validate()
+        SimConfig(card_treatment=2.0)
     with pytest.raises(ValueError, match="master_seed"):
-        SimConfig(master_seed=-1).validate()
+        SimConfig(master_seed=-1)
     with pytest.raises(ValueError, match="jobs"):
-        SimConfig(jobs=True).validate()
+        SimConfig(jobs=True)
     with pytest.raises(ValueError, match="unknown strategies"):
-        SimConfig(strategies=("reduction", "magic")).validate()
+        SimConfig(strategies=("reduction", "magic"))
     with pytest.raises(ValueError, match="at least one strategy"):
-        SimConfig(strategies=()).validate()
-    with pytest.raises(ValueError, match="unknown query"):
-        SimConfig(query="theta_x").validate()
-    with pytest.raises(ValueError, match="needs a guideline"):
-        SimConfig(query="cu").validate()
-    with pytest.raises(ValueError, match="no level assigned"):
-        SimConfig(rule=TreatmentRule.from_table({(0,): 0})).validate()
-    SimConfig().validate()  # the defaults are sound
+        SimConfig(strategies=())
+    # a list would reach observed_model's cache unhashable
+    with pytest.raises(ValueError, match=r"strategies must be a tuple of strategy names, got \['reduction'\]"):
+        SimConfig(strategies=["reduction"])
+    with pytest.raises(ValueError, match=r"^unknown query 'theta_x'; expected one of \('theta_f', 'theta_g', 'cu'\)$"):
+        SimConfig(query="theta_x")
+    with pytest.raises(ValueError, match=r"^unknown query \['cu'\]; expected one of"):
+        SimConfig(query=["cu"])
+    with pytest.raises(ValueError, match="^query 'cu' needs a guideline, but the model declares none$"):
+        SimConfig(query="cu")
+    with pytest.raises(ValueError, match="^invalid model: rule 'rule': no level assigned"):
+        SimConfig(rule=TreatmentRule.from_table({(0,): 0}))
+    with pytest.raises(ValueError, match="^invalid model: rule 'step_rule': keys outside the covariate domain"):
+        SimConfig(card_covariate=4, rule=default_study_rule())
+    with pytest.raises(ValueError, match="^invalid model: rule 'g': no level assigned"):
+        SimConfig(guideline=TreatmentRule.from_table({(0,): 0}, name="g"))
+    SimConfig()  # the defaults are sound
 
 
 def test_run_replication_brackets_truth():
@@ -209,6 +219,24 @@ def test_run_replication_brackets_truth():
         abs=1e-15,
     )
     assert rec.containment_violated is False
+
+
+def test_replication_table_is_the_exact_marginal_built_once(monkeypatch):
+    # the confounder is summed out of the CPT product as marginalize(joint_from_scm(...)) sums it, bit for bit,
+    # and the only tables a replication builds are that one and the reduction's
+    requests, built = [], []
+    request_cls, post_init = simulation.StrategyRequest, JointTable.__post_init__
+    monkeypatch.setattr(simulation, "StrategyRequest", lambda *args: requests.append(args) or request_cls(*args))
+    monkeypatch.setattr(JointTable, "__post_init__", lambda table: built.append(table) or post_init(table))
+    config = SimConfig(master_seed=7)
+    for index in range(3):
+        built.clear()
+        run_replication(config, index)
+        assert len(built) == 2
+        model, observed, _ = requests[-1]
+        want = marginalize(joint_from_scm(random_scm(config, index)), [v.name for v in model.variables])
+        assert observed.variables == want.variables
+        assert np.array_equal(observed.probs, want.probs)
 
 
 def test_run_replication_cu_truth_is_value_difference():

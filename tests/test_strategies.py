@@ -10,6 +10,7 @@ import pytest
 
 from rulebounds import lp_bounds
 from rulebounds import model as model_module
+from rulebounds import simulation
 from rulebounds.errors import DataError, InfeasibleModelError
 from rulebounds.lp_bounds import direct_sharp_bounds
 from rulebounds.model import (
@@ -18,7 +19,7 @@ from rulebounds.model import (
     VariableSpec,
     build_reduced_model,
 )
-from rulebounds.simulation import SimConfig, random_scm, run_replication
+from rulebounds.simulation import SimConfig, random_scm, run_study
 from rulebounds.strategies import (
     StrategyRequest,
     compare_strategies,
@@ -82,10 +83,9 @@ def test_request_rejects_structural_defects(rng):
     with pytest.raises(ValueError, match="do not match"):
         reduction_bounds(StrategyRequest(model, wrong_card))
 
-    twin = CausalModel(specs + (VariableSpec("a2", 2, "treatment"),), model.rule)
-    bigger = JointTable(twin.variables, random_probs(rng, (2, 2, 2, 2)))
+    # a model with two treatments cannot reach a request: it refuses itself when built
     with pytest.raises(ValueError, match="invalid model"):
-        conditioning_bounds(StrategyRequest(twin, bigger))
+        CausalModel(specs + (VariableSpec("a2", 2, "treatment"),), model.rule)
 
     with pytest.raises(ValueError, match="sum to"):
         JointTable(specs, np.zeros((2, 2, 2)))
@@ -96,19 +96,21 @@ def test_request_validates_its_model_once(rng, monkeypatch):
     validate = model_module.validate_model
     monkeypatch.setattr(model_module, "validate_model", lambda m: calls.append(m) or validate(m))
     model = small_iv_model(x_card=3)
+    assert len(calls) == 1  # the model, when it is built
     observed = feasible_table(rng, model, zero_stratum=False)
 
+    calls.clear()
     request = StrategyRequest(model, observed)
     reduction_bounds(request)
     conditioning_bounds(request)
-    assert len(calls) == 1
-
-    calls.clear()
     compare_strategies(StrategyRequest(model, observed))
-    assert len(calls) == 1  # the request; the oracle trusts it, as the strategies do
+    assert calls == []  # a request checks its query and table; the model checked itself
 
+    # a study builds its observed model once, with its config, and every replication reuses it
+    simulation.observed_model.cache_clear()
     calls.clear()
-    run_replication(SimConfig(master_seed=3, card_covariate=3, card_treatment=2), 0)
+    report = run_study(SimConfig(replications=50, master_seed=3, card_covariate=3, card_treatment=2))
+    assert len(report.records) == 50
     assert len(calls) == 1
 
 
