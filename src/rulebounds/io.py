@@ -102,11 +102,7 @@ def parse_rule(spec, n_covariates: int, default_name: str) -> TreatmentRule:
         table = spec
     if not isinstance(table, dict) or not table:
         raise ConfigError(f"rule {name!r}: table must be a non-empty object")
-    items = {}
-    for key, value in table.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"rule {name!r}: level for key {key!r} must be an integer")
-        items[_parse_rule_key(key, n_covariates)] = value
+    items = {_parse_rule_key(key, n_covariates): value for key, value in table.items()}
     try:
         return TreatmentRule.from_table(items, name=name)
     except ValueError as err:
@@ -157,13 +153,14 @@ def load_config(path: str) -> AnalysisConfig:
             raise ConfigError(
                 f"variables[{i}] ({name!r}): unknown role {role!r}; expected one of {sorted(ROLES)}"
             )
-        if not isinstance(card, int) or isinstance(card, bool) or card < 1:
-            raise ConfigError(f"variables[{i}] ({name!r}): cardinality must be a positive integer")
         try:
             variables.append(VariableSpec(name, card, role))
         except ValueError as err:
-            raise ConfigError(str(err)) from None
-        columns[name] = entry.get("column", name)
+            raise ConfigError(f"variables[{i}]: {err}") from None
+        column = entry.get("column", name)
+        if not isinstance(column, str) or not column:
+            raise ConfigError(f"variables[{i}] ({name!r}): column must be a non-empty string, got {column!r}")
+        columns[name] = column
 
     n_x = sum(1 for v in variables if v.role == "rule_covariate")
     if "rule" not in raw:
@@ -177,6 +174,11 @@ def load_config(path: str) -> AnalysisConfig:
         model = CausalModel(tuple(variables), rule, guideline)
     except ValueError as err:
         raise ConfigError(str(err)) from None
+    readers = {}
+    for name, column in columns.items():
+        if column in readers:
+            raise ConfigError(f"variables {readers[column]!r} and {name!r} both read column {column!r}")
+        readers[column] = name
 
     return AnalysisConfig(
         model=model,

@@ -30,7 +30,6 @@ of rows that ``arm_rows`` normalised, one row per table or stratum.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import prod
@@ -50,6 +49,7 @@ from .model import (
     ROLE_RULE_COVARIATE,
     CausalModel,
     SpaceShape,
+    int_tuple,
 )
 from .tables import JointTable, axes_in
 
@@ -365,7 +365,9 @@ def _coefficients(space, query, level, guideline_level) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """A fully assembled program: the query, its checked levels, and the arm RHS.
+    """A fully assembled program: the query, its levels, and the arm RHS.
+
+    ``solve_bounds`` checks its levels against ``build_lp``'s contract.
 
     The per-class ``objective`` and ``cells`` state the unmerged program,
     for reference checks that re-solve it; they are built when first read,
@@ -376,7 +378,7 @@ class LpProblem:
     space: ResponseTypeSpace
     query: str
     rhs: np.ndarray            # (n_arms, n_cells) conditional cell probabilities
-    level: object = None       # as ``build_lp`` checked them
+    level: object = None       # an int for a stratum program, int64 of shape ``x_cards`` for a full one
     guideline_level: object = None
 
     @cached_property
@@ -417,27 +419,15 @@ def _checked_levels(space: ResponseTypeSpace, query: str, level, guideline_level
         if value is None:
             if side in QUERIES[query]:
                 raise ValueError(f"{kind} query {query!r} needs the {owner}'s assigned level")
-        elif kind == "stratum":
-            try:  # an int, a numpy integer or a 0-d integer array; a bool is not a level
-                if isinstance(value, bool):
-                    raise TypeError
-                value = operator.index(value)
-            except TypeError:
-                if np.shape(value):
-                    raise ValueError(f"{name} has shape {np.shape(value)}, expected ()") from None
-                raise ValueError(f"{name} has the non-integer value {np.asarray(value).item()!r}") from None
-            if not 0 <= value < k:
-                raise ValueError(f"{name}={value} outside range(0, {k})")
-        else:
-            arr = np.asarray(value)
-            if arr.shape != space.shape.x_cards:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {space.shape.x_cards}")
-            if arr.dtype.kind not in "iu":
-                raise ValueError(f"{name} has the non-integer value {arr.ravel()[0].item()!r}")
-            bad = arr[(arr < 0) | (arr >= k)]
-            if bad.size:
+        else:  # a stratum program is the full program over an empty covariate domain: its level is 0-d
+            arr, shape = np.asarray(value), space.shape.x_cards
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+            entries = int_tuple(tuple(arr.ravel().tolist()), name)  # the entries, not the dtype, are checked
+            bad = [entry for entry in entries if not 0 <= entry < k]
+            if bad:
                 raise ValueError(f"{name}={bad[0]} outside range(0, {k})")
-            value = arr.astype(np.int64)
+            value = np.array(entries, dtype=np.int64).reshape(shape) if shape else entries[0]
         checked.append(value)
     return tuple(checked)
 
@@ -474,9 +464,11 @@ def build_lp(
     """Assemble the program for ``query`` against an observed table.
 
     ``level`` and ``guideline_level`` are the treatment levels the rule and
-    the comparator assign: an int for a stratum program, an int array of
-    shape ``x_cards`` for a full one (``TreatmentRule.levels``). A reduced
-    program observes its recommendations instead and refuses both. The
+    the comparator assign to each covariate cell: any array-like of shape
+    ``x_cards``, ``()`` for a stratum program, whose entries are ints (not
+    bools) in ``range(0, treat_card)``. A stratum's is kept as an int, a
+    full one's as int64 (``TreatmentRule.levels``). A reduced program
+    observes its recommendations instead and refuses both. The
     table must carry the space's canonical variable names (instrument
     included when the shape has one); axis order is normalized here. Each
     instrument arm must have positive probability.

@@ -60,8 +60,8 @@ class VariableSpec:
                 f"variable {self.name!r}: cardinality must be a positive integer, "
                 f"got {self.cardinality!r}"
             )
-        if not self.name:
-            raise ValueError("variable name must be a non-empty string")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"variable name must be a non-empty string, got {self.name!r}")
 
     @property
     def levels(self) -> range:
@@ -95,9 +95,9 @@ class SpaceShape:
         """Canonical specs of the program's table in axis order: the instrument (if any), then the cells.
 
         The cells are ``treatment, outcome, rule_rec, [guideline_rec], extra{i}``
-        for reduced shapes, ``treatment, outcome`` for stratum shapes and
-        ``x{i}, treatment, outcome`` for full shapes. A recommendation takes
-        one value per assigned level.
+        for reduced shapes and ``x{i}, treatment, outcome`` for stratum and
+        full shapes: a stratum shape is the full shape over no covariate. A
+        recommendation takes one value per assigned level.
         """
         k = self.treat_card
         arm = [(CANON_INSTRUMENT, self.instrument_card, ROLE_INSTRUMENT)] if self.instrument_card else []
@@ -107,17 +107,15 @@ class SpaceShape:
             cells = act + [(n, len(lv), ROLE_RECOMMENDATION) for n, lv in recs] + [
                 (f"extra{i}", c, ROLE_EXTRA_COVARIATE) for i, c in enumerate(self.extra_cards)
             ]
-        elif self.kind == "stratum":
-            cells = act
-        elif self.kind == "full":
+        elif self.kind in ("stratum", "full"):
             cells = [(f"x{i}", c, ROLE_RULE_COVARIATE) for i, c in enumerate(self.x_cards)] + act
         else:
             raise ValueError(f"unknown shape kind {self.kind!r}")
         return tuple(VariableSpec(*spec) for spec in arm + cells)
 
 
-def _normalize_key(key, label: str) -> tuple[int, ...]:
-    """``key`` as a tuple of ints; a float or bool is refused, named by ``label``, rather than truncated."""
+def int_tuple(key, label: str) -> tuple[int, ...]:
+    """``key``, a value or a tuple, as a tuple of ints; a float or bool is refused, named by ``label``."""
     values = key if isinstance(key, tuple) else (key,)
     for v in values:
         if isinstance(v, bool) or not isinstance(v, Integral):
@@ -146,7 +144,7 @@ class TreatmentRule:
     def _entry(self, key, level) -> tuple:
         """One normalized (key, level) pair."""
         label = f"rule {self.name!r}: entry {key!r}: {level!r}"
-        return _normalize_key(key, label), _normalize_key((level,), label)[0]
+        return int_tuple(key, label), int_tuple((level,), label)[0]
 
     @classmethod
     def from_table(cls, table: Mapping, name: str = "rule") -> "TreatmentRule":
@@ -162,7 +160,7 @@ class TreatmentRule:
         return dict(self.items)
 
     def level_for(self, x) -> int:
-        return self._map[_normalize_key(x, f"rule {self.name!r}: key {x!r}")]
+        return self._map[int_tuple(x, f"rule {self.name!r}: key {x!r}")]
 
     def levels(self, covariate_cards: tuple[int, ...]) -> np.ndarray:
         """Each covariate cell's level: int64 of shape ``covariate_cards``, in ``rule_domain()`` C order."""
@@ -329,14 +327,14 @@ def stratum_shape(model: CausalModel) -> SpaceShape:
 
 def build_stratum_model(model: CausalModel, x, w=None) -> StratumModel:
     """Shape of the conditional problem at rule-covariate cell ``x`` (and ``w``)."""
-    x = _normalize_key(x, f"stratum {x!r}")
+    x = int_tuple(x, f"stratum {x!r}")
     cards = model.rule_covariate_cards
     if len(x) != len(cards) or not all(0 <= xi < c for xi, c in zip(x, cards)):
         raise ValueError(
             f"stratum {x} outside the rule-covariate domain with cardinalities {cards}"
         )
     if w is not None:
-        w = _normalize_key(w, f"stratum extra values {w!r}")
+        w = int_tuple(w, f"stratum extra values {w!r}")
         wcards = model.extra_covariate_cards
         if len(w) != len(wcards) or not all(0 <= wi < c for wi, c in zip(w, wcards)):
             raise ValueError(

@@ -114,9 +114,9 @@ def test_parse_rule_defects():
         parse_rule([], 1, "rule")
     with pytest.raises(ConfigError, match="non-empty object"):
         parse_rule({"table": {}}, 1, "rule")
-    with pytest.raises(ConfigError, match="must be an integer"):
+    with pytest.raises(ConfigError, match="non-integer value"):
         parse_rule({"0": "high"}, 1, "rule")
-    with pytest.raises(ConfigError, match="must be an integer"):
+    with pytest.raises(ConfigError, match="non-integer value"):
         parse_rule({"0": True}, 1, "rule")
     with pytest.raises(ConfigError, match="not a comma-joined integer"):
         parse_rule({"a": 1}, 1, "rule")
@@ -184,6 +184,28 @@ def test_load_config_defects(tmp_path, mutation, message):
     path = write_config(tmp_path, **mutation)
     with pytest.raises(ConfigError, match=message):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        # two variables reading one column: explicitly, or one's default name as another's column
+        ({"a": {"column": "z"}}, "^variables 'z' and 'a' both read column 'z'$"),
+        ({"z": {"column": "x"}}, "^variables 'z' and 'x' both read column 'x'$"),
+        ({"a": {"column": 5}}, r"^variables\[2\] \('a'\): column must be a non-empty string, got 5$"),
+        ({"a": {"column": ""}}, r"^variables\[2\] \('a'\): column must be a non-empty string, got ''$"),
+        ({"a": {"name": 7}}, r"^variables\[2\]: variable name must be a non-empty string, got 7$"),
+    ],
+)
+def test_load_config_refuses_column_and_name_defects(tmp_path, capsys, changes, message):
+    # left to the data loader, each would read another variable's codes or fail as a data error (exit 3)
+    data = write_data(tmp_path)
+    variables = [dict(v, **changes.get(v["name"], {})) for v in BASE_CONFIG["variables"]]
+    cfg = write_config(tmp_path, variables=variables)
+    with pytest.raises(ConfigError, match=message):
+        load_config(cfg)
+    assert main(["bounds", "--config", cfg, "--data", data]) == 2
+    assert "config error: variable" in capsys.readouterr().err
 
 
 def test_load_config_refuses_unknown_keys(tmp_path, capsys):

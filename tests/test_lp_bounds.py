@@ -730,6 +730,24 @@ def test_build_lp_accepts_integer_level_forms(rng):
             np.testing.assert_array_equal(got, expected, strict=True)
 
 
+def test_build_lp_checks_level_entries_not_their_dtype():
+    # an object array of ints is a level; None is no int, and an int past int64 is outside the levels
+    full = enumerate_response_types(SpaceShape("full", 3, x_cards=(2,)))
+    table = uniform_table(full)
+    want = build_lp(full, table, "theta_f", level=[0, 2])
+    lp = build_lp(full, table, "theta_f", level=np.array([0, 2], dtype=object))
+    assert lp.level.dtype == np.int64
+    for got, expected in zip(program_columns(lp), program_columns(want)):
+        np.testing.assert_array_equal(got, expected, strict=True)
+    with pytest.raises(ValueError, match="^level has the non-integer value None$"):
+        build_lp(full, table, "theta_f", level=[0, None])
+    with pytest.raises(ValueError, match=rf"^level={2**70} outside range\(0, 3\)$"):
+        build_lp(full, table, "theta_f", level=[0, 2**70])
+    stratum = enumerate_response_types(SpaceShape("stratum", 3))
+    with pytest.raises(ValueError, match=rf"^level={2**70} outside range\(0, 3\)$"):
+        build_lp(stratum, uniform_table(stratum), "theta_f", level=2**70)
+
+
 def test_build_lp_refuses_levels_for_a_reduced_program(rng):
     # a reduced program reads the levels from its observed recommendations
     space = enumerate_response_types(SpaceShape("reduced", 2))

@@ -32,6 +32,11 @@ def test_variable_spec_rejects_bad_cardinality():
     assert VariableSpec("w", 1, "extra_covariate").cardinality == 1
 
 
+def test_variable_spec_rejects_a_non_string_name():
+    with pytest.raises(ValueError, match="^variable name must be a non-empty string, got 7$"):
+        VariableSpec(7, 2, "treatment")
+
+
 def test_rule_normalizes_scalar_keys():
     rule = TreatmentRule.from_table({0: 1, 1: 0})
     assert rule.level_for(0) == 1
