@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, DataError
 from .lp_bounds import require_guideline
-from .model import ROLES, CausalModel, TreatmentRule, VariableSpec, rule_table
+from .model import CausalModel, TreatmentRule, VariableSpec, role_problem, rule_table
 from .tables import JointTable, empirical_joint
 
 VALID_STRATEGIES = ("reduction", "conditioning", "both")
@@ -149,10 +149,8 @@ def load_config(path: str) -> AnalysisConfig:
                 f"variables[{i}] ({name!r}): unknown keys {sorted(unknown)}; "
                 f"expected some of {list(_VARIABLE_KEYS)}"
             )
-        if role not in ROLES:
-            raise ConfigError(
-                f"variables[{i}] ({name!r}): unknown role {role!r}; expected one of {sorted(ROLES)}"
-            )
+        if problem := role_problem(role):
+            raise ConfigError(f"variables[{i}] ({name!r}): {problem}")
         try:
             variables.append(VariableSpec(name, card, role))
         except ValueError as err:

@@ -251,6 +251,12 @@ class CausalModel:
         return product(*(range(c) for c in self.rule_covariate_cards))
 
 
+def role_problem(role) -> Optional[str]:
+    """Why ``role`` is not a declarable role (one of the strings in ``ROLES``), or None."""
+    if not (isinstance(role, str) and role in ROLES):
+        return f"unknown role {role!r} (expected one of {sorted(ROLES)})"
+
+
 def validate_model(model: CausalModel) -> list[str]:
     """Return all structural defects of the model, which its constructor refuses; an empty list means valid."""
     out = []
@@ -259,8 +265,8 @@ def validate_model(model: CausalModel) -> list[str]:
         dupes = sorted({n for n in names if names.count(n) > 1})
         out.append(f"duplicate variable names: {dupes}")
     for v in model.variables:
-        if v.role not in ROLES:
-            out.append(f"variable {v.name!r}: unknown role {v.role!r} (expected one of {sorted(ROLES)})")
+        if problem := role_problem(v.role):
+            out.append(f"variable {v.name!r}: {problem}")
     n_treat = len(model._roles[ROLE_TREATMENT])
     n_out = len(model._roles[ROLE_OUTCOME])
     n_inst = len(model._roles[ROLE_INSTRUMENT])

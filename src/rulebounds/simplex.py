@@ -13,9 +13,14 @@ minimizes the total constraint violation; of rows tied to within
 
 A pivot updates only the rows whose entry in the pivot column is non-zero
 (a handful in the package's partition-structured programs), and its
-temporaries span only those rows. Every entry it changes gets the same arithmetic
-as the full rank-one update ``T -= outer(col, T[i])``, so the pivot
-sequence and the results do not depend on the sparsity.
+temporaries (those rows' copy, their outer-product update and the
+difference) span only those rows. Every entry it changes gets the same
+arithmetic as the full rank-one update ``T -= outer(col, T[i])``, so the
+pivot sequence and the results do not depend on the sparsity. Pricing
+allocates nothing: the tableau's one ``priced`` buffer receives the reduced
+costs plus the ``barred`` row, 0.0 where a column may enter and +inf where
+it may not (an artificial that has left the basis, and every artificial
+after phase 1).
 
 Bound pairs share one tableau: phase 1 runs once, then the lower and upper
 objectives are optimized back to back, the second starting from the
@@ -46,8 +51,7 @@ counted once, on the lower result.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -95,7 +99,8 @@ class _Tableau:
         T[:m, -1] = sign[:, 0] * b
         self.T = T
         self.basis = np.arange(n, n + m)
-        self.allowed = np.ones(n + m, dtype=bool)
+        self.barred = np.zeros(n + m)  # added to the reduced costs: 0.0 may enter, +inf may not
+        self.priced = np.empty(n + m)
         self.stall_after = 20 * (m + n) + 200
         self.max_iter = 200 * (m + n) + 5000
         self.iterations = 0
@@ -104,29 +109,29 @@ class _Tableau:
 
     def _pivot(self, i: int, j: int) -> None:
         T = self.T
-        row = T[i]
+        row, col = T[i], T[:, j]
         row /= row[j]
-        T[i, j] = 0.0  # keeps row i itself out of the update below
-        rows = T[:, j].nonzero()[0]
-        T[rows] -= T[rows, j, None] * row
-        T[:, j] = 0.0
-        T[i, j] = 1.0
+        col[i] = 0.0  # keeps row i itself out of the update below
+        rows = col.nonzero()[0]
+        T[rows] = T.take(rows, axis=0) - np.multiply.outer(col[rows], row)
+        col.fill(0.0)
+        col[i] = 1.0
         leaving = self.basis[i]
         self.basis[i] = j
         if leaving >= self.n:
-            self.allowed[leaving] = False  # artificials never re-enter
+            self.barred[leaving] = np.inf  # artificials never re-enter
         self.iterations += 1
 
     def _optimize(self) -> bool:
         """Pivot until the loaded cost row is optimal; False on unboundedness."""
-        T, m = self.T, self.m
+        T, m, priced = self.T, self.m, self.priced
+        red, rhs = T[-1, :-1], T[:m, -1]
         while True:
             if self.iterations > self.max_iter:
                 raise SolverError(
                     f"simplex exceeded {self.max_iter} pivots (m={m}, n={self.n})"
                 )
-            red = T[-1, :-1]
-            priced = np.where(self.allowed, red, np.inf)
+            np.add(red, self.barred, out=priced)
             j = int(priced.argmin())
             if not priced[j] < -OPT_TOL:
                 return True
@@ -137,8 +142,8 @@ class _Tableau:
             rows = (col > PIV_TOL).nonzero()[0]
             if rows.size == 0:
                 return False
-            ratios = T[rows, -1] / col[rows]
-            ties = rows[ratios <= ratios.min() + RATIO_TIE_TOL]
+            ratios = rhs[rows] / col[rows]
+            ties = rows[ratios <= np.minimum.reduce(ratios) + RATIO_TIE_TOL]
             i = int(ties[0]) if ties.size == 1 else int(ties[np.argmin(self.basis[ties])])
             self._pivot(i, j)
 
@@ -171,7 +176,7 @@ class _Tableau:
             usable = np.flatnonzero(np.abs(self.T[i, : self.n]) > PIV_TOL)
             if usable.size:
                 self._pivot(i, int(usable[0]))
-        self.allowed[self.n :] = False
+        self.barred[self.n :] = np.inf
 
     def solve(self, c) -> SimplexResult:
         """Optimize ``c`` over the (already established) feasible region."""
@@ -206,8 +211,10 @@ class _Tableau:
         )
 
     def _copy(self) -> "_Tableau":
-        twin = copy.copy(self)
-        twin.T, twin.basis, twin.allowed = self.T.copy(), self.basis.copy(), self.allowed.copy()
+        twin = object.__new__(type(self))
+        twin.__dict__ = dict(self.__dict__)
+        twin.T, twin.basis, twin.barred = self.T.copy(), self.basis.copy(), self.barred.copy()
+        twin.priced = np.empty_like(self.priced)
         return twin
 
     def _resolve(self, b: np.ndarray, max_pivots: int) -> bool:
@@ -225,7 +232,7 @@ class _Tableau:
             i = int(rhs.argmin())
             if not rhs[i] < -PRIMAL_TOL:
                 return True
-            # after phase 1 the allowed columns are exactly the real ones
+            # after phase 1 the columns that may enter are exactly the real ones
             cols = (T[i, :n] < -PIV_TOL).nonzero()[0]
             if cols.size == 0 or self.iterations >= max_pivots:
                 return False
@@ -243,7 +250,7 @@ def minimize(c, A, b) -> SimplexResult:
 class WarmStart:
     """Each side's optimal tableau of one program at its canonical right-hand side."""
 
-    c_lo: np.ndarray
+    c_lo: np.ndarray         # the costs warm_start was given, not copies: minimize_pair knows them by identity
     c_hi: np.ndarray
     sign: np.ndarray         # row signs the canonical tableau applied to A and b
     sides: tuple             # tableaus after the lower and after the upper solve; one for zero costs
@@ -251,18 +258,18 @@ class WarmStart:
 
     def resolve(self, b: np.ndarray) -> tuple:
         """``((lower, upper), pivots)``, or ``(None, pivots)`` when the pair must go cold."""
-        results, pivots = [], 0
+        results, pivots, signed = [], 0, self.sign * b
         for side, c in zip(self.sides, (self.c_lo, -self.c_hi)):
             tableau = side._copy()
             tableau.iterations = 0
-            done = tableau._resolve(self.sign * b, self.max_pivots)
+            done = tableau._resolve(signed, self.max_pivots)
             pivots += tableau.iterations
             if not done:
                 return None, pivots
             results.append(tableau._vertex(c, solve="warm"))
         # a zero-cost pair has one side: its vertex is both optima, its pivots counted once
-        lo, hi_neg = results if len(results) == 2 else (results[0], replace(results[0], iterations=0))
-        return (lo, replace(hi_neg, value=0.0 - hi_neg.value)), pivots
+        hi_neg = results[-1]
+        return (results[0], _upper(hi_neg, hi_neg.iterations if len(results) == 2 else 0)), pivots
 
 
 def warm_start(c_lo, c_hi, A) -> WarmStart:
@@ -271,7 +278,7 @@ def warm_start(c_lo, c_hi, A) -> WarmStart:
     When both costs are zero every feasible basis is optimal for both
     sides, so the phase-1 tableau is the one side kept.
     """
-    c_lo, c_hi = np.array(c_lo, dtype=float), np.array(c_hi, dtype=float)
+    c_lo, c_hi = np.asarray(c_lo, dtype=float), np.asarray(c_hi, dtype=float)
     b = np.asarray(A, dtype=float).mean(axis=1)
     tableau = _Tableau(A, b)
     costs = (c_lo, -c_hi) if c_lo.any() or c_hi.any() else (c_lo,)
@@ -280,7 +287,7 @@ def warm_start(c_lo, c_hi, A) -> WarmStart:
         if tableau.solve(c).status != "optimal":
             raise SolverError("canonical right-hand side A·1/n found infeasible; constraint setup is broken")
         side = tableau._copy() if len(sides) < len(costs) - 1 else tableau  # the last side keeps the session tableau
-        for array in (side.T, side.basis, side.allowed):
+        for array in (side.T, side.basis, side.barred):
             array.setflags(write=False)
         sides.append(side)
     return WarmStart(c_lo, c_hi, np.where(b < 0, -1.0, 1.0), tuple(sides), max_pivots=tableau.m)
@@ -298,7 +305,8 @@ def minimize_pair(c_lo, c_hi, A, b, start: Optional[WarmStart] = None):
     """
     spent = 0
     if start is not None:
-        if not (np.array_equal(start.c_lo, c_lo) and np.array_equal(start.c_hi, c_hi)):
+        if not ((start.c_lo is c_lo or np.array_equal(start.c_lo, c_lo))
+                and (start.c_hi is c_hi or np.array_equal(start.c_hi, c_hi))):
             raise ValueError("warm start was built for other costs")
         b = np.asarray(b, dtype=float)
         if b.shape != start.sign.shape:
@@ -309,15 +317,15 @@ def minimize_pair(c_lo, c_hi, A, b, start: Optional[WarmStart] = None):
     tableau = _Tableau(A, b)
     lo = tableau.solve(np.asarray(c_lo, dtype=float))
     if spent:
-        lo = replace(lo, iterations=lo.iterations + spent)
+        lo = SimplexResult(lo.status, lo.value, lo.x, lo.iterations + spent, lo.violation_row, lo.violation_total)
     if lo.status != "optimal":
         return lo, lo
     before = tableau.iterations
     hi_neg = tableau.solve(-np.asarray(c_hi, dtype=float))
-    hi = SimplexResult(
-        status="optimal",
-        value=0.0 - hi_neg.value,  # not -value: a zero maximum is 0.0, never -0.0
-        x=hi_neg.x,
-        iterations=hi_neg.iterations - before,
-    )
-    return lo, hi
+    return lo, _upper(hi_neg, hi_neg.iterations - before)
+
+
+def _upper(hi_neg: SimplexResult, iterations: int) -> SimplexResult:
+    """The maximum of ``c_hi`` from the minimum of ``-c_hi``, with ``iterations`` pivots."""
+    # not -value: a zero maximum is 0.0, never -0.0
+    return SimplexResult("optimal", 0.0 - hi_neg.value, hi_neg.x, iterations, solve=hi_neg.solve)

@@ -92,6 +92,9 @@ class SimConfig:
             raise ValueError(f"unknown strategies {sorted(unknown)}")
         if not self.strategies:
             raise ValueError("at least one strategy is required")
+        repeated = sorted({s for s in self.strategies if self.strategies.count(s) > 1})
+        if repeated:
+            raise ValueError(f"strategies {repeated} given more than once")
         require_guideline(self.query, self.guideline is not None)
         observed_model(self)  # the model refuses the rules; built once per config, the study reuses it
 

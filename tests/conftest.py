@@ -33,6 +33,7 @@ from rulebounds.lp_bounds import (
     SpaceShape,
     _assigned_levels,
     _digits,
+    _space,
     class_cells,
     enumerate_response_types,
 )
@@ -212,9 +213,10 @@ class DenseTableau(simplex._Tableau):
     """The tableau with a dense rank-one pivot: the reference for the row-sparse one.
 
     ``_pivot`` subtracts ``outer(col, T[i])`` from the whole tableau and
-    ``_optimize`` prices with an explicit improving mask and always breaks
-    ratio ties by ``argmin``. ``simplex._Tableau`` must take the same pivots
-    and reach array-equal tableaus.
+    ``_optimize`` prices with an explicit improving mask (the columns whose
+    ``barred`` entry is 0.0) and always breaks ratio ties by ``argmin``.
+    ``simplex._Tableau`` must take the same pivots and reach array-equal
+    tableaus.
     """
 
     def _pivot(self, i: int, j: int) -> None:
@@ -228,7 +230,7 @@ class DenseTableau(simplex._Tableau):
         leaving = self.basis[i]
         self.basis[i] = j
         if leaving >= self.n:
-            self.allowed[leaving] = False
+            self.barred[leaving] = np.inf
         self.iterations += 1
 
     def _optimize(self) -> bool:
@@ -237,7 +239,7 @@ class DenseTableau(simplex._Tableau):
             if self.iterations > self.max_iter:
                 raise SolverError(f"simplex exceeded {self.max_iter} pivots (m={m}, n={self.n})")
             red = T[-1, :-1]
-            improving = self.allowed & (red < -simplex.OPT_TOL)
+            improving = (self.barred == 0.0) & (red < -simplex.OPT_TOL)
             if not improving.any():
                 return True
             if self.iterations <= self.stall_after:
@@ -337,3 +339,17 @@ def intervene_per_row(scm, rule):
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)
+
+
+@pytest.fixture
+def dense_simplex():
+    """Every solve of the test runs on ``DenseTableau`` in place of ``simplex._Tableau``.
+
+    A space's program records keep the warm starts built by whichever
+    tableau was current, so the space cache is cleared on the way in and out.
+    """
+    _space.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_Tableau", DenseTableau)
+        yield
+    _space.cache_clear()

@@ -208,6 +208,19 @@ def test_load_config_refuses_column_and_name_defects(tmp_path, capsys, changes, 
     assert "config error: variable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("role", [[1], {"r": 1}, 1, None, "covariate"])
+def test_load_config_refuses_a_role_that_is_not_a_role_name(tmp_path, capsys, role):
+    # an unhashable role used to end the run in a TypeError traceback (exit 1)
+    data = write_data(tmp_path)
+    variables = [dict(v, role=role) if v["name"] == "a" else v for v in BASE_CONFIG["variables"]]
+    cfg = write_config(tmp_path, variables=variables)
+    message = rf"^variables\[2\] \('a'\): unknown role {re.escape(repr(role))} \(expected one of \["
+    with pytest.raises(ConfigError, match=message):
+        load_config(cfg)
+    assert main(["bounds", "--config", cfg, "--data", data]) == 2
+    assert "config error: variables[2] ('a'): unknown role" in capsys.readouterr().err
+
+
 def test_load_config_refuses_unknown_keys(tmp_path, capsys):
     # a misspelt key is a config error naming it, at the top level and on a variable
     data = write_data(tmp_path)
@@ -1106,6 +1119,7 @@ def test_simulate_command_config_validation(tmp_path, capsys):
         ({"card_covariate": 0}, "card_covariate must be an integer"),
         ({"master_seed": True}, "master_seed must be an integer"),
         ({"strategies": 5}, "strategies must be a tuple"),
+        ({"strategies": ["conditioning", "conditioning"]}, "strategies ['conditioning'] given more than once"),
         ({"query": ["cu"]}, "unknown query ['cu']; expected one of ('theta_f', 'theta_g', 'cu')"),
         ({"query": "theta_x"}, "unknown query 'theta_x'; expected one of ('theta_f', 'theta_g', 'cu')"),
         ({"rule": {"0": 0}}, "config error: invalid model: rule 'rule': no level assigned for covariate values"),
@@ -1115,6 +1129,9 @@ def test_simulate_command_config_validation(tmp_path, capsys):
         assert message in capsys.readouterr().err
     assert main(["simulate", "--strategies", ""]) == 2
     assert "at least one strategy is required" in capsys.readouterr().err
+    # a repeated strategy would be reported twice and solved twice in every replication
+    assert main(["simulate", "--replications", "2", "--strategies", "reduction,reduction"]) == 2
+    assert "config error: strategies ['reduction'] given more than once" in capsys.readouterr().err
 
 
 def test_cli_validates_the_model_once(tmp_path, capsys, monkeypatch):

@@ -164,6 +164,17 @@ def test_validate_model_defects(mutate, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("role", [[1], ("instrument",), 1, None, b"instrument"])
+def test_validate_model_refuses_a_role_that_is_not_a_role_name(role):
+    # an unhashable role used to escape validate_model as a TypeError
+    base = small_iv_model()
+    variables = tuple(VariableSpec("z", 2, role) if v.name == "z" else v for v in base.variables)
+    expected = f"invalid model: variable 'z': unknown role {role!r} (expected one of ["
+    with pytest.raises(ValueError) as exc:
+        CausalModel(variables, base.rule, None)
+    assert str(exc.value).startswith(expected)
+
+
 def test_validate_model_checks_rule_tables():
     with pytest.raises(ValueError, match="^invalid model: rule 'f': no level assigned"):
         small_noiv_model(x_card=3, rule_map={(0,): 0, (1,): 1})

@@ -6,12 +6,13 @@ from scipy import optimize
 
 from rulebounds import lp_bounds, simplex, simulation
 from rulebounds.lp_bounds import LpProblem, SpaceShape, class_cells, enumerate_response_types
-from rulebounds.model import TreatmentRule, build_reduced_model
+from rulebounds.model import CausalModel, TreatmentRule, VariableSpec, build_reduced_model
 from rulebounds.simplex import SimplexResult, minimize, minimize_pair
-from rulebounds.strategies import reduce_table
-from rulebounds.tables import joint_from_scm, marginalize
+from rulebounds.strategies import StrategyRequest, conditioning_bounds, reduce_table
+from rulebounds.tables import JointTable, joint_from_scm, marginalize
 
 from conftest import DenseTableau, program_columns
+from test_benchmark_imports import load_perfbench
 
 
 def scipy_min(c, A, b):
@@ -338,3 +339,34 @@ def test_pivot_allocates_only_the_rows_it_updates():
     # broadcasting buffers may hold two more copies of the updated rows
     row_bytes = tableau.T[0].nbytes
     assert all(peak <= 4 * rows * row_bytes + 4096 for peak, rows in zip(peaks, touched))
+
+
+@pytest.mark.parametrize(
+    "config,indices",
+    [(STUDY, (0, 1, 2)), (simulation.SimConfig(query="theta_f"), (0, 3))],
+    ids=["cu", "theta_f"],
+)
+def test_study_replications_are_equal_on_the_dense_reference(request, config, indices):
+    # warm reduced solves, warm zero-cost strata and cold strata, every endpoint to the bit
+    fast = [simulation.run_replication(config, i).to_dict() for i in indices]
+    request.getfixturevalue("dense_simplex")
+    assert simplex._Tableau is DenseTableau
+    assert [simulation.run_replication(config, i).to_dict() for i in indices] == fast
+
+
+def test_strata_request_is_equal_on_the_dense_reference(request):
+    # a request shaped like the strata benchmark's: 1,000 strata, binary instrument, ternary treatment
+    gen = load_perfbench("gen")
+    variables = (
+        (VariableSpec("z", 2, "instrument"),)
+        + tuple(VariableSpec(f"x{i}", c, "rule_covariate") for i, c in enumerate(gen.STRATA_X_CARDS))
+        + (VariableSpec("a", 3, "treatment"), VariableSpec("y", 2, "outcome"))
+    )
+    levels = gen.strata_rule_levels(1, 0)
+    rule = TreatmentRule.from_table({x: int(levels[x]) for x in np.ndindex(levels.shape)})
+    strata_request = StrategyRequest(CausalModel(variables, rule), JointTable(variables, gen.strata_table(1)), "theta_f")
+    fast = conditioning_bounds(strata_request)
+    request.getfixturevalue("dense_simplex")
+    dense = conditioning_bounds(strata_request)
+    assert len(dense.diagnostics["strata"]) == 1000
+    assert dense.to_dict() == fast.to_dict()

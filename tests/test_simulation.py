@@ -187,6 +187,10 @@ def test_sim_config_validation():
         SimConfig(strategies=("reduction", "magic"))
     with pytest.raises(ValueError, match="at least one strategy"):
         SimConfig(strategies=())
+    with pytest.raises(ValueError, match=r"^strategies \['reduction'\] given more than once$"):
+        SimConfig(strategies=("reduction", "reduction"))
+    with pytest.raises(ValueError, match=r"^strategies \['conditioning'\] given more than once$"):
+        SimConfig(strategies=("conditioning", "reduction", "conditioning"))
     # a list would reach observed_model's cache unhashable
     with pytest.raises(ValueError, match=r"strategies must be a tuple of strategy names, got \['reduction'\]"):
         SimConfig(strategies=["reduction"])

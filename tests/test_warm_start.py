@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -328,3 +328,102 @@ def test_diagnostics_say_which_path_ran(rng):
         res = solve_bounds(build_lp(space, observed, query, **kwargs))
         assert res.diagnostics["solve"] == "cold"
         assert all(start is None for _, c_min, c_max, start in space.records.values() if c_min.any() or c_max.any())
+
+
+def _recording(tableau_cls, log):
+    """``tableau_cls`` logging each pivot and, after each warm re-solve, its outcome, reason and tableau."""
+
+    class Recording(tableau_cls):
+        def _pivot(self, i, j):
+            log.append(("pivot", int(i), int(j)))
+            super()._pivot(i, j)
+
+        def _resolve(self, b, max_pivots):
+            done = super()._resolve(b, max_pivots)
+            log.append(("resolve", "warm" if done else cold_reason(self), self.basis.copy(), self.T.copy()))
+            return done
+
+    return Recording
+
+
+def cold_reason(tableau):
+    """Why a warm re-solve that gave up did so: read from the tableau it left."""
+    T, m, n = tableau.T, tableau.m, tableau.n
+    rhs = T[:m, -1]
+    if tableau.iterations == 0 and np.any(np.abs(rhs[tableau.basis >= n]) > simplex.PRIMAL_TOL):
+        return "parked artificial nonzero"
+    if not (T[int(rhs.argmin()), :n] < -simplex.PIV_TOL).any():
+        return "no entering column"
+    return "pivot cap"
+
+
+def warm_run(tableau_cls, c_lo, c_hi, A, b, cap):
+    """``(start, pair, log)``: the warm start built on ``tableau_cls`` and the pair re-solved from it."""
+    log = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_Tableau", _recording(tableau_cls, log))
+        start = warm_start(c_lo, c_hi, A)
+        if cap is not None:
+            start = replace(start, max_pivots=cap)
+        pair = minimize_pair(c_lo, c_hi, A, b, start=start)
+    assert all(isinstance(side, tableau_cls) for side in start.sides)  # a copied tableau keeps its class
+    return start, pair, log
+
+
+def result_fields(res):
+    """Every field but ``x``; ``repr`` tells ``0.0`` from ``-0.0``."""
+    return (res.status, repr(res.value), res.iterations, res.violation_row, res.violation_total, res.solve)
+
+
+def assert_same_warm_run(fast, ref):
+    """The row-sparse tableau's warm start and re-solve take the dense reference's pivots and reach its numbers."""
+    (start, pair, log), (ref_start, ref_pair, ref_log) = fast, ref
+    assert len(start.sides) == len(ref_start.sides)
+    for side, ref_side in zip(start.sides, ref_start.sides):
+        assert np.array_equal(side.basis, ref_side.basis) and np.array_equal(side.T, ref_side.T)
+    assert [entry[:2] for entry in log] == [entry[:2] for entry in ref_log]
+    for entry, ref_entry in zip(log, ref_log):
+        if entry[0] == "resolve":
+            assert np.array_equal(entry[2], ref_entry[2]) and np.array_equal(entry[3], ref_entry[3])
+    for got, want in zip(pair, ref_pair):
+        assert result_fields(got) == result_fields(want)
+        assert (got.x is None and want.x is None) or np.array_equal(got.x, want.x)
+
+
+@pytest.mark.parametrize("shape", CROSSCHECK_SHAPES)
+@settings(max_examples=16, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    query_index=st.integers(0, 20),
+    table=st.sampled_from(TABLES),
+    zero_cost=st.booleans(),
+    cap=st.sampled_from([None, None, 0, 1, 2]),
+)
+@example(seed=0, query_index=0, table="feasible", zero_cost=False, cap=1)
+@example(seed=0, query_index=0, table="zero_arm", zero_cost=True, cap=None)
+@example(seed=0, query_index=0, table="infeasible", zero_cost=False, cap=None)
+def test_warm_resolve_pivots_like_dense_reference(shape, seed, query_index, table, zero_cost, cap):
+    # reduced and stratum starts with costs, and zero-cost one-sided starts, on both tableaus;
+    # the cold fallbacks (pivot cap, parked artificial, no entering column) included
+    c_lo, c_hi, A, b = warm_program(shape, query_index, seed, table, zero_cost)
+    assert_same_warm_run(
+        warm_run(simplex._Tableau, c_lo, c_hi, A, b, cap), warm_run(DenseTableau, c_lo, c_hi, A, b, cap)
+    )
+
+
+def warm_program(shape, query_index, seed, table, zero_cost):
+    """``(c_lo, c_hi, A, b)`` of ``program``, with both costs zeroed when ``zero_cost``."""
+    _, c_lo, c_hi, A, b = program(shape, query_index, seed, table)
+    if zero_cost:
+        c_lo, c_hi = np.zeros_like(c_lo), np.zeros_like(c_hi)
+    return c_lo, c_hi, A, b
+
+
+def test_pinned_warm_runs_go_cold_for_every_reason():
+    # the explicit examples of the test above reach each way a warm re-solve gives up
+    reasons = set()
+    for shape in CROSSCHECK_SHAPES:
+        for table, zero_cost, cap in (("feasible", False, 1), ("zero_arm", True, None), ("infeasible", False, None)):
+            log = warm_run(simplex._Tableau, *warm_program(shape, 0, 0, table, zero_cost), cap)[2]
+            reasons.update(entry[1] for entry in log if entry[0] == "resolve")
+    assert reasons == {"warm", "pivot cap", "parked artificial nonzero", "no entering column"}
