@@ -4,15 +4,16 @@ Runs a fixed set of command lines in fresh processes, once with
 ``PYTHONPATH`` set to this checkout's ``src`` and once to ``--src``, and
 compares each pair of runs:
 
-  bounds        ``bounds --stratum-csv`` on ``configs/example.json``
-  compare       ``compare`` on ``configs/example.json``
-  simulate      ``simulate --replications 200``, the default study
-  simulate-cu   the same, query ``cu`` against a never-treat guideline
-  exit-2        ``bounds`` on ``configs/example.json`` with its rule's key ``"2"`` removed
-  exit-3        ``bounds`` on a CSV with an out-of-range code
-  exit-4        conditioning alone on a CSV no instrumented model can give
-  zero-arm      ``bounds`` on the example data without its ``z=1`` rows
-  zero-arm-cond the same with ``--strategy conditioning``
+  bounds          ``bounds --stratum-csv`` on ``configs/example.json``
+  compare         ``compare`` on ``configs/example.json``
+  simulate        ``simulate --replications 200``, the default study
+  simulate-cu     the same, query ``cu`` against a never-treat guideline
+  simulate-jobs2  ``--jobs 2`` on the default study: the config and its observed model pickled into pool workers
+  exit-2          ``bounds`` on ``configs/example.json`` with its rule's key ``"2"`` removed
+  exit-3          ``bounds`` on a CSV with an out-of-range code
+  exit-4          conditioning alone on a CSV no instrumented model can give
+  zero-arm        ``bounds`` on the example data without its ``z=1`` rows
+  zero-arm-cond   the same with ``--strategy conditioning``
 
 Exit codes, stderr and stdout must be equal; JSON reports and stratum CSVs
 are compared field by field, numbers within ``TOL`` and everything else
@@ -75,6 +76,7 @@ def commands(inputs: Path) -> dict:
         "simulate": ["simulate", "--replications", "200"] + report,
         "simulate-cu": ["simulate", "--replications", "200", "--config", str(inputs / "never_treat.json"),
                         "--query", "cu"] + report,
+        "simulate-jobs2": ["simulate", "--replications", "200", "--jobs", "2"] + report,
         "exit-2": ["bounds", "--config", str(inputs / "missing_key.json")] + report,
         "exit-3": ["bounds", "--config", example, "--data", str(inputs / "bad_code.csv")] + report,
         "exit-4": ["bounds", "--config", str(inputs / "conditioning.json"), "--data", str(inputs / "infeasible.csv")]
@@ -157,7 +159,7 @@ def main(argv=None) -> int:
             ours = run(str(ROOT / "src"), command, tmp / "this" / name)
             theirs = run(str(Path(args.src).resolve()), command, tmp / "other" / name)
             largest, bad = differences(ours, theirs)
-            print(f"{name:12s} exit {ours['exit code']}  largest difference {largest:.3g}")
+            print(f"{name:14s} exit {ours['exit code']}  largest difference {largest:.3g}")
             for line in bad:
                 print(f"  differs: {line}")
             failed = failed or bool(bad)

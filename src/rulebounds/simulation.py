@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -35,8 +35,6 @@ from .tables import Cpt, JointTable, Scm, cpt_product
 
 VALIDITY_TOL = 1e-9
 ROLE_LATENT = "latent_confounder"
-# study configs whose observed model (and resolved rule) is kept per process
-MODEL_CACHE_SIZE = 8
 
 _STRATEGY_FUNCS = {"reduction": reduction_bounds, "conditioning": conditioning_bounds}
 # smallest admissible value of each integer SimConfig field
@@ -96,7 +94,11 @@ class SimConfig:
         if repeated:
             raise ValueError(f"strategies {repeated} given more than once")
         require_guideline(self.query, self.guideline is not None)
-        observed_model(self)  # the model refuses the rules; built once per config, the study reuses it
+        self.model  # the observed model refuses the rules; built once, with the config, and reused by the study
+
+    @cached_property
+    def model(self) -> CausalModel:  # kept on the config, and pickled with it into pool workers
+        return observed_model(self)
 
     def to_dict(self) -> dict:
         return {
@@ -148,9 +150,8 @@ def random_scm(config: SimConfig, index: int) -> Scm:
     )
 
 
-@lru_cache(maxsize=2 * MODEL_CACHE_SIZE)  # a rule and a guideline for each kept study config
 def _forced_rows(parents: tuple, card: int, rule: TreatmentRule) -> np.ndarray:
-    """Read-only one-hot treatment CPT rows: each parent row's level under ``rule``, whatever the other parents."""
+    """One-hot treatment CPT rows: each parent row's level under ``rule``, whatever the other parents."""
     cards = tuple(p.cardinality for p in parents)
     is_x = [p.role == ROLE_RULE_COVARIATE for p in parents]
     levels = rule.levels(tuple(c for c, x in zip(cards, is_x) if x))
@@ -158,7 +159,6 @@ def _forced_rows(parents: tuple, card: int, rule: TreatmentRule) -> np.ndarray:
     per_row = np.broadcast_to(levels.reshape([c if x else 1 for c, x in zip(cards, is_x)]), cards).ravel()
     rows = np.zeros((per_row.size, card))
     rows[np.arange(per_row.size), per_row] = 1.0
-    rows.setflags(write=False)
     return rows
 
 
@@ -177,9 +177,8 @@ def true_policy_value(scm: Scm, rule: TreatmentRule) -> float:
     return float(joint.sum(axis=others)[1])
 
 
-@lru_cache(maxsize=MODEL_CACHE_SIZE)
 def observed_model(config: SimConfig) -> CausalModel:
-    """The analyst's view of the study shape: everything but the confounder; built once per config."""
+    """The analyst's view of the study shape: everything but the confounder; ``SimConfig.model`` keeps it."""
     return CausalModel(
         variables=(
             VariableSpec("instrument", config.card_instrument, ROLE_INSTRUMENT),
@@ -215,7 +214,7 @@ class SimRecord:
 def run_replication(config: SimConfig, index: int) -> SimRecord:
     """Draw ground truth, bound from its exact observed joint, check validity."""
     scm = random_scm(config, index)
-    model = observed_model(config)
+    model = config.model
     # the confounder summed out as ``marginalize`` sums it, so the table is the same bit for bit
     latent = tuple(i for i, v in enumerate(scm.variables) if v.role == ROLE_LATENT)
     observed = JointTable(model.variables, cpt_product(scm).sum(axis=latent))

@@ -8,7 +8,6 @@ return new tables; arrays are marked read-only on construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -18,8 +17,6 @@ from .model import VariableSpec
 
 SUM_TOL = 1e-12
 NEG_TOL = 1e-12
-# SCM structures whose joint_from_scm index arrays are kept per process
-SCM_INDEX_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,37 +185,17 @@ class Scm:
         return tuple(v for v in self.variables if v.role == role)
 
 
-def _structure(scm: Scm) -> tuple:
-    """What ``joint_from_scm``'s gathers depend on: each CPT's child and its ordered parents, by name and cardinality."""
-    return tuple(
-        ((c.child.name, c.child.cardinality), tuple((p.name, p.cardinality) for p in c.parents)) for c in scm.cpts
-    )
-
-
-@lru_cache(maxsize=SCM_INDEX_CACHE_SIZE)
-def _joint_gathers(structure: tuple) -> tuple:
-    """Per CPT, read-only flat indices into its rows of every joint cell's (parent row, child value)."""
-    shape = tuple(card for (_, card), _ in structure)
-    order = {name: i for i, ((name, _), _) in enumerate(structure)}
-    grids = np.indices(shape)
-    gathers = []
-    for (child, card), parents in structure:
-        row_idx = np.zeros(shape, dtype=np.int64)
-        for name, parent_card in parents:
-            row_idx = row_idx * parent_card + grids[order[name]]
-        flat = row_idx * card + grids[order[child]]
-        flat.setflags(write=False)
-        gathers.append(flat)
-    return tuple(gathers)
-
-
 def cpt_product(scm: Scm, rows: Optional[Mapping[str, np.ndarray]] = None) -> np.ndarray:
-    """The CPTs multiplied in CPT order into an array over ``scm.variables``; ``rows`` replaces CPTs' rows by child."""
+    """The CPTs multiplied in order into a C-ordered array over ``scm.variables``; ``rows`` replaces rows by child."""
     rows = rows or {}
-    joint = np.ones(tuple(v.cardinality for v in scm.variables))
-    for cpt, flat in zip(scm.cpts, _joint_gathers(_structure(scm))):
-        joint *= rows.get(cpt.child.name, cpt.rows).ravel()[flat]
-    return joint
+    position = {v.name: i for i, v in enumerate(scm.variables)}
+    operands = []  # each CPT's rows shaped (parents..., child), subscripted by those variables' positions
+    for cpt in scm.cpts:
+        axes = cpt.parents + (cpt.child,)
+        operands += [rows.get(cpt.child.name, cpt.rows).reshape([v.cardinality for v in axes]),
+                     [position[v.name] for v in axes]]
+    # sums no index; numpy sums an array in memory order, so C order keeps the bits of every sum over the product
+    return np.einsum(*operands, list(range(len(position))), order="C")
 
 
 def joint_from_scm(scm: Scm) -> JointTable:

@@ -1425,8 +1425,9 @@ def test_parity_script_compares_two_source_trees(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:3] for line in lines] == [
         [name, "exit", code]
-        for name, code in (("bounds", "0"), ("compare", "0"), ("simulate", "0"), ("simulate-cu", "0"), ("exit-2", "2"),
-                           ("exit-3", "3"), ("exit-4", "4"), ("zero-arm", "3"), ("zero-arm-cond", "3"))
+        for name, code in (("bounds", "0"), ("compare", "0"), ("simulate", "0"), ("simulate-cu", "0"),
+                           ("simulate-jobs2", "0"), ("exit-2", "2"), ("exit-3", "3"), ("exit-4", "4"),
+                           ("zero-arm", "3"), ("zero-arm-cond", "3"))
     ]
     # endpoints 1e-9 apart are a difference that names its field; a skipped timestamp is not
     report = {"generated_at": "then", "results": {"conditioning": {"lower": -0.1, "upper": 0.25, "skipped": False}}}

@@ -191,7 +191,7 @@ def test_sim_config_validation():
         SimConfig(strategies=("reduction", "reduction"))
     with pytest.raises(ValueError, match=r"^strategies \['conditioning'\] given more than once$"):
         SimConfig(strategies=("conditioning", "reduction", "conditioning"))
-    # a list would reach observed_model's cache unhashable
+    # a list could change after the config checked it, and would leave the frozen config unhashable
     with pytest.raises(ValueError, match=r"strategies must be a tuple of strategy names, got \['reduction'\]"):
         SimConfig(strategies=["reduction"])
     with pytest.raises(ValueError, match=r"^unknown query 'theta_x'; expected one of \('theta_f', 'theta_g', 'cu'\)$"):
@@ -318,11 +318,13 @@ def test_pool_is_never_wider_than_the_replications(monkeypatch):
 
 def test_observed_model_is_built_once_per_config():
     config = SimConfig(card_covariate=4, card_treatment=2)
-    model = observed_model(config)
-    assert observed_model(SimConfig(card_covariate=4, card_treatment=2)) is model
+    model = config.model
+    assert config.model is model
     assert model.rule == config.resolved_rule()
-    assert observed_model(dataclasses.replace(config, card_instrument=3)) is not model
-    assert observed_model.cache_info().maxsize == simulation.MODEL_CACHE_SIZE
+    assert model.variables == observed_model(config).variables
+    other = dataclasses.replace(config, card_instrument=3)
+    assert other.model is not model
+    assert other.model.variables[0].cardinality == 3
 
 
 def test_importing_the_cli_leaves_out_the_process_pool():

@@ -10,7 +10,6 @@ import pytest
 
 from rulebounds import lp_bounds
 from rulebounds import model as model_module
-from rulebounds import simulation
 from rulebounds.errors import DataError, InfeasibleModelError
 from rulebounds.lp_bounds import direct_sharp_bounds
 from rulebounds.model import (
@@ -107,7 +106,6 @@ def test_request_validates_its_model_once(rng, monkeypatch):
     assert calls == []  # a request checks its query and table; the model checked itself
 
     # a study builds its observed model once, with its config, and every replication reuses it
-    simulation.observed_model.cache_clear()
     calls.clear()
     report = run_study(SimConfig(replications=50, master_seed=3, card_covariate=3, card_treatment=2))
     assert len(report.records) == 50

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rulebounds import tables
 from rulebounds.errors import DataError
 from rulebounds.model import VariableSpec
+from rulebounds.simulation import random_cpt
 from rulebounds.tables import (
     Cpt,
     JointTable,
@@ -275,7 +276,7 @@ def test_joint_from_scm_invariant_under_topological_reordering(rng):
 
 
 def test_joint_from_scm_never_shares_index_arrays_across_structures(rng):
-    # same names throughout; a cardinality or the parent order differs
+    # same names throughout; a cardinality or the parent order differs, and each model gets its own joint
     def scm(card_u, a_parents):
         u = VariableSpec("u", card_u, "latent")
         z = VariableSpec("z", 2, "instrument")
@@ -290,16 +291,35 @@ def test_joint_from_scm_never_shares_index_arrays_across_structures(rng):
         return Scm((Cpt(u, (), rand_rows(1, card_u)), Cpt(z, (), rand_rows(1, 2)), Cpt(a, parents, rand_rows(2 * card_u, 3))))
 
     models = [scm(2, ("z", "u")), scm(3, ("z", "u")), scm(2, ("u", "z")), scm(2, ("z", "u"))]
-    gathers = [tables._joint_gathers(tables._structure(m)) for m in models]
-    assert gathers[3] is gathers[0]  # one structure, one set of arrays
-    for i in range(3):
-        for j in range(i):
-            assert gathers[i] is not gathers[j]
-    for m, arrays in zip(models, gathers):
-        assert all(not flat.flags.writeable for flat in arrays)
+    for m in models:
         # the same products in the same order as the chain rule, so the same bits
         np.testing.assert_array_equal(joint_from_scm(m).probs, chain_rule_joint(m))
-    assert tables._joint_gathers.cache_info().maxsize == tables.SCM_INDEX_CACHE_SIZE
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), override=st.booleans())
+def test_cpt_product_is_the_chain_rule_in_c_order(seed, override):
+    # every CPT reads an earlier subset of variables in a random order; one may have its rows replaced
+    rng = np.random.default_rng(seed)
+    n_vars = int(rng.integers(1, 6))
+    variables = [VariableSpec(f"v{i}", int(rng.integers(1, 4)), "extra_covariate") for i in range(n_vars)]
+    cpts = []
+    for i, v in enumerate(variables):
+        earlier = [p for p in variables[:i] if rng.random() < 0.7]
+        parents = tuple(earlier[k] for k in rng.permutation(len(earlier)))
+        cpts.append(random_cpt(v, parents, rng))
+    scm = Scm(cpts)
+    rows = {}
+    if override:
+        target = cpts[int(rng.integers(len(cpts)))]
+        rows[target.child.name] = random_cpt(target.child, target.parents, rng).rows
+        replaced = Cpt(target.child, target.parents, rows[target.child.name])
+        want = chain_rule_joint(Scm([replaced if c is target else c for c in cpts]))
+    else:
+        want = chain_rule_joint(scm)
+    got = tables.cpt_product(scm, rows)
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=40, deadline=None)
