@@ -14,6 +14,7 @@ compares each pair of runs:
   exit-4          conditioning alone on a CSV no instrumented model can give
   zero-arm        ``bounds`` on the example data without its ``z=1`` rows
   zero-arm-cond   the same with ``--strategy conditioning``
+  crlf            ``bounds --stratum-csv`` on the example data with CRLF line ends, which ``csv.reader`` reads
 
 Exit codes, stderr and stdout must be equal; JSON reports and stratum CSVs
 are compared field by field, numbers within ``TOL`` and everything else
@@ -48,7 +49,8 @@ def write_inputs(inputs: Path) -> None:
     """Every input the commands read beyond the checkout.
 
     The never-treat study config, ``configs/example.json`` for conditioning
-    alone and without its rule key ``"2"``, and three failing CSVs.
+    alone and without its rule key ``"2"``, three failing CSVs, and the
+    example data with CRLF line ends.
     """
     (inputs / "never_treat.json").write_text(json.dumps(NEVER_TREAT))
     example = json.loads((ROOT / "configs" / "example.json").read_text())
@@ -64,6 +66,8 @@ def write_inputs(inputs: Path) -> None:
     # instrument arm z=1 has no rows, so neither the reduced table nor any stratum can be conditioned on it
     lines = (ROOT / "data" / "example_observed.csv").read_text().splitlines(keepends=True)
     (inputs / "zero_arm.csv").write_text(lines[0] + "".join(line for line in lines[1:] if line.startswith("0,")))
+    lf = (ROOT / "data" / "example_observed.csv").read_bytes().replace(b"\r\n", b"\n")
+    (inputs / "crlf.csv").write_bytes(lf.replace(b"\n", b"\r\n"))
 
 
 def commands(inputs: Path) -> dict:
@@ -84,6 +88,8 @@ def commands(inputs: Path) -> dict:
         "zero-arm": ["bounds", "--config", example, "--data", str(inputs / "zero_arm.csv")] + report,
         "zero-arm-cond": ["bounds", "--config", example, "--data", str(inputs / "zero_arm.csv"),
                           "--strategy", "conditioning"] + report,
+        "crlf": ["bounds", "--config", example, "--data", str(inputs / "crlf.csv"), "--stratum-csv", "{out}/strata.csv"]
+        + report,
     }
 
 

@@ -7,15 +7,16 @@ row and integer codes; the optional per-variable "column" field maps
 variable names to differently named columns. Blank lines are skipped, and
 error messages name rows by their line number in the file.
 
-``load_records`` returns a file's records, one row of codes per subject;
-``load_table`` returns their empirical joint table, which is all the CLI
-needs. One byte tokenizer decodes plain integer files (digits, commas and
-LF only) a block of lines at a time: ``load_records`` copies each block
-into the record array, while ``load_table`` folds it straight into cell
-counts, so its memory beyond the file's bytes follows one block. Other
-files go through ``csv.reader``. A file ``load_table`` cannot fold, for a
-code out of range or no rows, is read as ``load_records`` reads it, so
-every error is worded the same.
+``load_table`` returns a file's empirical joint table, which is all the
+CLI needs; ``load_records`` returns its records, one row of codes per
+subject. Both run one fold over the file a block of rows at a time, which
+checks each block's codes against their ranges and counts them into cells.
+A byte tokenizer decodes plain integer files (digits, commas and LF only);
+at its first block outside that grammar, ``csv.reader`` reads the rows
+again from the start. So beyond the file's bytes, memory follows one block
+for every file. Of several defects, the first ``csv.Error`` is raised;
+else the first row that cannot be read; else the first out-of-range row of
+the first variable in model order.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from . import __version__
 from .errors import ConfigError, DataError
 from .lp_bounds import require_guideline
 from .model import CausalModel, TreatmentRule, VariableSpec, role_problem, rule_table
-from .tables import JointTable, empirical_joint
+from .tables import JointTable
 
 VALID_STRATEGIES = ("reduction", "conditioning", "both")
 _CONFIG_KEYS = (
@@ -199,41 +200,77 @@ _MAX_DIGITS = 18  # every 18-digit code fits int64
 def load_records(path: str, config: AnalysisConfig) -> tuple[np.ndarray, dict]:
     """Read integer-coded records for the model's variables from a CSV file.
 
-    Returns the (n, n_vars) array in model variable order plus loading info
-    (path, SHA-256 of the bytes read, row count and per-variable value
-    counts). The file is read once, as bytes, and must be UTF-8. The header
-    is parsed with ``csv.reader``. Data rows of plain integer CSV (ASCII
-    digits, commas and LF line ends only, one field per header column) are
-    decoded by a vectorised tokenizer; any other file, CRLF or spaced for
-    example, goes through ``csv.reader`` row by row, which also words every
-    row-level error. Both give the same records.
+    Returns the (n, n_vars) int64 array in model variable order and the
+    loading info, read by ``load_table``'s fold with each block's codes
+    kept: the same info, or the same ``DataError``, but a file with no
+    rows gives zero records.
     """
-    return _records(path, config, *_open_data(path, config))
+    _, kept, info = _fold(path, config, keep=True)
+    records = np.empty((info["n_records"], len(config.model.variables)), dtype=np.int64)
+    for j, column in enumerate(zip(*kept)):
+        np.concatenate(column, out=records[:, j])
+    return records, info
 
 
 def load_table(path: str, config: AnalysisConfig) -> tuple[JointTable, dict]:
     """The empirical joint of a CSV file's records over the model's variables, and the loading info.
 
-    The same table and info as ``empirical_joint`` over ``load_records``,
-    or the same ``DataError``. A plain file is decoded block by block
-    straight into cell counts, so beyond the file's bytes its memory
-    follows one block, not the row count. Any other file, or a plain one
-    holding a code outside its variable's range or no row at all, goes
-    through ``load_records``' record path, which words every error.
+    The info is the file's absolute path, the SHA-256 of its bytes, its row
+    count and each variable's value counts. Each block of rows is folded
+    straight into cell counts, so beyond the file's bytes memory follows
+    one block, not the row count. The same table and info as
+    ``tables.empirical_joint`` over ``load_records``, or the same error.
     """
-    opened = _open_data(path, config)
-    data, _, n_fields, positions, body = opened
+    counts, _, info = _fold(path, config, keep=False)
+    if not info["n_records"]:
+        raise DataError("records are empty")
+    return JointTable(config.model.variables, counts / info["n_records"]), info
+
+
+def _fold(path: str, config: AnalysisConfig, keep: bool) -> tuple:
+    """Cell counts of a data file's rows, shaped as the cells; each block's codes when ``keep``; the loading info.
+
+    A code out of range is raised after the last row, for the first
+    variable in model order that has one, at its first row.
+    """
+    data, reader, n_fields, positions, body = _open_data(path, config)
     variables = config.model.variables
-    counts = None if body is None else _plain_counts(data, body, n_fields, positions, variables)
-    if counts is None:
-        records, info = _records(path, config, *opened)
-        return empirical_joint(records, variables), info
-    n = int(counts.sum())
-    value_counts = {}
+    shape = tuple(v.cardinality for v in variables)
+    for block in _blocks(path, data, reader, n_fields, positions, body, variables):
+        if block is None:  # a pass over the rows begins: drop what an earlier one folded
+            counts, kept, n, outside = np.zeros(int(np.prod(shape)), dtype=np.int64), [], 0, {}
+            continue
+        columns, lines, in_range = block
+        for j, (column, v) in enumerate(zip(columns, variables)):
+            if in_range or j in outside:
+                continue
+            bad = np.flatnonzero((column < 0) | (column >= v.cardinality))
+            if bad.size:
+                r = int(bad[0])
+                line = _plain_line(data, body, n + r) if lines is None else lines[r]
+                outside[j] = (
+                    f"row {line} of {path!r}: value {column[r]} for {v.name!r} "
+                    f"is outside range(0, {v.cardinality})"
+                )
+        n += len(columns[0])
+        if outside:  # an error is certain: nothing more to count
+            continue
+        cells = columns[0].astype(np.intp)  # C-order cell index by Horner's rule
+        for column, card in zip(columns[1:], shape[1:]):
+            cells *= card
+            cells += column
+        counts += np.bincount(cells, minlength=counts.size)
+        if keep:
+            kept.append(columns)
+    if outside:
+        raise DataError(outside[min(outside)])
+    counts = counts.reshape(shape)
+    info = {"path": os.path.abspath(path), "sha256": hashlib.sha256(data).hexdigest(), "n_records": n}
+    info["value_counts"] = {}
     for j, v in enumerate(variables):
         margin = counts.sum(axis=tuple(k for k in range(len(variables)) if k != j))
-        value_counts[v.name] = {str(level): int(margin[level]) for level in v.levels}
-    return JointTable(variables, counts / n), _data_info(path, data, n, value_counts)
+        info["value_counts"][v.name] = {str(level): int(margin[level]) for level in v.levels}
+    return counts, kept, info
 
 
 def _open_data(path: str, config: AnalysisConfig) -> tuple:
@@ -275,39 +312,38 @@ def _open_data(path: str, config: AnalysisConfig) -> tuple:
     return data, reader, len(header), _column_positions(path, header, config), body
 
 
-def _records(
-    path: str, config: AnalysisConfig, data: bytes, reader, n_fields: int, positions: list, body: Optional[int]
-) -> tuple:
-    """``load_records`` on a file ``_open_data`` has read."""
-    records = lines = None
+def _blocks(path: str, data: bytes, reader, n_fields: int, positions: list, body: Optional[int], variables):
+    """Each block of a data file's rows as ``(codes, lines, in_range)``, and a None before each pass over the rows.
+
+    ``codes`` holds one array per model column, ``lines`` each row's file
+    line (None from the tokenizer: ``_plain_line`` finds one), ``in_range``
+    whether every code is known to lie inside its variable's range. The
+    tokenizer reads from ``body``; at its first block outside the plain
+    grammar, or when ``body`` is None, ``csv.reader`` reads the rows again
+    from the start. The first row that cannot be read (too short, a
+    non-integer, or outside int64) is raised after the last row, so that a
+    ``csv.Error`` on a later line comes first.
+    """
     if body is not None:
-        records = _plain_records(data, body, n_fields, positions, config.model.variables)
-    if records is None:
-        records, lines = _csv_records(path, reader, positions, config)
-
-    value_counts = {}
-    for j, v in enumerate(config.model.variables):
-        column = records[:, j]
-        outside = (column < 0) | (column >= v.cardinality)
-        if outside.any():
-            r = int(np.flatnonzero(outside)[0])
-            line = _plain_line(data, body, r) if lines is None else lines[r]
-            raise DataError(
-                f"row {line} of {path!r}: value {column[r]} for {v.name!r} "
-                f"is outside range(0, {v.cardinality})"
-            )
-        counts = np.bincount(column, minlength=v.cardinality)
-        value_counts[v.name] = {str(level): int(counts[level]) for level in v.levels}
-    return records, _data_info(path, data, int(records.shape[0]), value_counts)
-
-
-def _data_info(path: str, data: bytes, n_records: int, value_counts: dict) -> dict:
-    return {
-        "path": os.path.abspath(path),
-        "sha256": hashlib.sha256(data).hexdigest(),
-        "n_records": n_records,
-        "value_counts": value_counts,
-    }
+        yield None
+        for columns, in_range in _plain_blocks(data, body, n_fields, positions, variables):
+            if columns is None:
+                break
+            yield columns, None, in_range
+        else:
+            return
+    yield None
+    unreadable = None
+    for rows, lines in _csv_records(path, reader, _BLOCK_BYTES // (2 * n_fields) + 1):  # rows of a one-digit block
+        if unreadable is None:
+            try:
+                columns = [np.array([int(row[p].strip()) for row in rows], dtype=np.int64) for p in positions]
+            except (IndexError, ValueError, OverflowError):
+                unreadable = _unreadable(path, rows, lines, positions, variables)
+            else:
+                yield columns, lines, False
+    if unreadable is not None:
+        raise unreadable
 
 
 def _column_positions(path: str, header: list, config: AnalysisConfig) -> list:
@@ -336,78 +372,39 @@ def _csv_reader(data: bytes):
     return csv.reader(TextIOWrapper(BytesIO(data), encoding="utf-8", newline=""))
 
 
-def _csv_records(path: str, reader, positions: list, config: AnalysisConfig) -> tuple:
-    """Records of the rows ``reader`` has left, cell by cell, and the file line each ends on; defects name it."""
+def _csv_records(path: str, reader, size: int):
+    """The non-blank rows ``reader`` has left, ``size`` at a time, and the file line each ends on; defects name it."""
     rows, lines = [], array("q")
     try:
         for row in reader:
-            if row and any(cell.strip() for cell in row):
+            if any(map(str.strip, row)):
                 rows.append(row)
                 lines.append(reader.line_num)
+                if len(rows) == size:
+                    yield rows, lines
+                    rows.clear()  # so one block's rows are held at a time
+                    lines = array("q")
     except csv.Error as err:  # a field over csv.field_size_limit(), for one
         raise DataError(f"line {reader.line_num} of {path!r}: {err}") from None
-    records = np.empty((len(rows), len(positions)), dtype=np.int64)
-    for r, row in enumerate(rows):
-        for j, pos in enumerate(positions):
+    if rows:
+        yield rows, lines
+
+
+def _unreadable(path: str, rows: list, lines: list, positions: list, variables) -> DataError:
+    """The error for the first of ``rows`` that cannot be read, and its first such field in model order."""
+    for row, line in zip(rows, lines):
+        for pos, v in zip(positions, variables):
             if pos >= len(row):
-                raise DataError(
-                    f"row {lines[r]} of {path!r} has only {len(row)} fields"
-                )
+                return DataError(f"row {line} of {path!r} has only {len(row)} fields")
             cell = row[pos].strip()
             try:
-                records[r, j] = int(cell)
+                value = int(cell)
             except ValueError:
-                name = config.model.variables[j].name
-                raise DataError(
-                    f"row {lines[r]} of {path!r}: value {cell!r} for {name!r} "
-                    "is not an integer"
-                ) from None
-            except OverflowError:  # an integer too large for int64
-                v = config.model.variables[j]
-                raise DataError(
-                    f"row {lines[r]} of {path!r}: value {int(cell)} for {v.name!r} "
-                    f"is outside range(0, {v.cardinality})"
-                ) from None
-    return records, lines
-
-
-def _plain_records(data: bytes, start: int, n_fields: int, positions: list, variables) -> Optional[np.ndarray]:
-    """Records of the rows in ``data[start:]``, or None when they fall outside the plain grammar."""
-    out = np.empty((data.count(b"\n", start) + 1, len(positions)), dtype=np.int64, order="F")
-    n = 0
-    for columns, _ in _plain_blocks(data, start, n_fields, positions, variables):
-        if columns is None:
-            return None
-        rows = len(columns[0])
-        for j, column in enumerate(columns):
-            out[n:n + rows, j] = column
-        n += rows
-    return out[:n]
-
-
-def _plain_counts(data: bytes, start: int, n_fields: int, positions: list, variables) -> Optional[np.ndarray]:
-    """Row counts of the model's cells over the rows in ``data[start:]``, an array shaped as the cells.
-
-    None when the rows fall outside the plain grammar, hold a code outside
-    its variable's range, or are none at all; the record path words those.
-    """
-    shape = tuple(v.cardinality for v in variables)
-    counts = np.zeros(int(np.prod(shape)), dtype=np.int64)
-    for columns, in_range in _plain_blocks(data, start, n_fields, positions, variables):
-        if columns is None:
-            return None
-        if in_range:  # C-order cell index by Horner's rule, no range check left to make
-            cells = columns[0].astype(np.intp)
-            for column, card in zip(columns[1:], shape[1:]):
-                cells *= card
-                cells += column
-        else:
-            try:
-                cells = np.ravel_multi_index(columns, shape)
-            except ValueError:  # a code outside its variable's range
-                return None
-        counts += np.bincount(cells, minlength=counts.size)
-    return counts.reshape(shape) if counts.any() else None
+                return DataError(f"row {line} of {path!r}: value {cell!r} for {v.name!r} is not an integer")
+            if not -(1 << 63) <= value < 1 << 63:
+                return DataError(
+                    f"row {line} of {path!r}: value {value} for {v.name!r} is outside range(0, {v.cardinality})"
+                )
 
 
 def _plain_blocks(data: bytes, start: int, n_fields: int, positions: list, variables):

@@ -5,6 +5,7 @@ check exit codes, report contents, and agreement with the library calls.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import importlib.util
@@ -389,9 +390,10 @@ def assert_same_load(path, config):
 
     Same records and info, or a ``DataError`` with the same text; ``load_table``
     gives bit-identical probs and the same info as ``empirical_joint`` over
-    the csv.reader path's records, or the same error.
+    the csv.reader path's records, or the same error. The tokenizer is made
+    to refuse the first block, so csv.reader reads every row.
     """
-    with mock.patch.object(rulebounds.io, "_plain_records", return_value=None):
+    with mock.patch.object(rulebounds.io, "_plain_blocks", side_effect=lambda *args: iter([(None, False)])):
         slow = load_or_error(path, config)
         slow_table = tabulate_or_error(records_table, path, config)
     for block in BLOCK_SIZES:
@@ -560,7 +562,7 @@ def load_gen():
 
 
 def test_load_table_folds_plain_files_into_counts(tmp_path):
-    """Plain files are tabulated without records, at every block size; others take the record path."""
+    """Plain files are tabulated by the tokenizer alone, at every block size; CRLF and spaced files reach csv.reader."""
     config = load_config(write_config(tmp_path))
     gen = load_gen()
     counts = np.random.default_rng(6).integers(0, 40, size=(2, 3, 2, 2))
@@ -569,9 +571,8 @@ def test_load_table_folds_plain_files_into_counts(tmp_path):
     sparse = tmp_path / "sparse.csv"
     sparse.write_text("note,z ,x,a,y\n7,0,01,0,1\n\n,,,,\n12,1,2,001,0\n\n3,0,0,1,1")
     for block in BLOCK_SIZES:
-        refuse = AssertionError("the record path ran")
+        refuse = AssertionError("csv.reader ran")
         with mock.patch.object(rulebounds.io, "_csv_records", side_effect=refuse), \
-                mock.patch.object(rulebounds.io, "_records", side_effect=refuse), \
                 mock.patch.object(rulebounds.io, "_BLOCK_BYTES", block):
             table, info = load_table(str(fixed_width), config)
             np.testing.assert_array_equal(table.probs, counts / counts.sum())
@@ -591,22 +592,55 @@ def test_load_table_folds_plain_files_into_counts(tmp_path):
     out_of_range = tmp_path / "range.csv"
     out_of_range.write_text("z,x,a,y\n0,1,0,1\n0,3,0,1\n")
     for path in (fixed_width, sparse, crlf, spaced, out_of_range):
-        with mock.patch.object(rulebounds.io, "_records", wraps=rulebounds.io._records) as records, \
-                mock.patch.object(rulebounds.io, "_csv_records", wraps=rulebounds.io._csv_records) as slow:
-            tabulate_or_error(load_table, str(path), config)
-        assert records.called == (path in (crlf, spaced, out_of_range))
-        assert slow.called == (path in (crlf, spaced))
+        for load in (load_table, load_records):
+            with mock.patch.object(rulebounds.io, "_csv_records", wraps=rulebounds.io._csv_records) as slow, \
+                    contextlib.suppress(DataError):
+                load(str(path), config)
+            assert slow.called == (path in (crlf, spaced))
         assert_same_load(str(path), config)
 
 
-def test_load_table_memory_follows_one_block_not_the_row_count(tmp_path):
-    """Beyond the file's bytes, tabulating a plain file holds about one block's index arrays."""
+def test_each_tokenizer_block_is_decoded_once(tmp_path):
+    """A file that leaves the tokenizer's path only in its last row has each block decoded once, by either loader."""
+    config = load_config(write_config(tmp_path))
+    gen = load_gen()
+    plain = tmp_path / "plain.csv"
+    gen.write_csv(str(plain), gen.counts_for_model(config.model, 7, 40_000), ["z", "x", "a", "y"], 7)
+    data = plain.read_bytes()
+    last = data.rindex(b"\n", 0, len(data) - 1) + 1
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(data[:-1] + b"\r\n")
+    out_of_range = tmp_path / "range.csv"
+    out_of_range.write_bytes(data[:last] + b"0,3" + data[last + 3:])
+    decode = rulebounds.io._plain_blocks
+    yields = []
+
+    def counted(*args):
+        for block in decode(*args):
+            yields.append(block)
+            yield block
+
+    decoded = {}
+    for path in (plain, crlf, out_of_range):
+        for load in (load_table, load_records):
+            yields.clear()
+            with mock.patch.object(rulebounds.io, "_plain_blocks", counted), contextlib.suppress(DataError):
+                load(str(path), config)
+            decoded[path.name, load.__name__] = len(yields)
+    blocks = decoded["plain.csv", "load_table"]
+    assert blocks > 4
+    assert set(decoded.values()) == {blocks}
+
+
+def table_excess(tmp_path, end):
+    """``load_table``'s tracemalloc peak beyond the file's bytes, on files of 100k and 400k rows ended by ``end``."""
     config = load_config(write_config(tmp_path))
     gen = load_gen()
     excess = []
     for rows in (100_000, 400_000):
         path = tmp_path / f"rows{rows}.csv"
         gen.write_csv(str(path), gen.counts_for_model(config.model, 3, rows), ["z", "x", "a", "y"], 3)
+        path.write_bytes(path.read_bytes().replace(b"\n", end))
         tracemalloc.start()
         try:
             table, info = load_table(str(path), config)
@@ -615,8 +649,49 @@ def test_load_table_memory_follows_one_block_not_the_row_count(tmp_path):
             tracemalloc.stop()
         assert info["n_records"] == rows
         excess.append(peak - path.stat().st_size)
+    return excess
+
+
+def test_load_table_memory_follows_one_block_not_the_row_count(tmp_path):
+    """Beyond the file's bytes, tabulating a plain file holds about one block's index arrays."""
+    excess = table_excess(tmp_path, b"\n")
     assert max(excess) < 32 * rulebounds.io._BLOCK_BYTES
     assert abs(excess[1] - excess[0]) < rulebounds.io._BLOCK_BYTES // 8
+
+
+def test_csv_reader_memory_follows_one_block_not_the_row_count(tmp_path):
+    """A CRLF file, which csv.reader reads, is folded a block of rows at a time too: no list of every row."""
+    excess = table_excess(tmp_path, b"\r\n")
+    assert max(excess) < 32 * rulebounds.io._BLOCK_BYTES
+    assert abs(excess[1] - excess[0]) < rulebounds.io._BLOCK_BYTES // 8
+
+
+@pytest.mark.parametrize(
+    "raw,error",
+    [
+        (b"z,x,a,y\n0,5,0,1\n0,1,0,1\n7,1,0,1\n", "row 4 of {path!r}: value 7 for 'z' is outside range(0, 2)"),
+        (b"z,x,a,y\r\n0,5,0,1\r\n0,1,0,1\r\n7,1,0,1\r\n",
+         "row 4 of {path!r}: value 7 for 'z' is outside range(0, 2)"),
+        (b'z,x,a,y\n0,q,0,1\n0,1,0,1\n0,"' + b"1" * 200_001 + b'",0,1\n',
+         "line 4 of {path!r}: field larger than field limit (131072)"),
+        (b"z,x,a,y\n0,5,0,1\n0,1,0,1\n0,x,0,1\n", "row 4 of {path!r}: value 'x' for 'x' is not an integer"),
+        (b"z,x,a,y\n", None),
+    ],
+)
+def test_a_file_with_several_defects_names_the_one_that_comes_first(tmp_path, raw, error):
+    """A csv.Error comes before an unreadable row, which comes before a code out of range, wherever they lie;
+    among codes out of range, the first variable in model order's comes first."""
+    config = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "example.json"))
+    path = tmp_path / "d.csv"
+    path.write_bytes(raw)
+    if error is None:
+        records, info = load_records(str(path), config)
+        assert records.shape == (0, 4) and info["n_records"] == 0
+        error = "records are empty"
+    else:
+        error = error.format(path=str(path))
+        assert load_or_error(str(path), config) == error
+    assert tabulate_or_error(load_table, str(path), config) == error
 
 
 def test_non_ascii_header_costs_no_decoded_copy_of_the_file(tmp_path):
@@ -1427,7 +1502,7 @@ def test_parity_script_compares_two_source_trees(capsys):
         [name, "exit", code]
         for name, code in (("bounds", "0"), ("compare", "0"), ("simulate", "0"), ("simulate-cu", "0"),
                            ("simulate-jobs2", "0"), ("exit-2", "2"), ("exit-3", "3"), ("exit-4", "4"),
-                           ("zero-arm", "3"), ("zero-arm-cond", "3"))
+                           ("zero-arm", "3"), ("zero-arm-cond", "3"), ("crlf", "0"))
     ]
     # endpoints 1e-9 apart are a difference that names its field; a skipped timestamp is not
     report = {"generated_at": "then", "results": {"conditioning": {"lower": -0.1, "upper": 0.25, "skipped": False}}}
