@@ -14,7 +14,7 @@ compares each pair of runs:
   exit-4          conditioning alone on a CSV no instrumented model can give
   zero-arm        ``bounds`` on the example data without its ``z=1`` rows
   zero-arm-cond   the same with ``--strategy conditioning``
-  crlf            ``bounds --stratum-csv`` on the example data with CRLF line ends, which ``csv.reader`` reads
+  crlf            ``bounds --stratum-csv`` on the example data with CRLF line ends, which the tokenizer reads as LF
 
 Exit codes, stderr and stdout must be equal; JSON reports and stratum CSVs
 are compared field by field, numbers within ``TOL`` and everything else

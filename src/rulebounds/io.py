@@ -11,12 +11,12 @@ error messages name rows by their line number in the file.
 CLI needs; ``load_records`` returns its records, one row of codes per
 subject. Both run one fold over the file a block of rows at a time, which
 checks each block's codes against their ranges and counts them into cells.
-A byte tokenizer decodes plain integer files (digits, commas and LF only);
-at its first block outside that grammar, ``csv.reader`` reads the rows
-again from the start. So beyond the file's bytes, memory follows one block
-for every file. Of several defects, the first ``csv.Error`` is raised;
-else the first row that cannot be read; else the first out-of-range row of
-the first variable in model order.
+A byte tokenizer decodes plain integer files (digits, commas, and LF or
+CRLF line ends only); at its first block outside that grammar,
+``csv.reader`` reads the rows again from the start. So beyond the file's
+bytes, memory follows one block for every file. Of several defects, the
+first ``csv.Error`` is raised; else the first row that cannot be read;
+else the first out-of-range row of the first variable in model order.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ def _open_data(path: str, config: AnalysisConfig) -> tuple:
     Returns the file's bytes, its ``csv.reader`` past the header, the
     header's width, the model's column positions, and the first byte after
     the header when the tokenizer may read on from it, else None: it may
-    when the header record is exactly the first line, with no CR.
+    when the header record is exactly the first line, ended by LF or CRLF.
     """
     try:
         with open(path, "rb") as fh:
@@ -307,7 +307,8 @@ def _open_data(path: str, config: AnalysisConfig) -> tuple:
         raise DataError(f"line {reader.line_num} of {path!r}: {err}") from None
     header = [h.strip() for h in header]
     body = data.find(b"\n") + 1 or len(data)
-    if reader.line_num != 1 or data.find(b"\r", 0, body) != -1:
+    # the header line's one CR, if any, is that of its CRLF line end
+    if reader.line_num != 1 or data.find(b"\r", 0, body) not in (-1, data.find(b"\r\n", 0, body)):
         body = None
     return data, reader, len(header), _column_positions(path, header, config), body
 
@@ -414,11 +415,11 @@ def _plain_blocks(data: bytes, start: int, n_fields: int, positions: list, varia
     at ``positions``, one array per position, and whether every one of them
     is known to lie inside its variable's range; the codes are None for a
     block outside the grammar. The grammar: only ASCII digits, commas and LF,
-    no field longer than ``csv.field_size_limit()``, and every row that holds
-    a digit holding exactly ``n_fields - 1`` commas, with 1 to ``_MAX_DIGITS``
-    digits in each field at ``positions``; other rows are blank. Such rows
-    split and convert exactly as ``csv.reader`` and ``int`` do. Blocks bound
-    the index arrays' memory.
+    each CRLF read as LF, no field longer than ``csv.field_size_limit()``,
+    and every row that holds a digit holding exactly ``n_fields - 1`` commas,
+    with 1 to ``_MAX_DIGITS`` digits in each field at ``positions``; other
+    rows are blank. Such rows split and convert exactly as ``csv.reader``
+    and ``int`` do. Blocks bound the index arrays' memory.
 
     A block of whole LF lines with one digit in every field, each code at a
     position inside its variable's range, is read as a rows × ``2 * n_fields``
@@ -438,7 +439,10 @@ def _plain_blocks(data: bytes, start: int, n_fields: int, positions: list, varia
     layout, limit = np.tile(layout, rows), np.tile(limit, rows)
     while start < len(data):
         stop = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
-        b = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+        if data.find(b"\r", start, stop) == -1:
+            b = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+        else:  # CRLF line ends read as LF; a lone CR stays, outside the grammar
+            b = np.frombuffer(data[start:stop].replace(b"\r\n", b"\n"), dtype=np.uint8)
         start = stop
         if b.size % width == 0 and b.size <= layout.size:
             codes = b - layout[:b.size]  # uint8, so any other byte wraps to at least its limit

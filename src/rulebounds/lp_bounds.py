@@ -432,27 +432,27 @@ def _checked_levels(space: ResponseTypeSpace, query: str, level, guideline_level
     return tuple(checked)
 
 
-def arm_rows(space: ResponseTypeSpace, tables: np.ndarray, solvable: np.ndarray) -> tuple:
+def arm_rows(space: ResponseTypeSpace, tables: np.ndarray) -> tuple:
     """``(b, empty_arms)``: row ``i`` of ``b`` is ``tables[i]``'s arm rows, then the total mass 1.
 
-    ``tables`` is ``(n, n_arms, n_cells)`` in ``space``'s layout; ``empty_arms`` flags each arm of a
-    ``solvable`` table with no mass. With an instrument, other solvable tables are divided by their arms' masses.
+    ``tables`` is ``(n, n_arms, n_cells)`` in ``space``'s layout; ``empty_arms`` flags each arm with no
+    mass. With an instrument, the other tables are divided by their arms' masses.
     """
     n = len(tables)
     b = np.ones((n, space.n_arms * space.n_cells + 1))
     rows = b[:, :-1].reshape(n, space.n_arms, space.n_cells)  # a view: b is filled through it
     rows[...] = tables
     arm_mass = rows.sum(axis=2)
-    empty_arms = solvable[:, np.newaxis] & (arm_mass <= 0.0)
+    empty_arms = arm_mass <= 0.0
     if space.shape.instrument_card:
-        divide = solvable & ~empty_arms.any(axis=1)
+        divide = ~empty_arms.any(axis=1)
         np.divide(rows, arm_mass[:, :, np.newaxis], out=rows, where=divide[:, np.newaxis, np.newaxis])
     return b, empty_arms
 
 
 def _arm_rhs(space: ResponseTypeSpace, probs: np.ndarray) -> np.ndarray:
     """``LpProblem.rhs`` of one table, its axes in the layout of ``space``; an empty instrument arm is refused."""
-    b, empty_arms = arm_rows(space, probs.reshape(1, space.n_arms, space.n_cells), np.ones(1, dtype=bool))
+    b, empty_arms = arm_rows(space, probs.reshape(1, space.n_arms, space.n_cells))
     if empty_arms.any():
         raise zero_arm_error(int(np.argmax(empty_arms[0])))
     return b[0, :-1].reshape(space.n_arms, space.n_cells)
@@ -506,6 +506,11 @@ def check_interval(query: str, lower: float, upper: float) -> None:
             f"bounds [{lower!r}, {upper!r}] escape the admissible "
             f"range [{lo_lim}, {hi_lim}] for query {query!r}"
         )
+
+
+def contains(outer: tuple, inner: tuple) -> bool:
+    """Whether interval ``inner`` lies inside ``outer``, each a ``(lower, upper)`` pair, to ``BOUND_TOL``."""
+    return inner[0] >= outer[0] - BOUND_TOL and inner[1] <= outer[1] + BOUND_TOL
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,8 +12,8 @@ minimizes the total constraint violation; of rows tied to within
 ``VIOLATION_TIE_TOL``, the first is reported.
 
 A pivot updates only the rows whose entry in the pivot column is non-zero
-(a handful in the package's partition-structured programs), and its
-temporaries (those rows' copy, their outer-product update and the
+(a handful in the package's partition-structured programs), and its two
+temporaries (those rows' copy and the outer-product update that becomes the
 difference) span only those rows. Every entry it changes gets the same
 arithmetic as the full rank-one update ``T -= outer(col, T[i])``, so the
 pivot sequence and the results do not depend on the sparsity. Pricing
@@ -113,7 +113,13 @@ class _Tableau:
         row /= row[j]
         col[i] = 0.0  # keeps row i itself out of the update below
         rows = col.nonzero()[0]
-        T[rows] = T.take(rows, axis=0) - np.multiply.outer(col[rows], row)
+        # col's entries copied along each row: the product then needs no iterator buffers, and keeps its bits;
+        # out is passed by position, which costs less dispatch than the keyword on the small stratum tableaux
+        update = np.empty((rows.size, row.size))
+        update.T[...] = col[rows]
+        np.multiply(update, row, update)
+        np.subtract(T.take(rows, axis=0), update, update)
+        T[rows] = update
         col.fill(0.0)
         col[i] = 1.0
         leaving = self.basis[i]

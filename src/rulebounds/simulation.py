@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import RuleboundsError
-from .lp_bounds import QUERIES, require_guideline
+from .lp_bounds import QUERIES, contains, require_guideline
 from .model import (
     ROLE_INSTRUMENT,
     ROLE_OUTCOME,
@@ -33,7 +33,6 @@ from .model import (
 from .strategies import StrategyRequest, conditioning_bounds, reduction_bounds
 from .tables import Cpt, JointTable, Scm, cpt_product
 
-VALIDITY_TOL = 1e-9
 ROLE_LATENT = "latent_confounder"
 
 _STRATEGY_FUNCS = {"reduction": reduction_bounds, "conditioning": conditioning_bounds}
@@ -234,9 +233,7 @@ def run_replication(config: SimConfig, index: int) -> SimRecord:
             "lower": bounds.lower,
             "upper": bounds.upper,
             "width": bounds.width,
-            "valid": bool(
-                bounds.lower - VALIDITY_TOL <= truth <= bounds.upper + VALIDITY_TOL
-            ),
+            "valid": contains((bounds.lower, bounds.upper), (truth, truth)),
         }
     width_difference = None
     containment_violated = None
@@ -244,10 +241,7 @@ def run_replication(config: SimConfig, index: int) -> SimRecord:
         red, cond = results["reduction"], results["conditioning"]
         if "error" not in red and "error" not in cond:
             width_difference = red["width"] - cond["width"]
-            containment_violated = bool(
-                cond["lower"] < red["lower"] - VALIDITY_TOL
-                or cond["upper"] > red["upper"] + VALIDITY_TOL
-            )
+            containment_violated = not contains((red["lower"], red["upper"]), (cond["lower"], cond["upper"]))
     return SimRecord(
         index=index,
         truth=truth,

@@ -24,6 +24,7 @@ from .lp_bounds import (
     build_lp,
     check_interval,
     check_request,
+    contains,
     direct_sharp_bounds,
     enumerate_response_types,
     infeasible_error,
@@ -35,7 +36,6 @@ from .lp_bounds import (
 from .model import CausalModel, SpaceShape, build_reduced_model, stratum_shape
 from .tables import JointTable, axes_in
 
-CONTAINMENT_TOL = 1e-9
 AGREE_TOL = 1e-8
 
 
@@ -99,8 +99,9 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
     are listed as skipped. Strata given the same levels, of those the query
     reads, solve the same program for another right-hand side, so all of
     them are normalised at once and each such key's strata are solved as
-    one block (``solve_block``). An error names the first stratum, in
-    stratum order, whose program would raise it.
+    one block (``solve_block``). A ``JointTable`` has no negative entry, so
+    each stratum divides into entries in [0, 1]. An error names the first
+    stratum, in stratum order, whose program would raise it.
     """
     model, query = request.model, request.query
     covariates = model.rule_covariates + model.extra_covariates
@@ -120,25 +121,19 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
         out=np.zeros((n, space.n_arms, space.n_cells)),
         where=live[:, np.newaxis, np.newaxis],
     )
-    # entries none of them negative, divided by their sum, make a table JointTable accepts; a table with a
-    # negative entry has each stratum's table built below, so it is refused where it always was, and a
-    # stratum divided into non-finite entries is never solved
-    negative = bool(probs.min() < 0.0)
-    solvable = live & np.isfinite(rhs).all(axis=(1, 2))
-    b, empty_arms = arm_rows(space, rhs, solvable)
-    errors = {}  # stratum index -> the error its program raises, for the first empty-arm and infeasible ones
-    zero_arm = np.flatnonzero(empty_arms.any(axis=1))
-    if zero_arm.size:
-        errors[zero_arm[0]] = zero_arm_error(int(np.argmax(empty_arms[zero_arm[0]])))
-        solvable[zero_arm] = False
+    b, empty_arms = arm_rows(space, rhs)
+    zero_arm = live & empty_arms.any(axis=1)
+    errors = {}  # stratum index -> the error its program raises: each empty-arm one, each block's first infeasible one
+    for i in np.flatnonzero(zero_arm).tolist():
+        errors[i] = zero_arm_error(int(np.argmax(empty_arms[i])))
 
     per_w = prod(model.extra_covariate_cards)
     levels = np.repeat(model.rule.levels(model.rule_covariate_cards).ravel(), per_w).tolist()
     g_levels = [None] * n
     if model.guideline is not None:
         g_levels = np.repeat(model.guideline.levels(model.rule_covariate_cards).ravel(), per_w).tolist()
-    keys: dict = {}  # the levels the query reads -> its solvable strata, in order
-    for i in np.flatnonzero(solvable).tolist():
+    keys: dict = {}  # the levels the query reads -> its strata of positive mass and no empty arm, in order
+    for i in np.flatnonzero(live & ~zero_arm).tolist():
         keys.setdefault(read_levels(query, levels[i], g_levels[i]), []).append(i)
     bounds = {}
     for (level, g_level), rows in keys.items():
@@ -147,7 +142,6 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
         if solved.infeasible is not None:
             index, row, total = solved.infeasible
             errors[rows[index]] = infeasible_error(space, row, total)
-    first_error = min(errors, default=n)
 
     nx = len(model.rule_covariates)
     strata: list[dict] = []
@@ -170,9 +164,7 @@ def conditioning_bounds(request: StrategyRequest) -> BoundsResult:
         strata.append(stratum)
         if mass <= 0.0:
             continue
-        if negative:
-            JointTable(shape.variables, probs[i] / mass)  # raises what the stratum's table always raised
-        if i == first_error:
+        if i in errors:
             err = errors[i]
             if isinstance(err, InfeasibleModelError):
                 raise InfeasibleModelError(
@@ -235,10 +227,7 @@ def compare_strategies(request: StrategyRequest) -> StrategyComparison:
     """
     red = reduction_bounds(request)
     cond = conditioning_bounds(request)
-    containment = (
-        cond.lower >= red.lower - CONTAINMENT_TOL
-        and cond.upper <= red.upper + CONTAINMENT_TOL
-    )
+    containment = contains((red.lower, red.upper), (cond.lower, cond.upper))
     oracle = note = None
     if request.model.extra_covariates:
         note = "direct oracle skipped: extra covariates not supported"

@@ -41,6 +41,7 @@ class JointTable:
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
+        arr[arr < 0.0] = 0.0  # an entry within NEG_TOL below zero is zero, so every table is a distribution
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 

@@ -469,6 +469,10 @@ def test_plain_tokenizer_agrees_with_csv_reader(tmp_path, data, renamed):
         b"z,x,a,y\n0,\r1,0,1\n",  # a lone CR ends the row for csv.reader
         b"z,x,a,y\n0,1,0,1\r",
         b"z,x,a,y\r\n0,1,0,1\r\n",
+        b"z,x,a,y\r\n0,1,0,1\n1,2,1,0\r\n0,3,0,1\r\n",  # LF and CRLF mixed, out of range on line 4
+        b"z,x,a,y\r\n0,1,0,1\r\r\n1,2,1,0\r\n",  # CR CR LF holds a lone CR
+        b"z,x,a,y\r0",  # a header ended by a lone CR, then a short row and no LF
+        b"z,x,a,y\r0,1,0,1\r\n",
         b"z,x,a,y\n0,-1,0,1\n",
         b"z,x,a,y\n0, 1 ,0,1\n",
         b"z,x,a,y\n0,9999999999999999999,0,1\n",  # 19 digits overflow int64
@@ -515,7 +519,7 @@ def test_tokenizer_names_the_file_line_of_an_out_of_range_code(tmp_path, raw, li
 
 
 def test_plain_tokenizer_reads_plain_files(tmp_path):
-    """Digit-comma-LF files go through the tokenizer, at every block size; others do not."""
+    """Digit-comma files with LF or CRLF line ends go through the tokenizer, at every block size; others do not."""
     config = load_config(write_config(tmp_path))
     spec = importlib.util.spec_from_file_location(
         "perfbench_gen", Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
@@ -527,10 +531,14 @@ def test_plain_tokenizer_reads_plain_files(tmp_path):
     gen.write_csv(str(fixed_width), counts, ["z", "x", "a", "y"], 5)
     sparse = tmp_path / "sparse.csv"
     sparse.write_text("note,z ,x,a,y\n7,0,01,0,1\n\n,,,,\n12,1,2,001,0\n\n3,0,0,1,1")
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(b"z,x,a,y\r\n0,1,0,1\r\n\r\n,,,\r\n1,2,1,0\r\n")
     for block in BLOCK_SIZES:
         refuse = AssertionError("csv.reader ran")
         with mock.patch.object(rulebounds.io, "_csv_records", side_effect=refuse), \
                 mock.patch.object(rulebounds.io, "_BLOCK_BYTES", block):
+            records, _ = load_records(str(crlf), config)
+            np.testing.assert_array_equal(records, [[0, 1, 0, 1], [1, 2, 1, 0]])
             records, info = load_records(str(fixed_width), config)
             np.testing.assert_array_equal(
                 np.bincount(np.ravel_multi_index(tuple(records.T), counts.shape),
@@ -541,14 +549,12 @@ def test_plain_tokenizer_reads_plain_files(tmp_path):
             records, _ = load_records(str(sparse), config)
             np.testing.assert_array_equal(records, [[0, 1, 0, 1], [1, 2, 1, 0], [0, 0, 1, 1]])
 
-    crlf = tmp_path / "crlf.csv"
-    crlf.write_bytes(b"z,x,a,y\r\n0,1,0,1\r\n1,2,1,0\r\n")
     spaced = tmp_path / "spaced.csv"
     spaced.write_text("z,x,a,y\n0, 1,+0,1\n")
     for path in (fixed_width, sparse, crlf, spaced):
         with mock.patch.object(rulebounds.io, "_csv_records", wraps=rulebounds.io._csv_records) as slow:
             load_records(str(path), config)
-        assert slow.called == (path in (crlf, spaced))
+        assert slow.called == (path == spaced)
         assert_same_load(str(path), config)
 
 
@@ -562,7 +568,7 @@ def load_gen():
 
 
 def test_load_table_folds_plain_files_into_counts(tmp_path):
-    """Plain files are tabulated by the tokenizer alone, at every block size; CRLF and spaced files reach csv.reader."""
+    """Plain files, CRLF ones too, are tabulated by the tokenizer alone, at every block size; spaced files are not."""
     config = load_config(write_config(tmp_path))
     gen = load_gen()
     counts = np.random.default_rng(6).integers(0, 40, size=(2, 3, 2, 2))
@@ -596,7 +602,7 @@ def test_load_table_folds_plain_files_into_counts(tmp_path):
             with mock.patch.object(rulebounds.io, "_csv_records", wraps=rulebounds.io._csv_records) as slow, \
                     contextlib.suppress(DataError):
                 load(str(path), config)
-            assert slow.called == (path in (crlf, spaced))
+            assert slow.called == (path == spaced)
         assert_same_load(str(path), config)
 
 
@@ -632,15 +638,15 @@ def test_each_tokenizer_block_is_decoded_once(tmp_path):
     assert set(decoded.values()) == {blocks}
 
 
-def table_excess(tmp_path, end):
-    """``load_table``'s tracemalloc peak beyond the file's bytes, on files of 100k and 400k rows ended by ``end``."""
+def table_excess(tmp_path, old, new):
+    """``load_table``'s tracemalloc peak beyond the file's bytes, on files of 100k and 400k rows, ``old`` made ``new``."""
     config = load_config(write_config(tmp_path))
     gen = load_gen()
     excess = []
     for rows in (100_000, 400_000):
         path = tmp_path / f"rows{rows}.csv"
         gen.write_csv(str(path), gen.counts_for_model(config.model, 3, rows), ["z", "x", "a", "y"], 3)
-        path.write_bytes(path.read_bytes().replace(b"\n", end))
+        path.write_bytes(path.read_bytes().replace(old, new))
         tracemalloc.start()
         try:
             table, info = load_table(str(path), config)
@@ -653,15 +659,18 @@ def table_excess(tmp_path, end):
 
 
 def test_load_table_memory_follows_one_block_not_the_row_count(tmp_path):
-    """Beyond the file's bytes, tabulating a plain file holds about one block's index arrays."""
-    excess = table_excess(tmp_path, b"\n")
-    assert max(excess) < 32 * rulebounds.io._BLOCK_BYTES
-    assert abs(excess[1] - excess[0]) < rulebounds.io._BLOCK_BYTES // 8
+    """Beyond the file's bytes, tabulating a plain file, LF or CRLF, holds about one block's index arrays."""
+    for end in (b"\n", b"\r\n"):
+        excess = table_excess(tmp_path, b"\n", end)
+        assert max(excess) < 32 * rulebounds.io._BLOCK_BYTES
+        assert abs(excess[1] - excess[0]) < rulebounds.io._BLOCK_BYTES // 8
 
 
 def test_csv_reader_memory_follows_one_block_not_the_row_count(tmp_path):
-    """A CRLF file, which csv.reader reads, is folded a block of rows at a time too: no list of every row."""
-    excess = table_excess(tmp_path, b"\r\n")
+    """A file with a line of one space after each row, which csv.reader reads, is folded a block of rows at a time."""
+    with mock.patch.object(rulebounds.io, "_csv_records", wraps=rulebounds.io._csv_records) as slow:
+        excess = table_excess(tmp_path, b"\n", b"\n \n")
+    assert slow.call_count == 2
     assert max(excess) < 32 * rulebounds.io._BLOCK_BYTES
     assert abs(excess[1] - excess[0]) < rulebounds.io._BLOCK_BYTES // 8
 

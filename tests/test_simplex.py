@@ -336,9 +336,8 @@ def test_pivot_allocates_only_the_rows_it_updates():
     tableau.solve(-c_hi)
     assert tableau.T.shape == (110, 380)
     assert np.median(peaks) < tableau.T.nbytes / 4
-    # broadcasting buffers may hold two more copies of the updated rows
     row_bytes = tableau.T[0].nbytes
-    assert all(peak <= 4 * rows * row_bytes + 4096 for peak, rows in zip(peaks, touched))
+    assert all(peak <= 2 * rows * row_bytes + 4096 for peak, rows in zip(peaks, touched))
 
 
 @pytest.mark.parametrize(

@@ -20,11 +20,18 @@ from hypothesis import strategies as st
 
 import rulebounds.simulation as simulation
 from rulebounds.errors import DataError, InfeasibleModelError
-from rulebounds.lp_bounds import BoundsResult, build_lp, enumerate_response_types, solve_block, solve_bounds
+from rulebounds.lp_bounds import (
+    BoundsResult,
+    build_lp,
+    direct_sharp_bounds,
+    enumerate_response_types,
+    solve_block,
+    solve_bounds,
+)
 from rulebounds.model import CausalModel, SpaceShape, TreatmentRule, VariableSpec, stratum_shape
 from rulebounds.simplex import minimize_pair
 from rulebounds.simulation import random_cpt, true_policy_value
-from rulebounds.strategies import StrategyRequest, conditioning_bounds
+from rulebounds.strategies import AGREE_TOL, StrategyRequest, conditioning_bounds, reduction_bounds
 from rulebounds.tables import JointTable, Scm, joint_from_scm, marginalize, reorder
 
 from conftest import feasible_table, intervene_with_rule, reference_costs
@@ -98,6 +105,11 @@ def outcome(run, request):
     except (DataError, InfeasibleModelError, ValueError) as err:
         return type(err), str(err), getattr(err, "worst_constraint", None), getattr(err, "violation", None)
     return result.to_dict()
+
+
+def endpoints(answer):
+    """An ``outcome`` with a report cut to its two endpoints."""
+    return (answer["lower"], answer["upper"]) if isinstance(answer, dict) else answer
 
 
 def assert_same(request):
@@ -277,15 +289,37 @@ def test_true_policy_value_equals_the_intervened_joint(seed, n_x, constant):
     assert np.array_equal(forced, intervene_with_rule(scm, rule).cpt_for("a").rows)
 
 
-@pytest.mark.parametrize("stratum_mass", [0.3, 1e-12])
-def test_negative_entries_within_tolerance_give_the_per_stratum_outcome(stratum_mass):
-    # JointTable admits entries down to -NEG_TOL (1e-12): divided by a heavy stratum's mass, -1e-13 stays
-    # above it and the stratum is solved; divided by a light one it falls below, and the table is refused
+def tolerance_tables(stratum_mass):
+    """An ``IV_MODEL`` table ``q``, normalised, with -1e-13 in a stratum of ``stratum_mass``; and ``q`` with 0.0 there."""
     rng = np.random.default_rng(5)
     probs = feasible_table(rng, IV_MODEL, False).probs.copy()
     probs[3] *= stratum_mass / probs[3].sum()
     probs[3, 0, 0, 0] = -1e-13
-    table = JointTable(IV_MODEL.variables, probs / probs.sum())
+    q = probs / probs.sum()
+    zeroed = q.copy()
+    zeroed[3, 0, 0, 0] = 0.0
+    return q, zeroed
+
+
+@pytest.mark.parametrize("stratum_mass", [0.3, 1e-12])
+def test_negative_entries_within_tolerance_give_the_per_stratum_outcome(stratum_mass):
+    # JointTable stores -1e-13 as 0.0, so a light stratum divides into a table as valid as a heavy one's
+    q, _ = tolerance_tables(stratum_mass)
     for query in ("theta_f", "cu"):
-        got = assert_same(StrategyRequest(IV_MODEL, table, query))
-        assert isinstance(got, dict) == (stratum_mass == 0.3)
+        assert isinstance(assert_same(StrategyRequest(IV_MODEL, JointTable(IV_MODEL.variables, q), query)), dict)
+
+
+@pytest.mark.parametrize("stratum_mass", [0.3, 1e-12])
+def test_every_formulation_reads_an_entry_within_tolerance_below_zero_as_zero(stratum_mass):
+    # each gives what it gives with the entry at 0.0, bounds or error: at 0.3 the reduced and full
+    # programs find the table infeasible, and both refuse it with the same text either way
+    q, zeroed = tolerance_tables(stratum_mass)
+    runs = (reduction_bounds, conditioning_bounds, direct_sharp_bounds)
+    for query in ("theta_f", "cu"):
+        got, want = (StrategyRequest(IV_MODEL, JointTable(IV_MODEL.variables, t), query) for t in (q, zeroed))
+        for run in runs:
+            answer, expected = (outcome(run, request) for request in (got, want))
+            assert endpoints(answer) == endpoints(expected), (run.__name__, query)
+        if stratum_mass == 1e-12:
+            cond, oracle = conditioning_bounds(got), direct_sharp_bounds(got)
+            assert abs(cond.lower - oracle.lower) <= AGREE_TOL and abs(cond.upper - oracle.upper) <= AGREE_TOL

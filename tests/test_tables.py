@@ -51,6 +51,20 @@ def test_joint_table_validation():
         table.probs[0, 0] = 0.5  # read-only
 
 
+def test_entries_within_tolerance_below_zero_are_stored_as_zero():
+    vs = specs(("a", 2), ("b", 3))
+    probs = np.array([[-tables.NEG_TOL, -tables.NEG_TOL / 2, -0.0], [0.25, 0.25, 0.5 + 1.5 * tables.NEG_TOL]])
+    given = probs.copy()
+    table = JointTable(vs, probs)
+    assert table.probs[0].tolist() == [0.0, 0.0, 0.0]
+    assert np.signbit(table.probs[0]).tolist() == [False, False, True]  # -0.0 keeps its bits
+    np.testing.assert_array_equal(table.probs[1], given[1])
+    assert np.array_equal(probs, given) and np.signbit(probs[0]).all()  # the caller's array is untouched
+    probs[0, 0], probs[1, 2] = -2 * tables.NEG_TOL, 0.5 + 2.5 * tables.NEG_TOL
+    with pytest.raises(ValueError, match=re.escape(f"negative probability entry: {probs.min()!r}")):
+        JointTable(vs, probs)
+
+
 def test_axis_lookup():
     vs = specs(("a", 2), ("b", 3))
     table = JointTable(vs, np.full((2, 3), 1 / 6))
