@@ -54,7 +54,7 @@ from .model import (
 from .tables import JointTable, axes_in
 
 # the most any one array of a program may take: its profile arrays, or its dense simplex tableau
-# (a solve holds A, pivot temporaries and, for a reduction, its warm starts too: 2.7 to 5 tableaus)
+# (a solve holds A, pivot temporaries and, for a reduction, its warm start and a copy: 2.7 to 3.2 tableaus)
 MAX_TABLEAU_BYTES = 256 * 2**20
 # response-type spaces kept per process; an evicted space frees whatever it cached: its merge and program records
 SPACE_CACHE_SIZE = 32
@@ -184,12 +184,13 @@ class ResponseTypeSpace:
 
         ``A`` is the merged columns, ``c_min`` and ``c_max`` (read-only) each
         column's extreme coefficient over its profiles, and ``start`` the
-        ``simplex.WarmStart`` of a reduced program, or of a stratum program
-        whose costs are all zero (``cu`` where both rules assign one level),
-        else None. The records of reduced and stratum programs are few
-        (queries × the levels each query reads) and kept in ``records``; a
-        full program's levels span its covariate domain and it is solved once
-        per request, so its record is never kept and it never builds a start.
+        ``simplex.WarmStart`` (one tableau, copied by every later solve) of a
+        reduced program, or of a stratum program whose costs are all zero
+        (``cu`` where both rules assign one level), else None. The records of
+        reduced and stratum programs are few (queries × the levels each query
+        reads) and kept in ``records``; a full program's levels span its
+        covariate domain and it is solved once per request, so its record is
+        never kept and it never builds a start.
         """
         kept = self.shape.kind != "full"
         level, guideline_level = read_levels(query, level, guideline_level)

@@ -27,26 +27,25 @@ objectives are optimized back to back, the second starting from the
 first's optimal basis.
 
 A program solved many times with only ``b`` changing can skip phase 1.
-``warm_start`` solves it once, cold, at the canonical right-hand side
-``b = A·1/n`` (which ``x = 1/n`` makes feasible for every ``A``) and keeps
-each side's optimal tableau. ``minimize_pair(..., start=...)`` then copies
-a side's tableau, sets its right-hand side to ``B⁻¹b`` (the artificial
+``warm_start`` solves its lower side once, cold, at the canonical
+right-hand side ``b = A·1/n`` (which ``x = 1/n`` makes feasible for every
+``A``) and keeps that optimal tableau. ``minimize_pair(..., start=...)``
+then copies it, sets its right-hand side to ``B⁻¹b`` (the artificial
 columns hold ``B⁻¹``) and, since changing ``b`` leaves the basis dual
 feasible, restores primal feasibility by dual simplex pivots (Lemke 1954):
 the most negative row leaves, and the entering column wins the ratio test
-on the reduced costs, ties going to the lowest index. The basis depends on
+on the reduced costs, ties going to the lowest index. The upper side is
+then optimized from that basis, as in a cold pair. The basis depends on
 the program alone, never on what was solved before. The pair goes the
 cold way instead when the dual finds no entering column (``b`` is
 infeasible, and phase 1 names the most violated row), when an artificial
 parked on a redundant row reads nonzero, or after ``max_pivots`` dual
 pivots.
 
-A pair whose costs are both zero is one feasibility session: every
-feasible basis is optimal for either side, so ``warm_start`` keeps the
-phase-1 tableau alone, and a re-solve restores primal feasibility once
-(every reduced cost is zero, so every basis stays dual feasible and the
-lowest index enters). Both endpoints are ``0.0`` and the pivots are
-counted once, on the lower result.
+Zero costs need no case of their own: every basis is optimal for them, so
+the kept tableau is the phase-1 one, every dual pivot takes the lowest
+index (every ratio is zero), and the upper solve makes no pivot. Both
+endpoints are ``0.0``.
 """
 
 from __future__ import annotations
@@ -254,60 +253,38 @@ def minimize(c, A, b) -> SimplexResult:
 
 @dataclass(frozen=True, eq=False)
 class WarmStart:
-    """Each side's optimal tableau of one program at its canonical right-hand side."""
+    """The lower side's optimal tableau of one program at its canonical right-hand side."""
 
     c_lo: np.ndarray         # the costs warm_start was given, not copies: minimize_pair knows them by identity
     c_hi: np.ndarray
     sign: np.ndarray         # row signs the canonical tableau applied to A and b
-    sides: tuple             # tableaus after the lower and after the upper solve; one for zero costs
-    max_pivots: int          # dual pivots per side before the cold path takes over
-
-    def resolve(self, b: np.ndarray) -> tuple:
-        """``((lower, upper), pivots)``, or ``(None, pivots)`` when the pair must go cold."""
-        results, pivots, signed = [], 0, self.sign * b
-        for side, c in zip(self.sides, (self.c_lo, -self.c_hi)):
-            tableau = side._copy()
-            tableau.iterations = 0
-            done = tableau._resolve(signed, self.max_pivots)
-            pivots += tableau.iterations
-            if not done:
-                return None, pivots
-            results.append(tableau._vertex(c, solve="warm"))
-        # a zero-cost pair has one side: its vertex is both optima, its pivots counted once
-        hi_neg = results[-1]
-        return (results[0], _upper(hi_neg, hi_neg.iterations if len(results) == 2 else 0)), pivots
+    tableau: _Tableau        # read-only: each re-solve pivots a copy
+    max_pivots: int          # dual pivots before the cold path takes over
 
 
 def warm_start(c_lo, c_hi, A) -> WarmStart:
-    """Solve the pair once, cold, at ``b = A·1/n`` and keep each side's optimal tableau.
-
-    When both costs are zero every feasible basis is optimal for both
-    sides, so the phase-1 tableau is the one side kept.
-    """
+    """Solve the lower side once, cold, at ``b = A·1/n`` and keep its optimal tableau."""
     c_lo, c_hi = np.asarray(c_lo, dtype=float), np.asarray(c_hi, dtype=float)
     b = np.asarray(A, dtype=float).mean(axis=1)
     tableau = _Tableau(A, b)
-    costs = (c_lo, -c_hi) if c_lo.any() or c_hi.any() else (c_lo,)
-    sides = []
-    for c in costs:
-        if tableau.solve(c).status != "optimal":
-            raise SolverError("canonical right-hand side A·1/n found infeasible; constraint setup is broken")
-        side = tableau._copy() if len(sides) < len(costs) - 1 else tableau  # the last side keeps the session tableau
-        for array in (side.T, side.basis, side.barred):
-            array.setflags(write=False)
-        sides.append(side)
-    return WarmStart(c_lo, c_hi, np.where(b < 0, -1.0, 1.0), tuple(sides), max_pivots=tableau.m)
+    if tableau.solve(c_lo).status != "optimal":
+        raise SolverError("canonical right-hand side A·1/n found infeasible; constraint setup is broken")
+    for array in (tableau.T, tableau.basis, tableau.barred):
+        array.setflags(write=False)
+    # m bounds the drift: uncapped, a 289-row reduction's 759 dual pivots missed A x = b by 1.5e-5
+    return WarmStart(c_lo, c_hi, np.where(b < 0, -1.0, 1.0), tableau, max_pivots=tableau.m)
 
 
 def minimize_pair(c_lo, c_hi, A, b, start: Optional[WarmStart] = None):
     """min of ``c_lo`` and max of ``c_hi`` over one shared feasible region.
 
     Returns (lower_result, upper_result) where the upper result reports the
-    maximum of ``c_hi`` directly. Phase 1 runs once; the second solve reuses
-    the first's final basis. With ``start``, built by ``warm_start`` from the
-    same ``c_lo``, ``c_hi`` and ``A``, each side is re-solved from its
-    canonical tableau by dual pivots; when that fails the pair is solved
-    cold, and the lower result's ``iterations`` counts the dual pivots too.
+    maximum of ``c_hi`` directly. Phase 1 runs once; the upper solve starts
+    from the lower's optimal basis. With ``start``, built by ``warm_start``
+    from the same ``c_lo``, ``c_hi`` and ``A``, the lower side is re-solved
+    from a copy of its canonical tableau by dual pivots instead; when that
+    fails the pair is solved cold, and the lower result's ``iterations``
+    counts the dual pivots too.
     """
     spent = 0
     if start is not None:
@@ -317,21 +294,24 @@ def minimize_pair(c_lo, c_hi, A, b, start: Optional[WarmStart] = None):
         b = np.asarray(b, dtype=float)
         if b.shape != start.sign.shape:
             raise ValueError(f"shape mismatch: warm start has {start.sign.size} rows, b {b.shape}")
-        pair, spent = start.resolve(b)
-        if pair is not None:
-            return pair
+        tableau = start.tableau._copy()
+        tableau.iterations = 0
+        if tableau._resolve(start.sign * b, start.max_pivots):
+            return tableau._vertex(start.c_lo, solve="warm"), _upper(tableau, start.c_hi, "warm")
+        spent = tableau.iterations
+        del tableau  # the given-up copy is freed before the cold tableau is built
     tableau = _Tableau(A, b)
     lo = tableau.solve(np.asarray(c_lo, dtype=float))
     if spent:
         lo = SimplexResult(lo.status, lo.value, lo.x, lo.iterations + spent, lo.violation_row, lo.violation_total)
     if lo.status != "optimal":
         return lo, lo
+    return lo, _upper(tableau, np.asarray(c_hi, dtype=float), "cold")
+
+
+def _upper(tableau: _Tableau, c_hi: np.ndarray, solve: str) -> SimplexResult:
+    """The maximum of ``c_hi``, optimized from the tableau's lower-optimal basis, with the pivots it took."""
     before = tableau.iterations
-    hi_neg = tableau.solve(-np.asarray(c_hi, dtype=float))
-    return lo, _upper(hi_neg, hi_neg.iterations - before)
-
-
-def _upper(hi_neg: SimplexResult, iterations: int) -> SimplexResult:
-    """The maximum of ``c_hi`` from the minimum of ``-c_hi``, with ``iterations`` pivots."""
+    hi_neg = tableau.solve(-c_hi)
     # not -value: a zero maximum is 0.0, never -0.0
-    return SimplexResult("optimal", 0.0 - hi_neg.value, hi_neg.x, iterations, solve=hi_neg.solve)
+    return SimplexResult("optimal", 0.0 - hi_neg.value, hi_neg.x, tableau.iterations - before, solve=solve)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -284,13 +284,8 @@ class SimReport:
         }
 
 
-def _worker(args) -> SimRecord:
-    config, index = args
-    return run_replication(config, index)
-
-
 def run_study(config: SimConfig) -> SimReport:
-    """All replications, serial or process-parallel; results are order-stable."""
+    """All replications, serial or process-parallel; both return the records in index order."""
     start = time.perf_counter()
     indices = range(config.replications)
     if config.jobs > 1:
@@ -299,12 +294,9 @@ def run_study(config: SimConfig) -> SimReport:
 
         # the fork context starts every worker at the first submit, so no wider than the work
         with ProcessPoolExecutor(max_workers=min(config.jobs, config.replications)) as pool:
-            records = list(
-                pool.map(_worker, [(config, i) for i in indices], chunksize=16)
-            )
+            records = list(pool.map(partial(run_replication, config), indices, chunksize=16))
     else:
         records = [run_replication(config, i) for i in indices]
-    records.sort(key=lambda r: r.index)
     validity_rate = {}
     mean_width = {}
     invalid = {}

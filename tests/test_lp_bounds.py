@@ -235,12 +235,12 @@ def test_full_space_stores_no_objectives(rng):
         assert set(vars(space)) == {f.name for f in fields(space)} | {"merged"}
         A, inverse = space.merged
         # a full space keeps no record; a reduced record, or a stratum record with all-zero costs, also
-        # keeps its warm-start tableaus, sized by the program
+        # keeps its warm-start tableau, sized by the program
         assert (not space.records) == (shape.kind == "full")
         for _, c_min, c_max, start in space.records.values():
             assert (start is not None) == (shape.kind == "reduced" or not (c_min.any() or c_max.any()))
-            for side in start.sides if start is not None else ():
-                assert side.T.shape == (A.shape[0] + 1, A.shape[1] + A.shape[0] + 1)
+            if start is not None:
+                assert start.tableau.T.shape == (A.shape[0] + 1, A.shape[1] + A.shape[0] + 1)
         k = shape.treat_card
         assert inverse.shape == (prod(space.root_cards), k**space.n_arms, 2**k)
         assert A.shape == (space.n_arms * space.n_cells + 1, inverse.max() + 1)
@@ -583,9 +583,9 @@ def test_reduced_program_streams_its_classes_in_bounded_memory():
     A, c_min, c_max = program_columns(lp)
     b = np.concatenate([lp.rhs.ravel(), [1.0]])
     simplex_peak = _traced_peak(lambda: simplex.minimize_pair(c_min, c_max, A, b))
-    # its record also keeps the query's warm start: one tableau per side, sized by the program
-    kept = sum(side.T.nbytes for side in space.records["cu", None, None][3].sides)
-    assert kept == 2 * 8 * (A.shape[0] + 1) * (A.shape[1] + A.shape[0] + 1)
+    # its record also keeps the query's warm start: one tableau, sized by the program
+    kept = space.records["cu", None, None][3].tableau.T.nbytes
+    assert kept == 8 * (A.shape[0] + 1) * (A.shape[1] + A.shape[0] + 1)
     assert first < A.nbytes + kept + simplex_peak + slack
     assert _traced_peak(lambda: solve_bounds(lp)) < simplex_peak + slack
     # afterwards the space keeps only its merge and the query's record, and the program built no per-class array
@@ -593,6 +593,16 @@ def test_reduced_program_streams_its_classes_in_bounded_memory():
     assert list(space.records) == [("cu", None, None)]
     assert space.merged[1].size == 648 and space.merged[0] is A
     assert not {"cells", "objective"} & set(vars(lp))
+
+
+def test_reduced_first_solve_peaks_under_three_tableaus():
+    # a record's first solve holds its kept warm-start tableau, the copy re-solved from it and the pivots'
+    # temporaries; the merge is built beforehand, so A is not counted
+    _space.cache_clear()
+    space = enumerate_response_types(SpaceShape("reduced", 3, instrument_card=2, guideline_mode="separate"))
+    lp = build_lp(space, uniform_table(space), "cu")
+    m, n = space.merged[0].shape
+    assert _traced_peak(lambda: solve_bounds(lp)) < 3 * 8 * (m + 1) * (n + m + 1)
 
 
 @pytest.mark.parametrize(

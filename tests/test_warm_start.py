@@ -1,11 +1,12 @@
 """Warm re-solves of a program whose right-hand side alone changes.
 
-``simplex.warm_start`` keeps each side's optimal tableau at the canonical
-``b = A·1/n``; ``minimize_pair(..., start=...)`` re-solves from it by dual
-pivots, and goes the cold way when that fails. Each re-solve is checked
-against the cold pair solve, the dense reference tableau and scipy's HiGHS,
-on programs of every cross-check shape (not only the reduced ones that
-``solve_bounds`` warm-starts), and infeasible tables must be reported
+``simplex.warm_start`` keeps the lower side's optimal tableau at the
+canonical ``b = A·1/n``; ``minimize_pair(..., start=...)`` re-solves a copy
+of it by dual pivots, then optimizes the upper side from there as a cold
+pair does, and goes the cold way when the dual fails. Each re-solve is
+checked against the cold pair solve, the dense reference tableau and
+scipy's HiGHS, on programs of every cross-check shape (not only the reduced
+ones that ``solve_bounds`` warm-starts), and infeasible tables must be reported
 exactly as the cold path reports them.
 """
 
@@ -195,14 +196,18 @@ def test_study_program_resolves_warm(index):
 
 
 def test_canonical_table_resolves_without_a_pivot():
+    # every replication's program has the same A and costs, so one canonical b stands for them all
     c_lo, c_hi, A, _ = study_program(0, "cu")
     start = warm_start(c_lo, c_hi, A)
     lo, hi = minimize_pair(c_lo, c_hi, A, A.mean(axis=1), start=start)
-    assert (lo.solve, hi.solve, lo.iterations, hi.iterations) == ("warm", "warm", 0, 0)
     cold_lo, cold_hi = minimize_pair(c_lo, c_hi, A, A.mean(axis=1))
-    assert abs(lo.value - cold_lo.value) <= 1e-15 and abs(hi.value - cold_hi.value) <= 1e-15
-    for side in start.sides:
-        assert not side.T.flags.writeable
+    # the kept tableau is the lower optimum; the upper side takes the cold pair's pivots to its bits
+    assert (lo.solve, hi.solve, lo.iterations, hi.iterations) == ("warm", "warm", 0, 19)
+    assert hi.iterations == cold_hi.iterations
+    for got, cold in ((lo, cold_lo), (hi, cold_hi)):
+        assert got.value == cold.value and np.array_equal(got.x, cold.x)
+    for array in (start.tableau.T, start.tableau.basis, start.tableau.barred):
+        assert not array.flags.writeable
 
 
 def test_barely_negative_basic_value_is_pivoted_out():
@@ -210,7 +215,7 @@ def test_barely_negative_basic_value_is_pivoted_out():
     # side's canonical basis reads -1e-8; the basis must be repaired, not its value clipped
     c_lo, c_hi, A, b = study_program(0, "cu")
     start = warm_start(c_lo, c_hi, A)
-    side = start.sides[0]
+    side = start.tableau
     inverse = side.T[: side.m, side.n : side.n + side.m]
     b0 = A.mean(axis=1)
 
@@ -229,10 +234,20 @@ def test_barely_negative_basic_value_is_pivoted_out():
 
 
 def test_dual_pivots_take_the_most_negative_row_and_the_lowest_tied_column(monkeypatch):
-    # each dual pivot is checked against the rule as it is taken
-    pivot, ties = simplex._Tableau._pivot, []
+    # each pivot taken inside a re-solve is a dual one, checked against the rule as it is taken;
+    # the upper side's pivots after it are primal
+    pivot, resolve, ties, resolving = simplex._Tableau._pivot, simplex._Tableau._resolve, [], []
+
+    def resolve_marked(self, b, max_pivots):
+        resolving.append(self)
+        try:
+            return resolve(self, b, max_pivots)
+        finally:
+            resolving.pop()
 
     def checked(self, i, j):
+        if not resolving:
+            return pivot(self, i, j)
         T, n = self.T, self.n
         rhs = T[: self.m, -1]
         assert rhs[i] == rhs.min() and i == int(np.flatnonzero(rhs == rhs.min())[0])
@@ -248,6 +263,7 @@ def test_dual_pivots_take_the_most_negative_row_and_the_lowest_tied_column(monke
         start = warm_start(c_lo, c_hi, A)
         with monkeypatch.context() as mp:
             mp.setattr(simplex._Tableau, "_pivot", checked)
+            mp.setattr(simplex._Tableau, "_resolve", resolve_marked)
             lo, hi = minimize_pair(c_lo, c_hi, A, b, start=start)
         assert lo.solve == "warm"
     assert len(ties) > 0 and max(ties) > 1  # some ratio tests really were tied
@@ -272,6 +288,16 @@ def test_pivot_cap_sends_the_pair_cold():
             assert lo.iterations == cold_lo.iterations + spent
             assert hi.iterations == cold_hi.iterations
     assert capped > 0
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_upper_side_needs_no_dual_pivots_of_its_own(index):
+    # a cap of the lower side's dual pivots keeps the pair warm: the upper side is optimized, not re-solved
+    c_lo, c_hi, A, b = study_program(index, "cu")
+    start = warm_start(c_lo, c_hi, A)
+    lo, _ = minimize_pair(c_lo, c_hi, A, b, start=start)
+    capped = assert_matches_cold(c_lo, c_hi, A, b, replace(start, max_pivots=lo.iterations))
+    assert capped[0].solve == capped[1].solve == "warm"
 
 
 def test_warm_start_refuses_another_program():
@@ -366,7 +392,7 @@ def warm_run(tableau_cls, c_lo, c_hi, A, b, cap):
         if cap is not None:
             start = replace(start, max_pivots=cap)
         pair = minimize_pair(c_lo, c_hi, A, b, start=start)
-    assert all(isinstance(side, tableau_cls) for side in start.sides)  # a copied tableau keeps its class
+    assert isinstance(start.tableau, tableau_cls)  # a copied tableau keeps its class
     return start, pair, log
 
 
@@ -378,9 +404,8 @@ def result_fields(res):
 def assert_same_warm_run(fast, ref):
     """The row-sparse tableau's warm start and re-solve take the dense reference's pivots and reach its numbers."""
     (start, pair, log), (ref_start, ref_pair, ref_log) = fast, ref
-    assert len(start.sides) == len(ref_start.sides)
-    for side, ref_side in zip(start.sides, ref_start.sides):
-        assert np.array_equal(side.basis, ref_side.basis) and np.array_equal(side.T, ref_side.T)
+    assert np.array_equal(start.tableau.basis, ref_start.tableau.basis)
+    assert np.array_equal(start.tableau.T, ref_start.tableau.T)
     assert [entry[:2] for entry in log] == [entry[:2] for entry in ref_log]
     for entry, ref_entry in zip(log, ref_log):
         if entry[0] == "resolve":
@@ -403,7 +428,7 @@ def assert_same_warm_run(fast, ref):
 @example(seed=0, query_index=0, table="zero_arm", zero_cost=True, cap=None)
 @example(seed=0, query_index=0, table="infeasible", zero_cost=False, cap=None)
 def test_warm_resolve_pivots_like_dense_reference(shape, seed, query_index, table, zero_cost, cap):
-    # reduced and stratum starts with costs, and zero-cost one-sided starts, on both tableaus;
+    # reduced and stratum starts with costs, and zero-cost starts, on both tableaus;
     # the cold fallbacks (pivot cap, parked artificial, no entering column) included
     c_lo, c_hi, A, b = warm_program(shape, query_index, seed, table, zero_cost)
     assert_same_warm_run(

@@ -2,9 +2,10 @@
 
 Under ``cu``, a stratum where the rule and the guideline assign one level
 has ``f - g = 0`` on every response profile, so both endpoints are 0.0 and
-only the table's feasibility is in question. Its record holds a one-sided
-``simplex.WarmStart``, and every row is re-solved from it. The cold
-reference here is the same code with every record's warm start removed.
+only the table's feasibility is in question. Its record holds a
+``simplex.WarmStart`` whose tableau is the phase-1 one, and every row is
+re-solved from it. The cold reference here is the same code with every
+record's warm start removed.
 Each outcome must be ``==`` to the cold one: ``conditioning_bounds``'s
 report, or its exception's type, text, ``worst_constraint`` and
 ``violation``; each row's endpoints and infeasibility certificate. HiGHS
@@ -72,7 +73,6 @@ def test_zero_cost_rows_equal_the_cold_pair_and_highs(shape, seed, level, kinds)
     b = np.array([program(shape, query_index, seed + i, kind)[4] for i, kind in enumerate(kinds)])
     A, c_min, c_max, start = enumerate_response_types(shape).program("cu", level, level)
     assert not (c_min.any() or c_max.any())
-    assert len(start.sides) == 1
     got = solve_block(shape, "cu", level, level, b)
     for i, row in enumerate(b):
         lo, hi = minimize_pair(c_min, c_max, A, row)
@@ -87,7 +87,7 @@ def test_zero_cost_rows_equal_the_cold_pair_and_highs(shape, seed, level, kinds)
         assert positive_zero(got.lower[i]) and positive_zero(got.upper[i])
         warm_lo, warm_hi = minimize_pair(c_min, c_max, A, row, start=start)
         assert positive_zero(warm_lo.value) and positive_zero(warm_hi.value)
-        if warm_lo.solve == "warm":  # pivots are counted once, on the lower side
+        if warm_lo.solve == "warm":  # the dual pivots are the lower side's; the upper solve makes none
             assert warm_hi.iterations == 0 and np.abs(A @ warm_lo.x - row).max() <= 1e-9
     else:
         assert got.infeasible is None and got.lower.size == len(b)
